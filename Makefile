@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test test-checked race vet vet-self test-lifecycle test-spill fuzz-smoke bench-smoke bench-reuse bench-buildscale bench-hotpath bench-hotpath-smoke bench-spill bench-spill-smoke serve-smoke ci
+.PHONY: build test test-checked race vet vet-self test-lifecycle test-spill fuzz-smoke bench-smoke bench-reuse bench-buildscale bench-hotpath bench-hotpath-smoke bench-spill bench-spill-smoke bench-test serve-smoke ci
 
 build:
 	$(GO) build ./...
@@ -139,6 +139,13 @@ bench-spill-smoke:
 	$(GO) run ./cmd/fastcc-bench -exp spill -scale-frostt 0.0005 -repeats 1 -threads 2 -platform desktop8 > /dev/null
 	$(GO) test ./internal/experiments -run 'TestRunSpillEmitsValidJSON|TestBenchSpillArtifact'
 
+# The benchmark module's own tests (tiny preset, a few seconds). The root
+# `go test ./...` does not reach the separate bench module, and its
+# TestOutputsMatchReference is the bit-identity gate across every timed
+# path, the daemon included.
+bench-test:
+	cd bench && $(GO) test ./...
+
 # End-to-end daemon gate: build fastcc-serve and fastcc-client, start the
 # daemon on a free port with a deliberately small cache budget and tenant
 # quota, run the scripted upload -> contract -> fetch round-trip (results
@@ -149,4 +156,4 @@ serve-smoke:
 	$(GO) build -o bin/fastcc-client ./cmd/fastcc-client
 	sh tools/serve_smoke.sh bin
 
-ci: build vet vet-self test test-checked race test-lifecycle test-spill fuzz-smoke bench-smoke bench-hotpath-smoke bench-spill-smoke serve-smoke
+ci: build vet vet-self test test-checked race test-lifecycle test-spill fuzz-smoke bench-smoke bench-hotpath-smoke bench-spill-smoke bench-test serve-smoke

@@ -97,6 +97,24 @@ func TestKernelGenericMatchesSpecialized(t *testing.T) {
 	}
 }
 
+// tileCols collects one tile's nonzeros as the (key, intra index, value)
+// columns a partition segment holds, for hashtable.BuildSealed.
+type tileCols struct {
+	ctr   []uint64
+	intra []uint32
+	val   []float64
+}
+
+func (c *tileCols) add(key uint64, idx uint32, v float64) {
+	c.ctr = append(c.ctr, key)
+	c.intra = append(c.intra, idx)
+	c.val = append(c.val, v)
+}
+
+func (c *tileCols) build(keyHint int) *hashtable.Sealed {
+	return hashtable.BuildSealed(c.ctr, c.intra, c.val, keyHint)
+}
+
 // TestIterateSmallerSideByDistinctKeys is the heuristic regression test: an
 // asymmetric tile pair where the LEFT table has many distinct keys with one
 // pair each and the RIGHT has few keys with many pairs each. Iterating by
@@ -106,17 +124,16 @@ func TestKernelGenericMatchesSpecialized(t *testing.T) {
 // choice — their accumulation orders (and so the output bits) depend on it.
 func TestIterateSmallerSideByDistinctKeys(t *testing.T) {
 	const manyKeys, fewKeys, pairsPerKey = 90, 7, 40
-	big := hashtable.NewSliceTable(manyKeys)
+	var big, small tileCols
 	for k := 0; k < manyKeys; k++ {
-		big.Insert(uint64(k), uint32(k%31), 1)
+		big.add(uint64(k), uint32(k%31), 1)
 	}
-	small := hashtable.NewSliceTable(fewKeys)
 	for k := 0; k < fewKeys; k++ {
 		for p := 0; p < pairsPerKey; p++ {
-			small.Insert(uint64(k), uint32(p), 1) // pair count 280 >> big's 90
+			small.add(uint64(k), uint32(p), 1) // pair count 280 >> big's 90
 		}
 	}
-	hl, hr := big.Seal(), small.Seal()
+	hl, hr := big.build(manyKeys), small.build(fewKeys)
 	for _, dir := range []struct {
 		name   string
 		hl, hr *hashtable.Sealed
@@ -229,13 +246,13 @@ type benchTilePairData struct {
 
 func newBenchTilePair(nKeysL, nKeysR, pairsPerKey int) *benchTilePairData {
 	mkSealed := func(nKeys, stride int) *hashtable.Sealed {
-		tb := hashtable.NewSliceTable(nKeys)
+		var tc tileCols
 		for k := 0; k < nKeys; k++ {
 			for p := 0; p < pairsPerKey; p++ {
-				tb.Insert(uint64(k*stride), uint32((k+p)%32), 1.25)
+				tc.add(uint64(k*stride), uint32((k+p)%32), 1.25)
 			}
 		}
-		return tb.Seal()
+		return tc.build(nKeys)
 	}
 	mkSorted := func(nKeys, stride int) *sortedTile {
 		st := &sortedTile{}

@@ -41,12 +41,14 @@ type sortedTile struct {
 
 // Sorted-tile recycling: the RepSorted twin of the hashtable sealed-arena
 // pools. Eviction retires whole sorted shards; their arrays flow back here
-// and are drawn again by the next buildSortedTiles. Under fastcc_checked the
-// pools poison parked storage.
+// and are drawn again by the next buildSortedTiles. sortedPermPool holds the
+// per-tile sort permutation, which lives only until the tile's pairs are
+// gathered. Under fastcc_checked the pools poison parked storage.
 var (
 	sortedKeyPool  mempool.SlicePool[uint64]
 	sortedOffPool  mempool.SlicePool[int32]
 	sortedPairPool mempool.SlicePool[hashtable.Pair]
+	sortedPermPool mempool.SlicePool[uint32]
 )
 
 // memBytes reports the tile's in-memory footprint for eviction accounting.
@@ -78,7 +80,7 @@ func buildSortedTiles(tables []*sortedTile, part *coo.TilePartition, w, teamSize
 		lo, hi := part.Offs[i], part.Offs[i+1]
 		n := hi - lo
 		cs := part.Ctr[lo:hi]
-		perm := make([]uint32, n)
+		perm := sortedPermPool.Get(n)[:n]
 		for j := range perm {
 			perm[j] = uint32(j)
 		}
@@ -94,6 +96,7 @@ func buildSortedTiles(tables []*sortedTile, part *coo.TilePartition, w, teamSize
 		for p, orig := range perm {
 			st.pairs[p] = hashtable.Pair{Idx: part.Intra[lo+int(orig)], Val: part.Val[lo+int(orig)]}
 		}
+		sortedPermPool.Put(perm)
 		for j, c := range cs {
 			if j == 0 || c != cs[j-1] {
 				st.keys = append(st.keys, c)

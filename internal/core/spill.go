@@ -415,8 +415,9 @@ func (s *Shard) abortSpillDecode() {
 //	             u32 idxs · f64-bit vals
 //
 // Spans and slot arrays are not stored: spans rebuild cumulatively from the
-// per-key lens (Seal lays the arena out contiguously in dense order), and
-// the slot index rebuilds by replaying the dense keys over the stored mask.
+// per-key lens (BuildSealed lays the arena out contiguously in dense order),
+// and the slot index rebuilds by replaying the dense keys over the stored
+// mask.
 func encodeShard(s *Shard) []byte {
 	var w tnsbin.SectionWriter
 	w.U8(uint8(s.Key.Rep))

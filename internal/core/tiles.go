@@ -47,13 +47,13 @@ func tileNNZHint(dec model.Decision, tl, tr uint64) int {
 	}
 }
 
-// buildSealedTiles builds and seals the hash tables of the non-empty tiles
-// this worker owns (idx mod teamSize == w over the partition's non-empty
-// list). Each tile's nonzeros sit in a contiguous partition segment, so a
-// worker reads only the bytes of its own tiles — no scan-and-filter over
-// the whole operand. The mutable table is sized from the model's
-// distinct-key estimate (its hint is a KEY count, not a pair count) and
-// sealed into the read-only SoA form the contract phase iterates.
+// buildSealedTiles builds the sealed hash tables of the non-empty tiles this
+// worker owns (idx mod teamSize == w over the partition's non-empty list).
+// Each tile's nonzeros sit in a contiguous partition segment, so a worker
+// reads only the bytes of its own tiles — no scan-and-filter over the whole
+// operand — and hands that segment straight to hashtable.BuildSealed, sized
+// from the model's distinct-key estimate (its hint is a KEY count, not a
+// pair count).
 //
 // Workers write disjoint slots of tables, so no synchronization is needed
 // beyond the team barrier.
@@ -64,11 +64,8 @@ func buildSealedTiles(tables []*hashtable.Sealed, part *coo.TilePartition, ctrDi
 	for idx := w; idx < len(ne); idx += teamSize {
 		i := ne[idx]
 		lo, hi := part.Offs[i], part.Offs[i+1]
-		t := hashtable.NewSliceTable(model.ExpectedDistinctKeys(hi-lo, ctrDim))
-		for k := lo; k < hi; k++ {
-			t.Insert(part.Ctr[k], part.Intra[k], part.Val[k])
-		}
-		tables[i] = t.Seal()
+		tables[i] = hashtable.BuildSealed(part.Ctr[lo:hi], part.Intra[lo:hi], part.Val[lo:hi],
+			model.ExpectedDistinctKeys(hi-lo, ctrDim))
 	}
 }
 

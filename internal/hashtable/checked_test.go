@@ -22,14 +22,14 @@ func expectPanicWhenChecked(t *testing.T, what string, fn func()) {
 	fn()
 }
 
-// TestSealedGenerationStamp: a properly sealed table passes every checked
+// TestSealedGenerationStamp: a properly built table passes every checked
 // access; the stamp must never fire on the happy path.
 func TestSealedGenerationStamp(t *testing.T) {
-	tbl := NewSliceTable(4)
-	tbl.Insert(7, 1, 1.5)
-	tbl.Insert(7, 2, 2.5)
-	tbl.Insert(9, 3, 3.5)
-	s := tbl.Seal()
+	var c cols
+	c.add(7, 1, 1.5)
+	c.add(7, 2, 2.5)
+	c.add(9, 3, 3.5)
+	s := c.build(4)
 	if s.Len() != 2 || s.Pairs() != 3 {
 		t.Fatalf("Len=%d Pairs=%d, want 2/3", s.Len(), s.Pairs())
 	}
@@ -46,9 +46,7 @@ func TestSealedGenerationStamp(t *testing.T) {
 // and probe access must fail fast under fastcc_checked instead of serving
 // spans into storage that may have been recycled.
 func TestSealedInvalidatedAccessPanics(t *testing.T) {
-	tbl := NewSliceTable(4)
-	tbl.Insert(7, 1, 1.5)
-	s := tbl.Seal()
+	s := BuildSealed([]uint64{7}, []uint32{1}, []float64{1.5}, 4)
 	s.invalidate()
 	expectPanicWhenChecked(t, "KeyAt after invalidate", func() { _ = s.KeyAt(0) })
 	expectPanicWhenChecked(t, "PairsAt after invalidate", func() { _ = s.PairsAt(0) })
@@ -62,9 +60,7 @@ func TestSealedCorruptSpanPanics(t *testing.T) {
 	if !mempool.Checked {
 		t.Skip("span re-validation is compiled in only under fastcc_checked")
 	}
-	tbl := NewSliceTable(4)
-	tbl.Insert(7, 1, 1.5)
-	s := tbl.Seal()
+	s := BuildSealed([]uint64{7}, []uint32{1}, []float64{1.5}, 4)
 	s.spans[0].Len = int32(len(s.pairs)) + 5 //fastcc:allow sealedmut -- test corrupts sealed state on purpose
 	expectPanicWhenChecked(t, "PairsAt with corrupt span", func() { _ = s.PairsAt(0) })
 }

@@ -1,9 +1,9 @@
 // Package hashtable implements the open-addressing hash tables at the heart
 // of FaSTCC (paper Sections 2.2 and 4):
 //
-//   - SliceTable maps a contraction index c to the list of (intra-tile
-//     index, value) pairs of a tile's nonzeros — the HL_i / HR_j maps of
-//     Algorithm 6.
+//   - Sealed maps a contraction index c to the run of (intra-tile index,
+//     value) pairs of a tile's nonzeros — the HL_i / HR_j maps of
+//     Algorithm 6 — laid out in one arena by BuildSealed.
 //   - FloatTable maps a packed (l,r) output position to an accumulated
 //     float64 — the sparse tile accumulator of Section 5.4.
 //

@@ -33,52 +33,40 @@ func TestMixSpreadsSequentialKeys(t *testing.T) {
 	}
 }
 
-func TestSliceTableBasic(t *testing.T) {
-	tb := NewSliceTable(0)
-	tb.Insert(7, 1, 1.5)
-	tb.Insert(7, 2, 2.5)
-	tb.Insert(9, 3, 3.5)
-	if tb.Len() != 2 || tb.Pairs() != 3 {
-		t.Fatalf("Len=%d Pairs=%d", tb.Len(), tb.Pairs())
-	}
-	ps := tb.Lookup(7)
-	if len(ps) != 2 || ps[0] != (Pair{1, 1.5}) || ps[1] != (Pair{2, 2.5}) {
-		t.Fatalf("Lookup(7) = %v", ps)
-	}
-	if tb.Lookup(8) != nil {
-		t.Fatal("Lookup(8) should be nil")
-	}
-	if !tb.Contains(9) || tb.Contains(10) {
-		t.Fatal("Contains wrong")
-	}
-}
+// The TestSliceTable* tests cover the key → pair-run table of paper
+// Section 4.1 as BuildSealed produces it.
 
 func TestSliceTableGrowPreservesAll(t *testing.T) {
-	tb := NewSliceTable(0) // force many grows
+	var c cols
 	const n = 10000
 	for i := uint64(0); i < n; i++ {
-		tb.Insert(i*3, uint32(i), float64(i))
-		tb.Insert(i*3, uint32(i+1), float64(i)+0.5)
+		c.add(i*3, uint32(i), float64(i))
+		c.add(i*3, uint32(i+1), float64(i)+0.5)
 	}
+	tb := c.build(0) // force many grows
 	if tb.Len() != n || tb.Pairs() != 2*n {
 		t.Fatalf("Len=%d Pairs=%d", tb.Len(), tb.Pairs())
 	}
+	if tb.Slots() != doubledSlots(0, n) {
+		t.Fatalf("Slots=%d want %d", tb.Slots(), doubledSlots(0, n))
+	}
 	for i := uint64(0); i < n; i++ {
 		ps := tb.Lookup(i * 3)
-		if len(ps) != 2 || ps[0].Val != float64(i) {
+		if len(ps) != 2 || ps[0].Val != float64(i) || ps[1].Val != float64(i)+0.5 {
 			t.Fatalf("key %d: %v", i*3, ps)
 		}
 	}
 }
 
 func TestSliceTableForEachAndKeys(t *testing.T) {
-	tb := NewSliceTable(4)
+	var c cols
 	want := map[uint64]int{}
 	for i := uint64(0); i < 100; i++ {
 		k := i % 17
-		tb.Insert(k, uint32(i), 1)
+		c.add(k, uint32(i), 1)
 		want[k]++
 	}
+	tb := c.build(4)
 	visited := 0
 	tb.ForEach(func(k uint64, ps []Pair) {
 		visited++
@@ -89,34 +77,57 @@ func TestSliceTableForEachAndKeys(t *testing.T) {
 	if visited != 17 {
 		t.Fatalf("ForEach visited %d keys", visited)
 	}
-	keys := tb.Keys(nil)
-	if len(keys) != 17 {
+	if keys := tb.Keys(); len(keys) != 17 {
 		t.Fatalf("Keys returned %d", len(keys))
 	}
 }
 
+// TestSliceTableVersusMapModel checks BuildSealed against a map model over
+// random inputs and key hints of 0, 1, exact and 16x over: keys come out in
+// first-occurrence order, each key's pairs in input order, Lookup, KeyAt,
+// PairsAt and LookupBatch agree, and the slot count is what doubling from
+// the hint yields.
 func TestSliceTableVersusMapModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tb := NewSliceTable(0)
+		n := rng.Intn(600)
+		keySpace := uint64(1 + rng.Intn(200))
+		var c cols
 		model := map[uint64][]Pair{}
-		for i := 0; i < 500; i++ {
-			k := rng.Uint64() % 64
+		var order []uint64
+		for i := 0; i < n; i++ {
+			k := rng.Uint64() % keySpace
 			p := Pair{Idx: uint32(rng.Intn(100)), Val: float64(rng.Intn(10))}
-			tb.Insert(k, p.Idx, p.Val)
+			c.add(k, p.Idx, p.Val)
+			if _, seen := model[k]; !seen {
+				order = append(order, k)
+			}
 			model[k] = append(model[k], p)
 		}
-		if tb.Len() != len(model) {
-			return false
-		}
-		for k, want := range model {
-			got := tb.Lookup(k)
-			if len(got) != len(want) {
+		for _, hint := range []int{0, 1, len(order), 16 * len(order)} {
+			tb := c.build(hint)
+			if tb.Len() != len(order) || tb.Pairs() != n || tb.Slots() != doubledSlots(hint, len(order)) {
 				return false
 			}
-			for i := range want {
-				if got[i] != want[i] {
+			probe := append([]uint64{keySpace, keySpace + 1}, order...)
+			out := make([]int32, len(probe))
+			if tb.LookupBatch(probe, out) != len(order) || out[0] != -1 || out[1] != -1 {
+				return false
+			}
+			for i, k := range order {
+				want := model[k]
+				if tb.KeyAt(i) != k || int(out[i+2]) != i {
 					return false
+				}
+				for _, got := range [][]Pair{tb.PairsAt(i), tb.Lookup(k)} {
+					if len(got) != len(want) {
+						return false
+					}
+					for j := range want {
+						if got[j] != want[j] {
+							return false
+						}
+					}
 				}
 			}
 		}
@@ -236,13 +247,5 @@ func BenchmarkFloatTableUpsert(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tb.Upsert(uint64(i)&0xFFFF, 1.0)
-	}
-}
-
-func BenchmarkSliceTableInsert(b *testing.B) {
-	tb := NewSliceTable(1 << 12)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tb.Insert(uint64(i)&0xFFF, uint32(i), 1.0)
 	}
 }

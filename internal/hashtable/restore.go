@@ -2,7 +2,7 @@ package hashtable
 
 // Spill-restore arena taps: when the shard cache reloads a spilled table
 // from disk (internal/core, spill.go), the dense arrays are decoded straight
-// into storage drawn from the same sealed-arena pools Seal uses, so a
+// into storage drawn from the same sealed-arena pools BuildSealed uses, so a
 // restored table recycles exactly like a built one and the pools' leak
 // accounting (Outstanding) stays balanced across spill round trips.
 // DiscardRestore is the failure path's inverse: a decode that dies partway
@@ -40,27 +40,19 @@ func DiscardRestore(keys []uint64, spans []Span, pairs []Pair) {
 // which is all bit-identical contraction output requires. The returned
 // table owns all four slices; Recycle returns everything to the pools.
 //
-//fastcc:sealer -- the spill twin of Seal: the restore path populating a Sealed
+//fastcc:sealer -- the spill twin of BuildSealed: the restore path populating a Sealed
 func RestoreSealed(mask uint64, keys []uint64, spans []Span, pairs []Pair) *Sealed {
-	slots := int(mask) + 1
+	slotKeys, slotIdx := newSlots(int(mask) + 1)
+	for li, k := range keys {
+		placeKey(slotKeys, slotIdx, k, int32(li))
+	}
 	s := &Sealed{
 		mask:     mask,
-		slotKeys: arenaU64.Get(slots)[:slots], //fastcc:owned -- recycled by Sealed.Recycle
-		slotIdx:  arenaI32.Get(slots)[:slots], //fastcc:owned -- recycled by Sealed.Recycle
+		slotKeys: slotKeys, //fastcc:owned -- recycled by Sealed.Recycle
+		slotIdx:  slotIdx,  //fastcc:owned -- recycled by Sealed.Recycle
 		keys:     keys,
 		spans:    spans,
 		pairs:    pairs,
-	}
-	for i := range s.slotIdx {
-		s.slotIdx[i] = sliceEmptySlot
-	}
-	for li, k := range keys {
-		slot := Mix(k) & mask
-		for s.slotIdx[slot] != sliceEmptySlot {
-			slot = (slot + 1) & mask
-		}
-		s.slotKeys[slot] = k
-		s.slotIdx[slot] = int32(li)
 	}
 	s.stampLive()
 	return s

@@ -10,10 +10,10 @@ type Span struct {
 
 // Sealed-arena recycling: the shard-cache eviction policy retires whole
 // sealed tables, whose storage flows back through these pools and is drawn
-// again by the next Seal (and by NewSliceTable for the slot arrays Seal
-// steals). Under fastcc_checked the pools poison parked storage, so an
-// unpinned reader touching a recycled table's arrays trips the sentinel or
-// the generation stamp instead of reading another shard's data.
+// again by the next BuildSealed or RestoreSealed. Under fastcc_checked the
+// pools poison parked storage, so an unpinned reader touching a recycled
+// table's arrays trips the sentinel or the generation stamp instead of
+// reading another shard's data.
 var (
 	arenaU64  mempool.SlicePool[uint64]
 	arenaI32  mempool.SlicePool[int32]
@@ -30,64 +30,27 @@ const (
 	bytesPerPair    = 16
 )
 
-// Sealed is the read-only SoA form of a SliceTable: one contiguous []Pair
-// arena with per-key {off, len} spans in place of the mutable table's
-// [][]Pair double indirection. Sealing happens once at the end of the Build
-// phase; the Contract phase then co-iterates sealed tables with a flat
-// cursor (KeyAt/PairsAt over dense indices) instead of a ForEach closure,
-// and every Lookup resolves to a span into the arena — no per-key slice
-// headers scattered across the heap, no pointer chase per probe.
+// Sealed is the read-only SoA form of one tile's key → pair-run map: one
+// contiguous []Pair arena with per-key {off, len} spans, no per-key slice
+// headers. BuildSealed lays it out once in the Build phase; the Contract
+// phase then co-iterates sealed tables with a flat cursor (KeyAt/PairsAt
+// over dense indices), and every Lookup resolves to a span into the arena —
+// no pointer chase per probe.
 //
-// Immutable after Seal, so concurrent contractions read it without locks.
+// Immutable once built, so concurrent contractions read it without locks.
 type Sealed struct {
 	mask uint64
-	// slotKeys/slotIdx are the open-addressing slot arrays (stolen from the
-	// sealed SliceTable — sealing allocates no new slot storage); slotIdx
-	// maps a slot to a dense key index or sliceEmptySlot.
+	// slotKeys/slotIdx are the open-addressing slot arrays; slotIdx maps a
+	// slot to a dense key index or sealedEmptySlot.
 	slotKeys []uint64
 	slotIdx  []int32
-	// keys/spans are dense, indexed by insertion order; pairs is the arena.
+	// keys/spans are dense, indexed by first-occurrence order; pairs is the
+	// arena, laid out in the same order.
 	keys  []uint64
 	spans []Span
 	pairs []Pair
 
 	ck checkedSealed // generation stamp; zero-sized unless built with fastcc_checked
-}
-
-// Seal converts the table into its read-only SoA form. The pair lists are
-// copied once into a contiguous arena sized exactly Pairs(); the slot
-// arrays are reused as the sealed lookup index. The SliceTable must not be
-// used afterwards: its per-key lists are released for the GC and its slot
-// arrays now belong to the sealed table.
-//
-//fastcc:sealer -- the one function allowed to populate a Sealed
-func (t *SliceTable) Seal() *Sealed {
-	n := len(t.lists)
-	s := &Sealed{
-		mask:     t.mask,
-		slotKeys: t.keys,
-		slotIdx:  t.listIdx,
-		keys:     arenaU64.Get(n)[:n],    //fastcc:owned -- recycled by Sealed.Recycle
-		spans:    arenaSpan.Get(n)[:n],   //fastcc:owned -- recycled by Sealed.Recycle
-		pairs:    arenaPair.Get(t.pairs), //fastcc:owned -- recycled by Sealed.Recycle
-	}
-	// Dense index li was assigned in key-insertion order; recover each
-	// key's value from its slot so cursor iteration follows that order.
-	for slot, li := range t.listIdx {
-		if li != sliceEmptySlot {
-			s.keys[li] = t.keys[slot]
-		}
-	}
-	for li, ps := range t.lists {
-		s.spans[li] = Span{Off: int32(len(s.pairs)), Len: int32(len(ps))}
-		s.pairs = append(s.pairs, ps...)
-		t.lists[li] = nil // release the mutable list for the GC as we go
-	}
-	t.lists = nil
-	t.keys = nil
-	t.listIdx = nil
-	s.stampLive()
-	return s
 }
 
 // slicePairs resolves a span into the arena through int-widened bounds, so
@@ -145,7 +108,7 @@ func (s *Sealed) Lookup(key uint64) []Pair {
 	slot := Mix(key) & s.mask
 	for {
 		li := s.slotIdx[slot]
-		if li == sliceEmptySlot {
+		if li == sealedEmptySlot {
 			return nil
 		}
 		if s.slotKeys[slot] == key {
@@ -215,7 +178,7 @@ func (s *Sealed) LookupBatch(keys []uint64, out []int32) (hits int) {
 		for i, k := range chunk {
 			li := homeIdx[i]
 			switch {
-			case li == sliceEmptySlot:
+			case li == sealedEmptySlot:
 				out[base+i] = -1
 			case homeKeys[i] == k:
 				out[base+i] = li
@@ -240,7 +203,7 @@ func (s *Sealed) probeFrom(home uint64, key uint64) int32 {
 	slot := (home + 1) & s.mask
 	for {
 		li := s.slotIdx[slot]
-		if li == sliceEmptySlot {
+		if li == sealedEmptySlot {
 			return -1
 		}
 		if s.slotKeys[slot] == key {
@@ -270,14 +233,14 @@ func (s *Sealed) MemBytes() int64 {
 }
 
 // Recycle retires the table and returns its storage to the arena pools for
-// future Seal calls — the eviction half of the sealed-table lifecycle. The
+// future builds — the eviction half of the sealed-table lifecycle. The
 // table must have no readers: the shard cache only calls this after the
 // owning shard's pin count has dropped to zero and its retire bit is set.
 // Under fastcc_checked the generation stamp is invalidated first, so any
 // reader that skipped pinning panics deterministically at its next access
 // instead of observing another shard's recycled data.
 //
-//fastcc:sealer -- lifecycle transition, the inverse of Seal
+//fastcc:sealer -- lifecycle transition, the inverse of BuildSealed
 func (s *Sealed) Recycle() {
 	s.invalidate()
 	arenaU64.Put(s.slotKeys)

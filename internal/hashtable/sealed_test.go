@@ -2,16 +2,17 @@ package hashtable
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
 func TestSealedBasic(t *testing.T) {
-	tb := NewSliceTable(0)
-	tb.Insert(7, 1, 1.5)
-	tb.Insert(7, 2, 2.5)
-	tb.Insert(9, 3, 3.5)
-	s := tb.Seal()
+	var c cols
+	c.add(7, 1, 1.5)
+	c.add(7, 2, 2.5)
+	c.add(9, 3, 3.5)
+	s := c.build(0)
 	if s.Len() != 2 || s.Pairs() != 3 {
 		t.Fatalf("Len=%d Pairs=%d", s.Len(), s.Pairs())
 	}
@@ -34,46 +35,36 @@ func TestSealedBasic(t *testing.T) {
 	}
 }
 
+// TestSealedMatchesSliceTable pins BuildSealed's layout to the reference
+// per-key-list form it replaces: append every pair to its key's list, order
+// keys by first occurrence, concatenate the lists into the arena. Keys,
+// spans, arena and mask must match exactly — that layout is what spill
+// images store and what bit-identical kernel output depends on.
 func TestSealedMatchesSliceTable(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tb := NewSliceTable(0)
-		model := map[uint64][]Pair{}
+		var c cols
+		lists := map[uint64][]Pair{}
+		var order []uint64
 		for i := 0; i < 800; i++ {
 			k := rng.Uint64() % 97
 			p := Pair{Idx: uint32(rng.Intn(1000)), Val: float64(rng.Intn(19) - 9)}
-			tb.Insert(k, p.Idx, p.Val)
-			model[k] = append(model[k], p)
-		}
-		s := tb.Seal()
-		if s.Len() != len(model) {
-			return false
-		}
-		// Lookup agrees with the model, pair order preserved.
-		for k, want := range model {
-			got := s.Lookup(k)
-			if len(got) != len(want) {
-				return false
+			c.add(k, p.Idx, p.Val)
+			if _, seen := lists[k]; !seen {
+				order = append(order, k)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					return false
-				}
-			}
+			lists[k] = append(lists[k], p)
 		}
-		// The cursor visits every key exactly once with the same runs.
-		visited := map[uint64]bool{}
-		for i := 0; i < s.Len(); i++ {
-			k := s.KeyAt(i)
-			if visited[k] {
-				return false
-			}
-			visited[k] = true
-			if len(s.PairsAt(i)) != len(model[k]) {
-				return false
-			}
+		var spans []Span
+		var arena []Pair
+		for _, k := range order {
+			spans = append(spans, Span{Off: int32(len(arena)), Len: int32(len(lists[k]))})
+			arena = append(arena, lists[k]...)
 		}
-		return len(visited) == len(model)
+		hint := rng.Intn(2 * len(order))
+		s := c.build(hint)
+		return s.Mask() == uint64(doubledSlots(hint, len(order))-1) &&
+			slices.Equal(s.keys, order) && slices.Equal(s.spans, spans) && slices.Equal(s.pairs, arena)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -81,11 +72,11 @@ func TestSealedMatchesSliceTable(t *testing.T) {
 }
 
 func TestSealedArenaIsContiguous(t *testing.T) {
-	tb := NewSliceTable(8)
+	var c cols
 	for i := uint64(0); i < 1000; i++ {
-		tb.Insert(i%31, uint32(i), float64(i))
+		c.add(i%31, uint32(i), float64(i))
 	}
-	s := tb.Seal()
+	s := c.build(8)
 	if s.Pairs() != 1000 {
 		t.Fatalf("Pairs=%d", s.Pairs())
 	}
@@ -107,11 +98,11 @@ func TestSealedArenaIsContiguous(t *testing.T) {
 }
 
 func TestSealedForEachMatchesCursor(t *testing.T) {
-	tb := NewSliceTable(4)
+	var c cols
 	for i := uint64(0); i < 300; i++ {
-		tb.Insert(i%23, uint32(i), 1)
+		c.add(i%23, uint32(i), 1)
 	}
-	s := tb.Seal()
+	s := c.build(4)
 	i := 0
 	s.ForEach(func(k uint64, ps []Pair) {
 		if k != s.KeyAt(i) || len(ps) != len(s.PairsAt(i)) {
@@ -125,40 +116,33 @@ func TestSealedForEachMatchesCursor(t *testing.T) {
 }
 
 // TestSliceTableFootprintWithAccurateHint is the sizing-bug regression
-// test: NewSliceTable's hint is a DISTINCT-KEY count, not a pair count.
-// With an accurate key hint the table must not grow, and its slot count
-// must stay within one doubling of the load-factor-implied minimum — the
+// test: BuildSealed's hint is a DISTINCT-KEY count, not a pair count. With
+// an accurate key hint the table must not grow past its initial slot count,
+// which stays within one doubling of the load-factor-implied minimum — the
 // seed bug passed per-tile PAIR counts here, over-allocating slot arrays by
-// the pairs-per-key factor.
+// the pairs-per-key factor. The arena holds exactly the pair count.
 func TestSliceTableFootprintWithAccurateHint(t *testing.T) {
 	const distinct, pairsPerKey = 1000, 16
-	tb := NewSliceTable(distinct)
-	slots0 := tb.Slots()
+	var c cols
 	for i := 0; i < distinct*pairsPerKey; i++ {
-		tb.Insert(uint64(i%distinct), uint32(i), 1)
+		c.add(uint64(i%distinct), uint32(i), 1)
 	}
-	if tb.Slots() != slots0 {
-		t.Fatalf("accurately hinted table grew: %d -> %d slots", slots0, tb.Slots())
+	s := c.build(distinct)
+	if s.Slots() != hintSlots(distinct) {
+		t.Fatalf("accurately hinted table grew: %d -> %d slots", hintSlots(distinct), s.Slots())
 	}
 	d := float64(distinct)
-	minSlots := nextPow2(int(d/sliceMaxLoad) + 1)
-	if tb.Slots() > 2*minSlots {
-		t.Fatalf("footprint %d slots exceeds 2x the load-implied minimum %d", tb.Slots(), minSlots)
+	minSlots := nextPow2(int(d/sealedMaxLoad) + 1)
+	if s.Slots() > 2*minSlots {
+		t.Fatalf("footprint %d slots exceeds 2x the load-implied minimum %d", s.Slots(), minSlots)
 	}
 	// A pair-count hint (the seed bug) allocates ~pairsPerKey/loadFactor x
 	// more slots than needed; pin the ratio so the bug cannot return.
-	over := NewSliceTable(distinct * pairsPerKey)
-	if over.Slots() < 8*tb.Slots() {
-		t.Fatalf("test premise broken: pair-count hint gives %d slots vs %d", over.Slots(), tb.Slots())
-	}
-	// Sealing preserves the accurate footprint: the arena is exactly the
-	// pair count, the slot arrays are reused, not reallocated.
-	s := tb.Seal()
-	if s.Slots() != slots0 {
-		t.Fatalf("seal changed slot footprint: %d -> %d", slots0, s.Slots())
+	if over := hintSlots(distinct * pairsPerKey); over < 8*s.Slots() {
+		t.Fatalf("test premise broken: pair-count hint gives %d slots vs %d", over, s.Slots())
 	}
 	if s.Pairs() != distinct*pairsPerKey || cap(s.pairs) != s.Pairs() {
-		t.Fatalf("sealed arena: len %d cap %d want exactly %d", s.Pairs(), cap(s.pairs), distinct*pairsPerKey)
+		t.Fatalf("arena: len %d cap %d want exactly %d", s.Pairs(), cap(s.pairs), distinct*pairsPerKey)
 	}
 }
 
@@ -169,11 +153,11 @@ func TestSliceTableFootprintWithAccurateHint(t *testing.T) {
 func TestLookupBatchMatchesLookup(t *testing.T) {
 	for _, distinct := range []int{0, 1, 7, LookupBatchMax - 1, LookupBatchMax, LookupBatchMax + 1, 61, 500} {
 		rng := rand.New(rand.NewSource(int64(distinct) + 1))
-		tb := NewSliceTable(distinct)
+		var c cols
 		for i := 0; i < distinct*4; i++ {
-			tb.Insert(uint64(i%max(distinct, 1)), uint32(i), float64(rng.Intn(9)))
+			c.add(uint64(i%max(distinct, 1)), uint32(i), float64(rng.Intn(9)))
 		}
-		s := tb.Seal()
+		s := c.build(distinct)
 
 		// Probe the full key set plus interleaved absent keys.
 		var keys []uint64
@@ -207,12 +191,12 @@ func TestLookupBatchMatchesLookup(t *testing.T) {
 func TestLookupBatchCollisionChains(t *testing.T) {
 	// A deliberately under-hinted table: every insert after the first few
 	// probes past occupied slots.
-	tb := NewSliceTable(0)
+	var c cols
 	const n = 3000
 	for i := 0; i < n; i++ {
-		tb.Insert(uint64(i)*2654435761, uint32(i), 1)
+		c.add(uint64(i)*2654435761, uint32(i), 1)
 	}
-	s := tb.Seal()
+	s := c.build(0)
 	keys := s.Keys()
 	out := make([]int32, len(keys))
 	if hits := s.LookupBatch(keys, out); hits != s.Len() {
@@ -240,11 +224,11 @@ func TestLookupBatchCollisionChains(t *testing.T) {
 }
 
 func TestSealedKeysAliasCursor(t *testing.T) {
-	tb := NewSliceTable(4)
+	var c cols
 	for i := uint64(0); i < 100; i++ {
-		tb.Insert(i%13, uint32(i), 1)
+		c.add(i%13, uint32(i), 1)
 	}
-	s := tb.Seal()
+	s := c.build(4)
 	ks := s.Keys()
 	if len(ks) != s.Len() {
 		t.Fatalf("Keys() len %d want %d", len(ks), s.Len())
@@ -257,11 +241,11 @@ func TestSealedKeysAliasCursor(t *testing.T) {
 }
 
 func BenchmarkSealedLookup(b *testing.B) {
-	tb := NewSliceTable(1 << 12)
+	var c cols
 	for i := 0; i < 1<<14; i++ {
-		tb.Insert(uint64(i)&0xFFF, uint32(i), 1.0)
+		c.add(uint64(i)&0xFFF, uint32(i), 1.0)
 	}
-	s := tb.Seal()
+	s := c.build(1 << 12)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = s.Lookup(uint64(i) & 0xFFF)
@@ -269,11 +253,11 @@ func BenchmarkSealedLookup(b *testing.B) {
 }
 
 func BenchmarkSealedLookupBatch(b *testing.B) {
-	tb := NewSliceTable(1 << 12)
+	var c cols
 	for i := 0; i < 1<<14; i++ {
-		tb.Insert(uint64(i)&0xFFF, uint32(i), 1.0)
+		c.add(uint64(i)&0xFFF, uint32(i), 1.0)
 	}
-	s := tb.Seal()
+	s := c.build(1 << 12)
 	keys := s.Keys()
 	out := make([]int32, len(keys))
 	b.ReportAllocs()
@@ -283,11 +267,11 @@ func BenchmarkSealedLookupBatch(b *testing.B) {
 }
 
 func BenchmarkSealedCursorSweep(b *testing.B) {
-	tb := NewSliceTable(1 << 12)
+	var c cols
 	for i := 0; i < 1<<14; i++ {
-		tb.Insert(uint64(i)&0xFFF, uint32(i), 1.0)
+		c.add(uint64(i)&0xFFF, uint32(i), 1.0)
 	}
-	s := tb.Seal()
+	s := c.build(1 << 12)
 	b.ReportAllocs()
 	sum := 0.0
 	for i := 0; i < b.N; i++ {

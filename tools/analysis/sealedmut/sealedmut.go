@@ -11,10 +11,10 @@
 // enclosing function carries the sealing-constructor marker in its doc
 // comment:
 //
-//	// Seal converts the table into its read-only SoA form. ...
+//	// BuildSealed builds one tile's read-only table from its nonzeros. ...
 //	//
 //	//fastcc:sealer
-//	func (t *SliceTable) Seal() *Sealed { ... }
+//	func BuildSealed(ctr []uint64, intra []uint32, val []float64, keyHint int) *Sealed { ... }
 //
 // The marker names the one place a sealed structure may legally be written:
 // the constructor (or lifecycle method, like the fastcc_checked
