@@ -86,6 +86,7 @@ test-spill:
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzParseEinsum -fuzztime=$(FUZZTIME) .
 	$(GO) test -run=^$$ -fuzz=FuzzReadTNS -fuzztime=$(FUZZTIME) ./internal/coo
+	$(GO) test -run=^$$ -fuzz=FuzzDivisor -fuzztime=$(FUZZTIME) ./internal/coo
 	$(GO) test -run=^$$ -fuzz=FuzzRead -fuzztime=$(FUZZTIME) ./internal/tnsbin
 	$(GO) test -run=^$$ -fuzz=FuzzContractTiling -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -tags fastcc_checked -run=^$$ -fuzz=FuzzContractTiling -fuzztime=$(FUZZTIME) ./internal/core

@@ -145,40 +145,5 @@ func (t *Tensor) Matrixize(extModes, ctrModes []int) (*Matrix, error) {
 // dims (the paper's post-processing step). The element order of the result
 // follows the input order; callers canonicalize via Sort/Dedup if needed.
 func FromPairs(ls, rs []uint64, vals []float64, lDims, rDims []uint64) (*Tensor, error) {
-	if len(ls) != len(rs) || len(ls) != len(vals) {
-		return nil, fmt.Errorf("%w: pair arrays of unequal length", ErrShape)
-	}
-	dims := append(append([]uint64(nil), lDims...), rDims...)
-	out := New(dims, len(vals))
-	out.Vals = append(out.Vals, vals...)
-	n := len(vals)
-	for m := range dims {
-		out.Coords[m] = out.Coords[m][:0]
-		out.Coords[m] = append(out.Coords[m], make([]uint64, n)...)
-	}
-	// De-linearize by repeated div/mod, one side at a time, streaming over
-	// each destination mode array.
-	delinearizeInto(out.Coords[:len(lDims)], ls, lDims)
-	delinearizeInto(out.Coords[len(lDims):], rs, rDims)
-	return out, nil
-}
-
-// delinearizeInto writes the coordinates of each linear index in idxs into
-// the per-mode destination arrays dst (len(dst) == len(dims)).
-func delinearizeInto(dst [][]uint64, idxs []uint64, dims []uint64) {
-	if len(dims) == 0 {
-		return
-	}
-	strides, err := Strides(dims)
-	if err != nil {
-		// Dims came from an existing tensor, so they linearized before.
-		panic("coo: delinearizeInto with invalid dims: " + err.Error())
-	}
-	for m := range dims {
-		s, d := strides[m], dims[m]
-		cs := dst[m]
-		for i, idx := range idxs {
-			cs[i] = (idx / s) % d
-		}
-	}
+	return FromPairsP(ls, rs, vals, lDims, rDims, 1)
 }

@@ -2,66 +2,43 @@ package coo
 
 import (
 	"fmt"
-	"sync"
+
+	"fastcc/internal/scheduler"
 )
 
-// FromPairsP is FromPairs with the de-linearization passes parallelized
-// over element chunks — the output post-processing is a measured phase of
+// ParallelDelinearizeMin is the element count below which de-linearization
+// runs on one goroutine whatever the worker count: smaller outputs finish
+// before extra goroutines pay for themselves.
+const ParallelDelinearizeMin = 1 << 14
+
+// FromPairsP is FromPairs with the de-linearization split over workers in
+// equal element ranges — the output post-processing is a measured phase of
 // the contraction (paper Section 2.1), and for dense-ish outputs it touches
-// more elements than either input. workers <= 1 falls back to FromPairs.
+// more elements than either input. workers <= 1 runs on the caller's
+// goroutine.
 func FromPairsP(ls, rs []uint64, vals []float64, lDims, rDims []uint64, workers int) (*Tensor, error) {
-	if workers <= 1 || len(vals) < 1<<14 {
-		return FromPairs(ls, rs, vals, lDims, rDims)
-	}
 	if len(ls) != len(rs) || len(ls) != len(vals) {
 		return nil, fmt.Errorf("%w: pair arrays of unequal length", ErrShape)
 	}
-	dims := append(append([]uint64(nil), lDims...), rDims...)
-	out := New(dims, 0)
+	lsp, err := NewSplitter(lDims)
+	if err != nil {
+		return nil, err
+	}
+	rsp, err := NewSplitter(rDims)
+	if err != nil {
+		return nil, err
+	}
 	n := len(vals)
-	out.Vals = append([]float64(nil), vals...)
-	for m := range dims {
-		out.Coords[m] = make([]uint64, n)
+	out := Alloc(append(append([]uint64(nil), lDims...), rDims...), n)
+	copy(out.Vals, vals)
+	lc, rc := out.Coords[:len(lDims)], out.Coords[len(lDims):]
+	if workers <= 1 || n < ParallelDelinearizeMin {
+		workers = 1
 	}
-	lStrides, err := Strides(lDims)
-	if err != nil {
-		return nil, err
-	}
-	rStrides, err := Strides(rDims)
-	if err != nil {
-		return nil, err
-	}
-
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for m := range lDims {
-				s, d := lStrides[m], lDims[m]
-				cs := out.Coords[m]
-				for i := lo; i < hi; i++ {
-					cs[i] = (ls[i] / s) % d
-				}
-			}
-			for m := range rDims {
-				s, d := rStrides[m], rDims[m]
-				cs := out.Coords[len(lDims)+m]
-				for i := lo; i < hi; i++ {
-					cs[i] = (rs[i] / s) % d
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	scheduler.Static(workers, func(w, workers int) {
+		lo, hi := w*n/workers, (w+1)*n/workers
+		lsp.Split(lc, lo, ls[lo:hi])
+		rsp.Split(rc, lo, rs[lo:hi])
+	})
 	return out, nil
 }

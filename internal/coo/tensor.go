@@ -70,6 +70,21 @@ func New(dims []uint64, capHint int) *Tensor {
 	return t
 }
 
+// Alloc returns a tensor of n elements, every coordinate and value zero,
+// for callers that then fill each slot: each coordinate array and Vals is
+// allocated once, at length n.
+func Alloc(dims []uint64, n int) *Tensor {
+	t := &Tensor{
+		Dims:   append([]uint64(nil), dims...),
+		Coords: make([][]uint64, len(dims)),
+		Vals:   make([]float64, n),
+	}
+	for m := range t.Coords {
+		t.Coords[m] = make([]uint64, n)
+	}
+	return t
+}
+
 // Order returns the number of modes.
 func (t *Tensor) Order() int { return len(t.Dims) }
 

@@ -42,17 +42,6 @@ func Contract(l, r *coo.Tensor, spec coo.Spec) (*coo.Tensor, error) {
 		return nil, err
 	}
 	prod := ContractMatrix(lm, rm)
-	ls := make([]uint64, 0, len(prod))
-	rs := make([]uint64, 0, len(prod))
-	vs := make([]float64, 0, len(prod))
-	for k, v := range prod {
-		if v == 0 {
-			continue
-		}
-		ls = append(ls, k[0])
-		rs = append(rs, k[1])
-		vs = append(vs, v)
-	}
 	lDims := make([]uint64, len(extL))
 	for i, m := range extL {
 		lDims[i] = l.Dims[m]
@@ -61,9 +50,17 @@ func Contract(l, r *coo.Tensor, spec coo.Spec) (*coo.Tensor, error) {
 	for i, m := range extR {
 		rDims[i] = r.Dims[m]
 	}
-	out, err := coo.FromPairs(ls, rs, vs, lDims, rDims)
-	if err != nil {
-		return nil, err
+	// Element-wise div/mod de-linearization, independent of the splitter
+	// the engine's output path uses.
+	out := coo.New(append(append([]uint64(nil), lDims...), rDims...), len(prod))
+	coords := make([]uint64, len(lDims)+len(rDims))
+	for k, v := range prod {
+		if v == 0 {
+			continue
+		}
+		coo.Delinearize(k[0], lDims, coords[:len(lDims)])
+		coo.Delinearize(k[1], rDims, coords[len(lDims):])
+		out.Append(coords, v)
 	}
 	out.Dedup()
 	return out, nil

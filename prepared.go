@@ -6,7 +6,6 @@ import (
 
 	"fastcc/internal/coo"
 	"fastcc/internal/core"
-	"fastcc/internal/mempool"
 )
 
 // Sharded is a contraction operand prepared once and reusable across many
@@ -206,14 +205,6 @@ func ContractContext(ctx context.Context, l, r *Tensor, spec Spec, opts ...Optio
 	return Contract(l, r, spec, withCtx...)
 }
 
-// delinScratch recycles the de-linearization scratch buffers across calls;
-// together with the engine's output-chunk recycling this keeps repeated
-// contractions from reallocating their big flat buffers.
-var (
-	delinU64 mempool.SlicePool[uint64]
-	delinF64 mempool.SlicePool[float64]
-)
-
 // contractSharded runs the shared build/execute pipeline over two prepared
 // operands and de-linearizes the output. linearize is the time the caller
 // spent matrixizing (zero when the operands were prepared earlier — that is
@@ -252,18 +243,9 @@ func contractSharded(l, r *Sharded, o *options, linearize time.Duration) (*Tenso
 	st.ShardReusedL, st.ShardReusedR = cst.ShardReusedL, cst.ShardReusedR
 	st.ShardReused = cst.ShardReusedL && cst.ShardReusedR
 
-	// Post-processing: de-linearize output coordinates (timed), with the
-	// flat scratch drawn from recycled buffers.
+	// Post-processing: de-linearize the output chunks straight into the
+	// result tensor (timed).
 	t0 := time.Now()
-	n := out.Len()
-	ls := delinU64.Get(n)
-	rs := delinU64.Get(n)
-	vs := delinF64.Get(n)
-	out.ForEach(func(t core.Triple) {
-		ls = append(ls, t.L)
-		rs = append(rs, t.R)
-		vs = append(vs, t.V)
-	})
 	lDims := make([]uint64, len(l.ext))
 	for i, m := range l.ext {
 		lDims[i] = l.t.Dims[m]
@@ -272,13 +254,10 @@ func contractSharded(l, r *Sharded, o *options, linearize time.Duration) (*Tenso
 	for i, m := range r.ext {
 		rDims[i] = r.t.Dims[m]
 	}
-	result, ferr := coo.FromPairsP(ls, rs, vs, lDims, rDims, st.Threads) //fastcc:allow poolescapex -- FromPairsP wg.Wait-joins its delinearization goroutines before returning: ls/rs are borrowed for the call, not escaped
-	// FromPairsP copies everything it keeps; the triples and scratch can go
-	// straight back to their pools.
+	result, ferr := core.DelinearizeOutput(out, lDims, rDims, st.Threads)
+	// The result holds copies; the triple chunks go straight back to the
+	// engine's chunk cache.
 	core.RecycleOutput(out)
-	delinU64.Put(ls)
-	delinU64.Put(rs)
-	delinF64.Put(vs)
 	if ferr != nil {
 		return nil, nil, ferr
 	}
