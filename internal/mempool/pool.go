@@ -304,8 +304,8 @@ func (f *Freelist[K, V]) Put(k K, v V) {
 	f.items[k] = append(f.items[k], v)
 }
 
-// SlicePool recycles variable-capacity scratch slices (the engine's
-// de-linearization buffers). Safe for concurrent use.
+// SlicePool recycles variable-capacity scratch slices (the partition,
+// table-build and sorted-tile scratch). Safe for concurrent use.
 type SlicePool[T any] struct {
 	pool    sync.Pool
 	dropped atomic.Uint64

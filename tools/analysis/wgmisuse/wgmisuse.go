@@ -8,7 +8,7 @@
 //
 //     Wait may observe the counter at zero before any goroutine has run its
 //     Add, returning early — the exact hazard in FaSTCC's fork/join
-//     skeletons (scheduler.Teams/Pool/Static, coo.FromPairsP) where a
+//     skeletons (scheduler.Teams/Pool/Static) where a
 //     too-early Wait publishes half-built shard tables to the contraction
 //     phase. Add must happen on the spawning side, before `go`.
 //
