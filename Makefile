@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test test-checked race vet vet-self test-lifecycle test-spill fuzz-smoke bench-smoke bench-reuse bench-buildscale bench-hotpath bench-hotpath-smoke bench-spill bench-spill-smoke bench-test serve-smoke ci
+.PHONY: build test test-checked race vet vet-self test-lifecycle test-spill fuzz-smoke bench-smoke bench-test serve-smoke ci
 
 build:
 	$(GO) build ./...
@@ -24,14 +24,15 @@ test-checked:
 race:
 	$(GO) test -race -short ./...
 
-# go vet plus the project's own analyzer suite: the per-package passes
-# (atomicmix, errdiscard, hotalloc, linovf, poolescape, sealedmut,
-# spanarith, wgmisuse) and the whole-program passes reasoning over a shared
-# call graph (lockorder, pinbracket, poolescapex) — see tools/analysis/ and
-# README.md. The driver binary is built once into bin/ so this leg and
-# vet-self share it; CI reuses the compiled analyzer packages via the Go
-# build cache.
+# gofmt over the whole tree, go vet, and the project's own analyzer suite:
+# the per-package passes (atomicmix, errdiscard, hotalloc, linovf,
+# poolescape, sealedmut, spanarith, wgmisuse) and the whole-program passes
+# reasoning over a shared call graph (lockorder, pinbracket, poolescapex) —
+# see tools/analysis/ and README.md. The fastcc-vet binary is built once
+# into bin/ so this leg and vet-self share it; CI reuses the compiled
+# analyzer packages via the Go build cache.
 vet:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) build -o bin/fastcc-vet ./cmd/fastcc-vet
 	./bin/fastcc-vet ./...
@@ -96,49 +97,6 @@ fuzz-smoke:
 # Stats.Build == 0 and ShardReused) without paying full benchmark time.
 bench-smoke:
 	$(GO) test -bench=Reuse -benchtime=1x -run=^$$ .
-	$(GO) run ./cmd/fastcc-bench -exp buildscale -scale-frostt 0.0005 -repeats 1 -threads 2 -platform desktop8 > /dev/null
-
-# Regenerate the checked-in BENCH_buildscale.json: Build-phase wall time
-# against the worker count at fixed nnz (must be flat or falling — the
-# partitioned build reads O(nnz) total regardless of workers), plus the
-# cold/warm contract geomeans comparable with BENCH_reuse.json.
-bench-buildscale:
-	$(GO) run ./cmd/fastcc-bench -exp buildscale -scale-frostt 0.002 -repeats 5 -threads 8 -platform desktop8 > BENCH_buildscale.json
-
-# Regenerate the checked-in BENCH_reuse.json (cold vs warm comparison on
-# the FROSTT suite at benchmark scale).
-bench-reuse:
-	$(GO) run ./cmd/fastcc-bench -exp reuse -scale-frostt 0.002 -repeats 7 -platform desktop8 > BENCH_reuse.json
-
-# Regenerate the checked-in BENCH_hotpath.json: contract-phase time of each
-# specialized tile microkernel against the generic co-iteration loop on the
-# QC suite (the accumulate-bound regime the kernels target). Repeats are
-# paired and interleaved with the minimum reported; the experiment fails if
-# any kernel output is not bit-identical to the generic loop's. Add
-# `-pprof-dir <dir>` to the command to capture per-combo CPU profiles.
-bench-hotpath:
-	$(GO) run ./cmd/fastcc-bench -exp hotpath -suite qc -scale-qc 0.2 -repeats 5 > BENCH_hotpath.json
-
-# Tiny-scale microkernel smoke: one pass of all four (rep, accum) kernels —
-# RunHotpath errors out on any bit-level divergence from the generic loop —
-# plus the schema check over the checked-in BENCH_hotpath.json.
-bench-hotpath-smoke:
-	$(GO) run ./cmd/fastcc-bench -exp hotpath -suite qc -scale-qc 0.02 -repeats 1 -threads 2 -platform desktop8 > /dev/null
-	$(GO) test ./internal/experiments -run 'TestRunHotpathEmitsValidJSON|TestBenchHotpathArtifact'
-
-# Regenerate the checked-in BENCH_spill.json: evict-then-contract timed with
-# the disk tier off (rebuild) and on (re-pin from the spill file) on the
-# FROSTT suite. The experiment errors if any re-pin leg missed the disk
-# cache or degraded through a spill fallback.
-bench-spill:
-	$(GO) run ./cmd/fastcc-bench -exp spill -scale-frostt 0.002 -repeats 7 -platform desktop8 > BENCH_spill.json
-
-# Tiny-scale disk-tier smoke: one evict/spill/re-pin pass per FROSTT case —
-# RunSpill errors on any fallback or missed reload — plus the schema check
-# over the checked-in BENCH_spill.json.
-bench-spill-smoke:
-	$(GO) run ./cmd/fastcc-bench -exp spill -scale-frostt 0.0005 -repeats 1 -threads 2 -platform desktop8 > /dev/null
-	$(GO) test ./internal/experiments -run 'TestRunSpillEmitsValidJSON|TestBenchSpillArtifact'
 
 # The benchmark module's own tests (tiny preset, a few seconds). The root
 # `go test ./...` does not reach the separate bench module, and its
@@ -157,4 +115,4 @@ serve-smoke:
 	$(GO) build -o bin/fastcc-client ./cmd/fastcc-client
 	sh tools/serve_smoke.sh bin
 
-ci: build vet vet-self test test-checked race test-lifecycle test-spill fuzz-smoke bench-smoke bench-hotpath-smoke bench-spill-smoke bench-test serve-smoke
+ci: build vet vet-self test test-checked race test-lifecycle test-spill fuzz-smoke bench-smoke bench-test serve-smoke

@@ -5,9 +5,11 @@
 //	fastcc-bench -exp fig2 -suite frostt      # speedups over Sparta
 //	fastcc-bench -exp all -scale-frostt 0.05  # everything, bigger inputs
 //
-// Available experiments: table1 table2 table3 fig2 fig3 fig4 fig5 ablate,
-// or "all". Scales of 1.0 approximate paper-sized inputs (hours of compute
-// and tens of GB); the defaults finish on a laptop in minutes.
+// Available experiments: table1 table2 table3 fig2 fig3 fig4 fig5 ablate
+// model phases, or "all". Scales of 1.0 approximate paper-sized inputs
+// (hours of compute and tens of GB); the defaults finish on a laptop in
+// minutes. The end-to-end performance benchmark is the separate bench/
+// module (see bench/README.md).
 package main
 
 import (
@@ -43,7 +45,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		repeats     = fs.Int("repeats", def.Repeats, "timing repeats (min reported)")
 		verify      = fs.Bool("verify", false, "cross-check engine outputs (slower)")
 		format      = fs.String("format", "table", "table rendering: table or csv")
-		pprofDir    = fs.String("pprof-dir", "", "directory for CPU profiles from profile-aware experiments (hotpath)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -57,7 +58,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cfg.Seed = *seed
 	cfg.Repeats = *repeats
 	cfg.Verify = *verify
-	cfg.ProfileDir = *pprofDir
 	switch *format {
 	case "table", "csv":
 		cfg.Format = *format

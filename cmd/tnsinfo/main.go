@@ -1,8 +1,8 @@
 // Command tnsinfo inspects a sparse tensor file and reports the statistics
 // that drive FaSTCC's decisions: shape, density, per-mode slice
-// distributions, HiCOO block clustering, and — given a candidate
-// contraction — the probabilistic model's accumulator choice and tile size
-// (paper Algorithm 7) on each platform profile.
+// distributions and — given a candidate contraction — the probabilistic
+// model's accumulator choice and tile size (paper Algorithm 7) on each
+// platform profile.
 //
 // It also dumps shard-cache spill files (the disk tier's .fspl envelopes):
 //
@@ -21,7 +21,6 @@ import (
 
 	"fastcc"
 	"fastcc/internal/coo"
-	"fastcc/internal/hicoo"
 	"fastcc/internal/model"
 	"fastcc/internal/spill"
 	"fastcc/internal/tnsbin"
@@ -41,7 +40,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		in        = fs.String("in", "", "tensor file (.tns, .btns, optionally .gz)")
 		ctr       = fs.String("ctr", "", "comma-separated modes of a candidate self-contraction")
 		platform  = fs.String("platform", "auto", "model platform: auto, desktop8 or server64")
-		blockBits = fs.Uint("block-bits", 7, "HiCOO block bits for the clustering report (0 to skip)")
 		spillFile = fs.String("spill", "", "shard-cache spill file (.fspl) to dump instead of a tensor")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -86,18 +84,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "mode %d:  %d/%d nonempty slices, max slice nnz %d, mean %.1f\n",
 			m, nonempty, len(h), maxSlice, mean)
-	}
-
-	if *blockBits > 0 && t.Order() > 0 {
-		h, err := hicoo.FromCOO(t, *blockBits)
-		if err != nil {
-			fmt.Fprintf(stdout, "hicoo:   (skipped: %v)\n", err)
-		} else {
-			hb, cb := h.IndexBytes()
-			minB, maxB, mean := h.BlockDensityStats()
-			fmt.Fprintf(stdout, "hicoo:   %d blocks (B=%d), nnz/block min %d max %d mean %.1f, index bytes %d vs COO %d (%.1fx)\n",
-				h.NumBlocks(), 1<<*blockBits, minB, maxB, mean, hb, cb, float64(cb)/float64(hb))
-		}
 	}
 
 	if *ctr != "" {

@@ -29,7 +29,7 @@ func TestInfoBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := stdout.String()
-	for _, want := range []string{"order:   3", "nnz:     4", "mode 0:", "mode 2:", "hicoo:"} {
+	for _, want := range []string{"order:   3", "nnz:     4", "mode 0:", "mode 2:"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
 		}

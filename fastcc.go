@@ -136,23 +136,6 @@ const (
 	RepSorted = core.RepSorted
 )
 
-// KernelID names a tile microkernel: the specialized contract-phase inner
-// loop for one (representation, accumulator) combination. KernelAuto (the
-// default) derives the specialization from the run's representation and
-// accumulator kind; KernelGeneric forces the pre-specialization loop — the
-// baseline the hotpath experiment measures the family against.
-type KernelID = model.KernelID
-
-// Tile microkernels.
-const (
-	KernelAuto         = model.KernelAuto
-	KernelGeneric      = model.KernelGeneric
-	KernelHashDense    = model.KernelHashDense
-	KernelHashSparse   = model.KernelHashSparse
-	KernelSortedDense  = model.KernelSortedDense
-	KernelSortedSparse = model.KernelSortedSparse
-)
-
 // options is the resolved option set.
 type options struct {
 	threads      int
@@ -161,7 +144,6 @@ type options struct {
 	platform     model.Platform
 	counters     *metrics.Counters
 	rep          core.InputRep
-	kernel       model.KernelID
 	ctx          context.Context
 	shardBudget  int64
 	tenant       string
@@ -202,31 +184,6 @@ func (o *options) validate() error {
 	case core.RepHash, core.RepSorted:
 	default:
 		return fmt.Errorf("%w: WithInputRep(%d) is not a known input representation", ErrBadOption, int(o.rep))
-	}
-	switch o.kernel {
-	case model.KernelAuto, model.KernelGeneric, model.KernelHashDense,
-		model.KernelHashSparse, model.KernelSortedDense, model.KernelSortedSparse:
-	default:
-		return fmt.Errorf("%w: WithKernel(%d) is not a known microkernel", ErrBadOption, int(o.kernel))
-	}
-	// Rep/accumulator conflicts knowable from the options alone; a kernel
-	// against a model-chosen (Auto) accumulator is checked by the engine
-	// after the model decides.
-	sortedKernel := o.kernel == model.KernelSortedDense || o.kernel == model.KernelSortedSparse
-	hashKernel := o.kernel == model.KernelHashDense || o.kernel == model.KernelHashSparse
-	if sortedKernel && o.rep != core.RepSorted {
-		return fmt.Errorf("%w: WithKernel(%v) needs WithInputRep(RepSorted)", ErrBadOption, o.kernel)
-	}
-	if hashKernel && o.rep != core.RepHash {
-		return fmt.Errorf("%w: WithKernel(%v) conflicts with WithInputRep(RepSorted)", ErrBadOption, o.kernel)
-	}
-	denseKernel := o.kernel == model.KernelHashDense || o.kernel == model.KernelSortedDense
-	sparseKernel := o.kernel == model.KernelHashSparse || o.kernel == model.KernelSortedSparse
-	if denseKernel && o.accum == model.AccumSparse {
-		return fmt.Errorf("%w: WithKernel(%v) conflicts with WithAccumulator(AccumSparse)", ErrBadOption, o.kernel)
-	}
-	if sparseKernel && o.accum == model.AccumDense {
-		return fmt.Errorf("%w: WithKernel(%v) conflicts with WithAccumulator(AccumDense)", ErrBadOption, o.kernel)
 	}
 	if o.accum == model.AccumDense && o.tileR != 0 && o.tileR&(o.tileR-1) != 0 {
 		return fmt.Errorf("%w: WithAccumulator(AccumDense) conflicts with WithTileSize tr=%d (dense accumulation needs a power-of-two right tile side)", ErrBadOption, o.tileR)
@@ -295,15 +252,6 @@ func WithMetrics() Option {
 
 // WithInputRep selects the input-tile representation (default RepHash).
 func WithInputRep(rep InputRep) Option { return func(o *options) { o.rep = rep } }
-
-// WithKernel forces the contract-phase tile microkernel (default KernelAuto,
-// which derives the specialized kernel from the representation and the
-// accumulator kind). KernelGeneric is always accepted and runs the
-// pre-specialization co-iteration loop — useful as a measurement baseline; a
-// specialized kernel must match the run's representation and accumulator or
-// the call fails (eagerly with ErrBadOption when the conflict is knowable
-// from the options, otherwise at plan time).
-func WithKernel(k KernelID) Option { return func(o *options) { o.kernel = k } }
 
 // WithContext attaches a context for cooperative cancellation: the run
 // checks it between pipeline stages and at tile-task boundaries and returns

@@ -1,9 +1,11 @@
 // Package accum implements the two output-tile accumulators of FaSTCC
 // (paper Sections 4.2 and 5): a dense tile backed by a value buffer, an
 // active-position list and a bitmask, and a sparse tile backed by an
-// open-addressing hash table. Both present the same Accumulator interface
-// so the contraction kernel is accumulator-agnostic; the probabilistic
-// model in internal/model decides which to instantiate.
+// open-addressing hash table; the probabilistic model in internal/model
+// decides which to instantiate. The engine's tile kernels are specialized
+// per accumulator and call the concrete types directly. The Accumulator
+// interface is what the package tests drive every implementation through,
+// the Robin Hood ablation SparseRobin included.
 package accum
 
 // Accumulator accumulates contributions to one output tile and then drains

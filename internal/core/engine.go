@@ -52,11 +52,6 @@ type Config struct {
 	// Rep selects the input-tile representation: the paper's hash tables
 	// (default) or the sorted-array ablation.
 	Rep InputRep
-	// Kernel forces the tile microkernel; KernelAuto derives the
-	// specialization from (Rep, accumulator kind). KernelGeneric is always
-	// accepted (the pre-specialization loop, kept for baseline comparison);
-	// a specialized id must match the run's rep/accumulator or plan fails.
-	Kernel model.KernelID
 	// CacheBudget bounds the process-wide shard cache in bytes: > 0 is an
 	// explicit budget, < 0 disables eviction, 0 derives the default from the
 	// platform LLC (L3Bytes × DefaultBudgetLLCMultiple). Applied — and
@@ -258,9 +253,7 @@ func plan(l, r *coo.Matrix, cfg Config) (model.Decision, error) {
 			return model.Decision{}, fmt.Errorf("core: dense tile %dx%d exceeds addressable positions", tl, tr)
 		}
 	}
-	if err := resolveKernel(&dec, cfg); err != nil {
-		return model.Decision{}, err
-	}
+	dec.Kernel = model.SelectKernel(cfg.Rep == RepSorted, dec.Kind)
 	return dec, nil
 }
 
@@ -334,7 +327,7 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 	// Kernel dispatch is resolved HERE, once per run: every tile task below
 	// calls the same direct function value out of kernelTable. The platform's
 	// probe depth (hash kernels' batch width) is likewise hoisted.
-	kern := selectKernel(dec.Kernel)
+	kern := kernelTable[dec.Kernel]
 	probeBatch := cfg.Platform.ProbeBatch()
 	ctx := cfg.ctx()
 	// Per-worker shard pins: each pool worker pins both shards before its
@@ -343,7 +336,7 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 	// ContractOperands already keep the shards alive; the guard makes the
 	// reader set explicit — PinnedBytes reflects active workers, and the
 	// refcount, not the caller's discipline, is what stands between a
-	// concurrent Drop and the tables contractTilePair is reading.
+	// concurrent Drop and the tables the tile kernels are reading.
 	guard := scheduler.Guard{
 		Acquire: func(int) { ls.mustPin(); rs.mustPin() },
 		Release: func(int) { rs.Unpin(); ls.Unpin() },

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"fastcc/internal/accum"
 	"fastcc/internal/hashtable"
 	"fastcc/internal/mempool"
@@ -10,17 +8,14 @@ import (
 	"fastcc/internal/model"
 )
 
-// This file is the tile microkernel family: one specialized inner loop per
-// (representation, accumulator) combination, replacing the single generic
-// co-iteration loop that branched on the accumulator type inside every tile.
-// The generic loop survives as the KernelGeneric table entry — it is the
-// baseline the -exp hotpath experiment measures the specializations against,
-// and the fallback for accumulators outside the dense/sparse pair.
+// This file is the tile microkernel family: the tile-pair loop of the
+// paper's Algorithm 6, specialized once per (representation, accumulator)
+// combination so no branch on the accumulator type sits inside a tile.
 //
-// Dispatch happens ONCE per run: plan() resolves Decision.Kernel, execute()
+// Dispatch happens ONCE per run: plan() sets Decision.Kernel, execute()
 // indexes kernelTable with it, and every tile task of the run goes through
-// the same direct function value. Inside a specialized kernel there are no
-// interface calls — the accumulator is the worker's typed field, and the
+// the same direct function value. Inside a kernel there are no interface
+// calls — the accumulator is the worker's typed field, and the
 // multiply-accumulate runs in the accumulator's ScatterOuter with the flat
 // scatter exposed to the compiler.
 //
@@ -30,10 +25,8 @@ import (
 // overlap in the load queue instead of serializing hash → load → compare
 // chains (paper Section 4.3's probe-bound regime).
 //
-// Every kernel preserves the generic loop's accumulation order exactly —
-// same iterate-side selection and tie-breaking, same dense-index iteration
-// order, same lps-major scatter — so specialized and generic runs agree bit
-// for bit, which the equivalence suite and the hotpath harness both assert.
+// All four kernels agree bit for bit with internal/ref on every input the
+// equivalence suite and the contraction fuzzer generate.
 
 // tileKernel runs one tile-pair contraction. i/j are tile indices into the
 // shards; baseL/baseR the tiles' global coordinate bases; probeBatch the
@@ -41,61 +34,21 @@ import (
 type tileKernel func(ls, rs *Shard, i, j int, baseL, baseR uint64,
 	wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters, probeBatch int)
 
-// kernelTable maps a resolved model.KernelID to its tile-pair kernel. The
-// KernelAuto slot is nil on purpose: plan() must resolve Auto before
-// execute() indexes the table (selectKernel guards against it anyway).
+// kernelTable maps a model.KernelID to its tile-pair kernel. The KernelAuto
+// slot is nil on purpose: plan() sets Decision.Kernel before execute()
+// indexes the table.
 var kernelTable = [model.NumKernels]tileKernel{
-	model.KernelGeneric:      runGeneric,
 	model.KernelHashDense:    runHashDense,
 	model.KernelHashSparse:   runHashSparse,
 	model.KernelSortedDense:  runSortedDense,
 	model.KernelSortedSparse: runSortedSparse,
 }
 
-// selectKernel resolves the table entry for a decision, falling back to the
-// generic loop for unresolved or out-of-range ids.
-func selectKernel(id model.KernelID) tileKernel {
-	if int(id) < len(kernelTable) && id > model.KernelAuto {
-		if k := kernelTable[id]; k != nil {
-			return k
-		}
-	}
-	return runGeneric
-}
-
-// resolveKernel fills dec.Kernel from the config: an explicit cfg.Kernel is
-// validated against the run's representation and accumulator kind (a kernel
-// compiled for the wrong tile form would read the wrong shard arrays);
-// KernelAuto derives the specialization from (rep, kind).
-func resolveKernel(dec *model.Decision, cfg Config) error {
-	if cfg.Kernel == model.KernelAuto {
-		dec.Kernel = model.SelectKernel(cfg.Rep == RepSorted, dec.Kind)
-		return nil
-	}
-	want := model.SelectKernel(cfg.Rep == RepSorted, dec.Kind)
-	if cfg.Kernel != model.KernelGeneric && cfg.Kernel != want {
-		return fmt.Errorf("core: kernel %v incompatible with rep=%v accum=%v (want %v or generic)",
-			cfg.Kernel, cfg.Rep, dec.Kind, want)
-	}
-	dec.Kernel = cfg.Kernel
-	return nil
-}
-
-func runGeneric(ls, rs *Shard, i, j int, baseL, baseR uint64,
-	wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters, _ int) {
-	if ls.Key.Rep == RepSorted {
-		contractTilePairSorted(ls.sortedAt(i), rs.sortedAt(j), baseL, baseR, wk, pool, ctr)
-	} else {
-		contractTilePair(ls.sealedAt(i), rs.sealedAt(j), baseL, baseR, wk, pool, ctr)
-	}
-}
-
 // chooseSides orders a hash tile pair for co-iteration: iterate the table
 // with fewer DISTINCT KEYS and probe the other. The intersection is the
 // same either way; the query count is the iterated side's key count, so the
 // cheaper side to iterate is the one with fewer keys — Sealed.Len(), not
-// pair count. Ties iterate the left table, matching the generic loop so
-// specialized kernels accumulate in the identical order.
+// pair count. Ties iterate the left table.
 //
 //fastcc:hotpath
 func chooseSides(hl, hr *hashtable.Sealed) (iter, probeInto *hashtable.Sealed, swapped bool) {
@@ -237,8 +190,7 @@ func contractHashSparse(hl, hr *hashtable.Sealed, baseL, baseR uint64,
 
 // contractSortedDense is the RepSorted × AccumDense microkernel: the sorted
 // merge walk with the dense scatter inlined per matched key. No probes, so
-// no batch counters; queries count merge-loop iterations like the generic
-// sorted loop does.
+// no batch counters; queries count merge-loop iterations.
 //
 //fastcc:hotpath
 func contractSortedDense(sl, sr *sortedTile, baseL, baseR uint64,

@@ -5,18 +5,14 @@ import (
 	"math/rand"
 	"testing"
 
-	"fastcc/internal/coo"
 	"fastcc/internal/hashtable"
 	"fastcc/internal/mempool"
 	"fastcc/internal/metrics"
 	"fastcc/internal/model"
-	"fastcc/internal/ref"
 )
 
-// TestKernelResolution pins the once-per-run dispatch: KernelAuto resolves
-// to the specialization matching (rep, accumulator), an explicit
-// KernelGeneric is honored, and a mismatched forced kernel fails at plan
-// time.
+// TestKernelResolution pins the once-per-run dispatch: plan resolves
+// Decision.Kernel to the kernel matching (rep, accumulator).
 func TestKernelResolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	l := randomMatrix(rng, 120, 30, 900)
@@ -41,59 +37,6 @@ func TestKernelResolution(t *testing.T) {
 		if st.Decision.Kernel != c.want {
 			t.Fatalf("%v/%v: resolved kernel %v want %v", c.rep, c.acc, st.Decision.Kernel, c.want)
 		}
-		cfg.Kernel = model.KernelGeneric
-		out, st, err = Contract(l, r, cfg)
-		if err != nil {
-			t.Fatalf("%v/%v generic: %v", c.rep, c.acc, err)
-		}
-		RecycleOutput(out)
-		if st.Decision.Kernel != model.KernelGeneric {
-			t.Fatalf("%v/%v: forced generic resolved to %v", c.rep, c.acc, st.Decision.Kernel)
-		}
-	}
-	// A specialized kernel for the wrong representation is a plan error.
-	bad := Config{Threads: 2, TileL: 32, TileR: 32, Accum: model.AccumDense,
-		Rep: RepSorted, Kernel: model.KernelHashDense, Platform: tinyLLC}
-	if _, _, err := Contract(l, r, bad); err == nil {
-		t.Fatal("hash kernel on sorted rep did not fail plan")
-	}
-	bad = Config{Threads: 2, TileL: 32, TileR: 32, Accum: model.AccumSparse,
-		Rep: RepHash, Kernel: model.KernelHashDense, Platform: tinyLLC}
-	if _, _, err := Contract(l, r, bad); err == nil {
-		t.Fatal("dense kernel on sparse accumulator did not fail plan")
-	}
-}
-
-// TestKernelGenericMatchesSpecialized is the microkernel acceptance test:
-// for every (rep, accum) combination the specialized kernel must reproduce
-// the generic loop bit for bit — same sorted coordinates, same float64 bit
-// patterns — and both must match the reference contraction.
-func TestKernelGenericMatchesSpecialized(t *testing.T) {
-	rng := rand.New(rand.NewSource(313))
-	l := randomMatrix(rng, 310, 45, 2600)
-	r := randomMatrix(rng, 270, 45, 2200)
-	want := ref.MapToMatrixTensor(ref.ContractMatrix(l, r), l.ExtDim, r.ExtDim)
-	want.Sort()
-	combos := []struct {
-		name string
-		rep  InputRep
-		acc  model.AccumKind
-	}{
-		{"hash/dense", RepHash, model.AccumDense},
-		{"hash/sparse", RepHash, model.AccumSparse},
-		{"sorted/dense", RepSorted, model.AccumDense},
-		{"sorted/sparse", RepSorted, model.AccumSparse},
-	}
-	for _, c := range combos {
-		cfg := Config{Threads: 4, TileL: 17, TileR: 32, Accum: c.acc, Rep: c.rep, Platform: tinyLLC}
-		gen := cfg
-		gen.Kernel = model.KernelGeneric
-		spec := collectSorted(t, l, r, cfg)
-		base := collectSorted(t, l, r, gen)
-		if !coo.Equal(spec, want) {
-			t.Fatalf("%s: specialized kernel differs from reference", c.name)
-		}
-		assertBitIdentical(t, c.name+" generic-vs-specialized", base, spec)
 	}
 }
 
@@ -120,8 +63,8 @@ func (c *tileCols) build(keyHint int) *hashtable.Sealed {
 // pair each and the RIGHT has few keys with many pairs each. Iterating by
 // distinct-key count means the query count equals the right side's key
 // count; a pair-count (or fixed-side) heuristic would iterate the left.
-// Both the generic loop and the batched hash kernels must make the same
-// choice — their accumulation orders (and so the output bits) depend on it.
+// Both hash kernels must make this choice — their accumulation order (and
+// so the output bits) depends on it.
 func TestIterateSmallerSideByDistinctKeys(t *testing.T) {
 	const manyKeys, fewKeys, pairsPerKey = 90, 7, 40
 	var big, small tileCols
@@ -144,17 +87,18 @@ func TestIterateSmallerSideByDistinctKeys(t *testing.T) {
 		}
 		for _, kern := range []struct {
 			name string
+			kind model.AccumKind
 			run  func(wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters)
 		}{
-			{"generic", func(wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters) {
-				contractTilePair(dir.hl, dir.hr, 0, 0, wk, pool, ctr)
-			}},
-			{"batched", func(wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters) {
+			{"hash-dense", model.AccumDense, func(wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters) {
 				contractHashDense(dir.hl, dir.hr, 0, 0, wk, pool, ctr, hashtable.LookupBatchMax)
+			}},
+			{"hash-sparse", model.AccumSparse, func(wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters) {
+				contractHashSparse(dir.hl, dir.hr, 0, 0, wk, pool, ctr, hashtable.LookupBatchMax)
 			}},
 		} {
 			var ctr metrics.Counters
-			wk := newWorker(model.AccumDense, 128, 32, 0)
+			wk := newWorker(kern.kind, 128, 32, 64)
 			pool := outputChunks.NewPool()
 			kern.run(wk, pool, &ctr)
 			outputChunks.Release(mempool.Concat(pool))
@@ -273,10 +217,9 @@ func newBenchTilePair(nKeysL, nKeysR, pairsPerKey int) *benchTilePairData {
 	}
 }
 
-// BenchmarkTilePair compares the microkernel family on one tile pair per
-// (rep, accum) combination, with the generic loop as the in-benchmark
-// baseline — `go test -bench TilePair ./internal/core` answers "did the
-// specialization help" without the full experiment harness.
+// BenchmarkTilePair times each microkernel on one tile pair per (rep,
+// accum) combination — `go test -bench TilePair ./internal/core` isolates
+// the inner loops from build, scheduling and output handling.
 func BenchmarkTilePair(b *testing.B) {
 	const tl, tr = 64, 32
 	d := newBenchTilePair(1024, 512, 8)
@@ -291,28 +234,16 @@ func BenchmarkTilePair(b *testing.B) {
 			}
 		})
 	}
-	run("hash/dense/generic", model.AccumDense, func(wk *worker, pool *mempool.Pool[Triple]) {
-		contractTilePair(d.hl, d.hr, 0, 0, wk, pool, nil)
-	})
-	run("hash/dense/kernel", model.AccumDense, func(wk *worker, pool *mempool.Pool[Triple]) {
+	run("hash/dense", model.AccumDense, func(wk *worker, pool *mempool.Pool[Triple]) {
 		contractHashDense(d.hl, d.hr, 0, 0, wk, pool, nil, hashtable.LookupBatchMax)
 	})
-	run("hash/sparse/generic", model.AccumSparse, func(wk *worker, pool *mempool.Pool[Triple]) {
-		contractTilePair(d.hl, d.hr, 0, 0, wk, pool, nil)
-	})
-	run("hash/sparse/kernel", model.AccumSparse, func(wk *worker, pool *mempool.Pool[Triple]) {
+	run("hash/sparse", model.AccumSparse, func(wk *worker, pool *mempool.Pool[Triple]) {
 		contractHashSparse(d.hl, d.hr, 0, 0, wk, pool, nil, hashtable.LookupBatchMax)
 	})
-	run("sorted/dense/generic", model.AccumDense, func(wk *worker, pool *mempool.Pool[Triple]) {
-		contractTilePairSorted(d.sl, d.sr, 0, 0, wk, pool, nil)
-	})
-	run("sorted/dense/kernel", model.AccumDense, func(wk *worker, pool *mempool.Pool[Triple]) {
+	run("sorted/dense", model.AccumDense, func(wk *worker, pool *mempool.Pool[Triple]) {
 		contractSortedDense(d.sl, d.sr, 0, 0, wk, pool, nil)
 	})
-	run("sorted/sparse/generic", model.AccumSparse, func(wk *worker, pool *mempool.Pool[Triple]) {
-		contractTilePairSorted(d.sl, d.sr, 0, 0, wk, pool, nil)
-	})
-	run("sorted/sparse/kernel", model.AccumSparse, func(wk *worker, pool *mempool.Pool[Triple]) {
+	run("sorted/sparse", model.AccumSparse, func(wk *worker, pool *mempool.Pool[Triple]) {
 		contractSortedSparse(d.sl, d.sr, 0, 0, wk, pool, nil)
 	})
 }

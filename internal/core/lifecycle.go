@@ -12,7 +12,7 @@
 //   - Operand.Shard returns the shard pinned (+1); the engine holds that
 //     pin across the run and additionally pins per worker through the
 //     scheduler Guard, releasing at each worker's exit. Eviction can
-//     therefore never reclaim tables a contractTilePair reader is inside.
+//     therefore never reclaim tables a tile kernel is reading.
 //   - Every built shard is charged to one process-wide LRU (shardLRU).
 //     When the resident footprint exceeds the budget, the coldest
 //     unpinned shards are retired, unmapped from their owning Operand,
@@ -148,8 +148,8 @@ func (lruRank) RankLabel() string     { return "shardCache.mu" }
 
 type shardCache struct {
 	mu     lockcheck.Mutex[lruRank] //fastcc:lockrank 1 exclusive -- never nested with Operand.mu, in either order
-	budget int64 // bytes; <= 0 means unlimited
-	bytes  int64 // resident footprint of listed shards
+	budget int64                    // bytes; <= 0 means unlimited
+	bytes  int64                    // resident footprint of listed shards
 	head   *Shard
 	tail   *Shard
 	n      int64

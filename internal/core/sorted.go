@@ -4,7 +4,6 @@ import (
 	"fastcc/internal/coo"
 	"fastcc/internal/hashtable"
 	"fastcc/internal/mempool"
-	"fastcc/internal/metrics"
 	"fastcc/internal/radix"
 )
 
@@ -106,62 +105,4 @@ func buildSortedTiles(tables []*sortedTile, part *coo.TilePartition, w, teamSize
 		st.offs = append(st.offs, int32(n))
 		tables[i] = st
 	}
-}
-
-// contractTilePairSorted computes one output tile by merging the two
-// tiles' sorted key arrays; matching keys contract their pair runs by
-// outer product into the worker's accumulator.
-//
-//fastcc:hotpath
-func contractTilePairSorted(sl, sr *sortedTile, baseL, baseR uint64,
-	wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters) {
-
-	var queries, volume, updates int64
-	dense, sparse := wk.dense, wk.sparse
-	i, j := 0, 0
-	for i < len(sl.keys) && j < len(sr.keys) {
-		queries++
-		switch {
-		case sl.keys[i] < sr.keys[j]:
-			i++
-		case sl.keys[i] > sr.keys[j]:
-			j++
-		default:
-			lps := sl.pairs[sl.offs[i]:sl.offs[i+1]]
-			rps := sr.pairs[sr.offs[j]:sr.offs[j+1]]
-			volume += int64(len(lps)) + int64(len(rps))
-			updates += int64(len(lps)) * int64(len(rps))
-			switch {
-			case dense != nil:
-				for _, lp := range lps {
-					lv, li := lp.Val, lp.Idx
-					for _, rp := range rps {
-						dense.Upsert(li, rp.Idx, lv*rp.Val)
-					}
-				}
-			case sparse != nil:
-				for _, lp := range lps {
-					lv, li := lp.Val, lp.Idx
-					for _, rp := range rps {
-						sparse.Upsert(li, rp.Idx, lv*rp.Val)
-					}
-				}
-			default:
-				for _, lp := range lps {
-					lv, li := lp.Val, lp.Idx
-					for _, rp := range rps {
-						wk.acc.Upsert(li, rp.Idx, lv*rp.Val)
-					}
-				}
-			}
-			i++
-			j++
-		}
-	}
-	ctr.AddQueries(queries)
-	ctr.AddVolume(volume)
-	ctr.AddUpdates(updates)
-	wk.acc.Drain(func(l, r uint32, v float64) { //fastcc:allow hotalloc -- one closure per tile task, outside the per-update loops
-		pool.Append(Triple{L: baseL + uint64(l), R: baseR + uint64(r), V: v})
-	})
 }

@@ -47,9 +47,6 @@ type Config struct {
 	Verify bool
 	// Out receives the rendered tables; nil = os.Stdout.
 	Out io.Writer
-	// ProfileDir, when non-empty, makes profile-aware experiments (hotpath)
-	// write CPU profiles into this directory, one .pprof per measured pass.
-	ProfileDir string
 	// Format selects table rendering: "table" (default) or "csv".
 	Format string
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -188,7 +187,7 @@ func TestDispatch(t *testing.T) {
 		t.Fatal("unknown experiment should error")
 	}
 	names := Names()
-	if len(names) != 14 {
+	if len(names) != 10 {
 		t.Fatalf("Names() = %v", names)
 	}
 	if err := Run(cfg, "model", "all"); err != nil {
@@ -196,86 +195,6 @@ func TestDispatch(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "meas/pred") {
 		t.Fatal("model experiment output missing")
-	}
-}
-
-func TestRunReuseEmitsValidJSON(t *testing.T) {
-	var buf strings.Builder
-	cfg := tinyConfig(&buf)
-	if err := RunReuse(cfg); err != nil {
-		t.Fatal(err)
-	}
-	var report ReuseReport
-	if err := json.Unmarshal([]byte(buf.String()), &report); err != nil {
-		t.Fatalf("reuse output is not valid JSON: %v", err)
-	}
-	if len(report.Cases) == 0 {
-		t.Fatal("reuse report has no cases")
-	}
-	for _, c := range report.Cases {
-		if !c.ShardReused || c.WarmBuildSeconds != 0 {
-			t.Fatalf("case %s: warm run missed the shard cache: %+v", c.Case, c)
-		}
-	}
-	if report.GeomeanSpeedup <= 0 {
-		t.Fatalf("geomean speedup = %v", report.GeomeanSpeedup)
-	}
-}
-
-func TestRunBuildScaleEmitsValidJSON(t *testing.T) {
-	var buf strings.Builder
-	cfg := tinyConfig(&buf)
-	cfg.Threads = 2 // ladder [1, 2] keeps the smoke run cheap
-	if err := RunBuildScale(cfg); err != nil {
-		t.Fatal(err)
-	}
-	var report BuildScaleReport
-	if err := json.Unmarshal([]byte(buf.String()), &report); err != nil {
-		t.Fatalf("buildscale output is not valid JSON: %v", err)
-	}
-	if report.MaxThreads != 2 || len(report.Cases) == 0 {
-		t.Fatalf("report shape: max_threads=%d cases=%d", report.MaxThreads, len(report.Cases))
-	}
-	for _, c := range report.Cases {
-		if len(c.Points) != 2 || c.Points[0].Threads != 1 || c.Points[1].Threads != 2 {
-			t.Fatalf("case %s: ladder %+v", c.Case, c.Points)
-		}
-		for _, p := range c.Points {
-			if p.BuildSeconds <= 0 {
-				t.Fatalf("case %s: no build time at %d threads", c.Case, p.Threads)
-			}
-		}
-		if !c.ShardReused || c.WarmBuildSeconds != 0 {
-			t.Fatalf("case %s: warm run missed the shard cache: %+v", c.Case, c)
-		}
-		if c.NNZ <= 0 || c.BuildSpeedupAtMax <= 0 {
-			t.Fatalf("case %s: %+v", c.Case, c)
-		}
-	}
-	if report.GeomeanWarmSeconds <= 0 || report.GeomeanColdSeconds <= 0 {
-		t.Fatalf("geomeans: %+v", report)
-	}
-}
-
-func TestBuildScaleLadder(t *testing.T) {
-	for _, c := range []struct {
-		max  int
-		want []int
-	}{
-		{1, []int{1}},
-		{2, []int{1, 2}},
-		{6, []int{1, 2, 4, 6}},
-		{8, []int{1, 2, 4, 8}},
-	} {
-		got := buildScaleLadder(c.max)
-		if len(got) != len(c.want) {
-			t.Fatalf("ladder(%d) = %v want %v", c.max, got, c.want)
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("ladder(%d) = %v want %v", c.max, got, c.want)
-			}
-		}
 	}
 }
 

@@ -117,8 +117,7 @@ type List[T any] struct {
 
 // Concat builds a List from the pools' chunks without copying elements.
 //
-//fastcc:owned pools -- pointer movement IS the contract: the List takes over
-// the pools' chunks, and List.Release (or output recycling) hands them back
+//fastcc:owned pools -- pointer movement IS the contract: the List takes over the pools' chunks, and List.Release (or output recycling) hands them back
 func Concat[T any](pools ...*Pool[T]) *List[T] {
 	l := &List[T]{}
 	for _, p := range pools {

@@ -217,7 +217,7 @@ type Snapshot struct {
 	WorkspaceWords int64
 	Output         int64
 	// ProbeBatches/ProbeHits/ProbeMisses are the batched-probe statistics
-	// of the hash microkernels (zero under the generic or sorted kernels).
+	// of the hash microkernels (zero under the sorted kernels).
 	ProbeBatches, ProbeHits, ProbeMisses int64
 	// KernelTasks is the per-kernel tile-task histogram, indexed by
 	// model.KernelID.

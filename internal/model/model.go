@@ -31,21 +31,14 @@ func (k AccumKind) String() string {
 }
 
 // KernelID names one member of the tile microkernel family: the inner
-// loop the contract phase runs per tile pair. The four specialized kernels
-// cover the {hash, sorted} representation × {dense, sparse} accumulator
-// grid; KernelGeneric is the single pre-specialization loop kept as the
-// reference implementation (and as the baseline the hotpath experiment
-// measures the specialized kernels against).
+// loop the contract phase runs per tile pair. The four kernels cover the
+// {hash, sorted} representation × {dense, sparse} accumulator grid.
 type KernelID int
 
 const (
-	// KernelAuto lets SelectKernel pick the specialized kernel matching
-	// the run's representation and accumulator.
+	// KernelAuto is the unresolved zero value of a raw Decide output; the
+	// engine's plan step replaces it with SelectKernel's choice.
 	KernelAuto KernelID = iota
-	// KernelGeneric forces the generic co-iteration loop with interface
-	// accumulator dispatch — the reference the specialized family is
-	// checked (bit-for-bit) and benchmarked against.
-	KernelGeneric
 	// KernelHashDense co-iterates sealed hash tables with batched probes
 	// and scatters straight into the dense tile grid.
 	KernelHashDense
@@ -66,8 +59,6 @@ func (k KernelID) String() string {
 	switch k {
 	case KernelAuto:
 		return "auto"
-	case KernelGeneric:
-		return "generic"
 	case KernelHashDense:
 		return "hash-dense"
 	case KernelHashSparse:
@@ -80,23 +71,21 @@ func (k KernelID) String() string {
 	return fmt.Sprintf("KernelID(%d)", int(k))
 }
 
-// SelectKernel picks the specialized microkernel for a run: the sorted flag
-// carries the input representation (core.InputRep, which this package must
-// not import), kind the resolved accumulator. AccumAuto never reaches here
-// — Decide/ForceKind resolve the kind first — but map it to the generic
-// loop rather than guessing.
+// SelectKernel picks the microkernel for a run: the sorted flag carries the
+// input representation (core.InputRep, which this package must not import),
+// kind the resolved accumulator. Any kind other than AccumSparse selects a
+// dense kernel, matching the engine's worker construction, which builds a
+// dense accumulator for every non-sparse kind.
 func SelectKernel(sorted bool, kind AccumKind) KernelID {
 	switch {
-	case sorted && kind == AccumDense:
-		return KernelSortedDense
 	case sorted && kind == AccumSparse:
 		return KernelSortedSparse
-	case !sorted && kind == AccumDense:
-		return KernelHashDense
-	case !sorted && kind == AccumSparse:
+	case sorted:
+		return KernelSortedDense
+	case kind == AccumSparse:
 		return KernelHashSparse
 	}
-	return KernelGeneric
+	return KernelHashDense
 }
 
 // maxTileSide caps tile sides so intra-tile indices fit in uint32 (tile
@@ -118,10 +107,10 @@ type Decision struct {
 	Kind  AccumKind
 	TileL uint64
 	TileR uint64
-	// Kernel is the tile microkernel the contract phase will run, resolved
-	// by the engine from the representation and accumulator kind (or forced
-	// by the caller). Zero (KernelAuto) in a raw Decide output; the engine's
-	// plan step fills it in so Stats exposes the choice.
+	// Kernel is the tile microkernel the contract phase will run, selected
+	// by the engine from the representation and accumulator kind. Zero
+	// (KernelAuto) in a raw Decide output; the engine's plan step fills it
+	// in so Stats exposes the choice.
 	Kernel KernelID
 
 	// PL and PR are the input densities p_L = nnz_L/(L·C), p_R = nnz_R/(R·C).

@@ -75,10 +75,10 @@ type FS interface {
 // OS is the production FS: plain os package calls.
 type OS struct{}
 
-func (OS) ReadFile(name string) ([]byte, error)    { return os.ReadFile(name) }
-func (OS) WriteFile(name string, b []byte) error   { return os.WriteFile(name, b, 0o644) }
-func (OS) Remove(name string) error                { return os.Remove(name) }
-func (OS) MkdirAll(dir string) error               { return os.MkdirAll(dir, 0o755) }
+func (OS) ReadFile(name string) ([]byte, error)  { return os.ReadFile(name) }
+func (OS) WriteFile(name string, b []byte) error { return os.WriteFile(name, b, 0o644) }
+func (OS) Remove(name string) error              { return os.Remove(name) }
+func (OS) MkdirAll(dir string) error             { return os.MkdirAll(dir, 0o755) }
 func (OS) ReadDir(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {

@@ -221,7 +221,6 @@ func contractSharded(l, r *Sharded, o *options, linearize time.Duration) (*Tenso
 		Platform:    o.platform,
 		Counters:    o.counters,
 		Rep:         o.rep,
-		Kernel:      o.kernel,
 		Context:     o.ctx,
 		CacheBudget: o.shardBudget,
 		Tenant:      o.tenant,

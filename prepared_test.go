@@ -3,6 +3,7 @@ package fastcc
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -213,9 +214,9 @@ func TestOptionValidation(t *testing.T) {
 		opts []Option
 	}{
 		{"negative threads", []Option{WithThreads(-1)}},
-		{"huge tile", []Option{WithTileSize(1 << 40, 64)}},
+		{"huge tile", []Option{WithTileSize(1<<40, 64)}},
 		{"dense non-pow2 tr", []Option{WithAccumulator(AccumDense), WithTileSize(64, 100)}},
-		{"dense oversized tile", []Option{WithAccumulator(AccumDense), WithTileSize(1 << 20, 1 << 20)}},
+		{"dense oversized tile", []Option{WithAccumulator(AccumDense), WithTileSize(1<<20, 1<<20)}},
 		{"unknown accumulator", []Option{WithAccumulator(AccumKind(99))}},
 		{"unknown representation", []Option{WithInputRep(InputRep(99))}},
 	}
@@ -387,5 +388,104 @@ func TestShardedLifecycleSurface(t *testing.T) {
 	}
 	if err := lsh.Close(); err != nil {
 		t.Fatalf("second Close() = %v, want nil", err)
+	}
+}
+
+// TestPreparedSpillRepin drives the disk tier through the public prepared
+// API: after a cold ContractPrepared, every shard is evicted through the
+// spill tier, and the next ContractPrepared must re-pin the shards from
+// their spill files — a full shard hit, one spill read per shard, no
+// fallback to rebuild — and reproduce the pre-eviction output bit for bit.
+// The self-contraction puts one *Sharded on both sides, so its single shard
+// carries one pin and is read back once.
+func TestPreparedSpillRepin(t *testing.T) {
+	if err := ConfigureSpill(t.TempDir(), 0, false); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := ConfigureSpill("", 0, false); err != nil {
+			t.Errorf("disabling spill: %v", err)
+		}
+	})
+
+	rng := rand.New(rand.NewSource(29))
+	a := randomTensor(rng, []uint64{40, 12, 30}, 700)
+	b := randomTensor(rng, []uint64{12, 30, 35}, 600)
+	for _, c := range []struct {
+		name   string
+		l, r   *Tensor
+		spec   Spec
+		shards int64
+	}{
+		{"self", a, a, Spec{CtrLeft: []int{1, 2}, CtrRight: []int{1, 2}}, 1},
+		{"pair", a, b, Spec{CtrLeft: []int{1, 2}, CtrRight: []int{0, 1}}, 2},
+	} {
+		ls, err := Preshard(c.l, c.spec.CtrLeft)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := ls
+		if c.r != c.l {
+			if rs, err = Preshard(c.r, c.spec.CtrRight); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cold, _, err := ContractPrepared(ls, rs, WithThreads(2))
+		if err != nil {
+			t.Fatalf("%s: cold: %v", c.name, err)
+		}
+		if cold.NNZ() == 0 {
+			t.Fatalf("%s: empty output leaves nothing to compare", c.name)
+		}
+
+		// A 1-byte budget evicts every unpinned shard, and with the spill
+		// tier on each eviction writes the shard image to disk. The next
+		// run re-applies its own (default) budget.
+		before := ShardCacheStats()
+		core.SetShardBudget(1)
+		if ls.Warm() || rs.Warm() {
+			t.Fatalf("%s: shards still resident after eviction", c.name)
+		}
+		got, st, err := ContractPrepared(ls, rs, WithThreads(2))
+		if err != nil {
+			t.Fatalf("%s: re-pin: %v", c.name, err)
+		}
+		after := ShardCacheStats()
+		if !st.ShardReused || st.Build != 0 {
+			t.Fatalf("%s: re-pin run rebuilt instead of reading the spill files: %+v", c.name, st)
+		}
+		if n := after.SpillReads - before.SpillReads; n != c.shards {
+			t.Fatalf("%s: %d spill reads, want %d", c.name, n, c.shards)
+		}
+		if n := after.SpillFallbacks - before.SpillFallbacks; n != 0 {
+			t.Fatalf("%s: %d spill fallbacks to rebuild", c.name, n)
+		}
+		assertSameBits(t, c.name, cold, got)
+		ls.Drop()
+		if rs != ls {
+			rs.Drop()
+		}
+	}
+}
+
+// assertSameBits demands the same coordinates and identical value bits,
+// compared in sorted order.
+func assertSameBits(t *testing.T, what string, want, got *Tensor) {
+	t.Helper()
+	w, g := want.Clone(), got.Clone()
+	w.Sort()
+	g.Sort()
+	if w.NNZ() != g.NNZ() {
+		t.Fatalf("%s: %d nonzeros, want %d", what, g.NNZ(), w.NNZ())
+	}
+	for i := range w.Vals {
+		for m := range w.Coords {
+			if w.Coords[m][i] != g.Coords[m][i] {
+				t.Fatalf("%s: coordinate %d of nonzero %d differs", what, m, i)
+			}
+		}
+		if math.Float64bits(w.Vals[i]) != math.Float64bits(g.Vals[i]) {
+			t.Fatalf("%s: value bits differ at nonzero %d", what, i)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // Benchmarks for the prepared-operand API: what Preshard/ContractPrepared
 // amortize relative to the one-shot Contract path on a FROSTT-shaped
-// self-contraction. `make bench-reuse` regenerates BENCH_reuse.json from
-// the same comparison at experiment scale.
+// self-contraction. The bench/ module's qc-warm workload measures the same
+// warm path end to end.
 package fastcc_test
 
 import (

@@ -88,3 +88,26 @@ func TestLoadTypeChecks(t *testing.T) {
 		t.Errorf("no Uses recorded; type info incomplete")
 	}
 }
+
+// TestLoadOutOfPatternDependency loads two pattern packages joined through a
+// third that is outside the pattern: the root package passes tnsbin.Read's
+// *coo.Tensor on as its own *coo.Tensor. If the loader imported tnsbin from
+// export data, tnsbin would carry a second copy of coo and the root package
+// would fail to type-check.
+func TestLoadOutOfPatternDependency(t *testing.T) {
+	root, err := ModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := Load(root, []string{"./internal/coo", "."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, p := range pkgs {
+		got = append(got, p.ImportPath)
+	}
+	if len(got) != 2 || got[0] != "fastcc" || got[1] != "fastcc/internal/coo" {
+		t.Fatalf("Load returned %v, want only the pattern packages [fastcc fastcc/internal/coo]", got)
+	}
+}

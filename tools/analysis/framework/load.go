@@ -42,10 +42,12 @@ type listPackage struct {
 }
 
 // Load resolves the package patterns with the go tool, compiles export data
-// for every dependency (`go list -export -deps`), and type-checks the
-// pattern-matched packages from source against that export data. This keeps
-// the loader fully offline: no network, no GOPATH source resolution — the
-// build cache supplies every import.
+// for every dependency (`go list -export -deps`), and type-checks every
+// non-standard package — the pattern-matched ones and their dependencies —
+// from source, importing only the standard library from export data. This
+// keeps the loader fully offline: no network, no GOPATH source resolution —
+// the build cache supplies every import. Only the pattern-matched packages
+// are returned.
 func Load(dir string, patterns []string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -75,7 +77,7 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 		if lp.Export != "" {
 			exports[lp.ImportPath] = lp.Export
 		}
-		if lp.Standard || lp.DepOnly {
+		if lp.Standard {
 			continue
 		}
 		if lp.Error != nil {
@@ -89,13 +91,16 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	}
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 
-	// Type-check pattern packages in dependency order so each one imports
-	// its in-pattern dependencies as the SAME *types.Package that was checked
+	// Type-check packages in dependency order so each one imports its
+	// non-standard dependencies as the SAME *types.Package that was checked
 	// from source, not a parallel export-data universe. Object identity
 	// across packages is what lets the call graph link a cross-package call
 	// to the callee's declaration — and the devirtualizer match interface
-	// and func-value objects program-wide. Export data still supplies
-	// everything outside the pattern (stdlib).
+	// and func-value objects program-wide. Out-of-pattern dependencies are
+	// checked from source too: an export-data copy of one would bring in its
+	// own copies of the packages it imports, so a pattern package handing a
+	// value between the two would fail to type-check. Export data supplies
+	// only the standard library.
 	targetSet := map[string]*listPackage{}
 	for _, lp := range targets {
 		targetSet[lp.ImportPath] = lp
@@ -158,6 +163,9 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 			return nil, fmt.Errorf("framework: type-checking %s: %w", lp.ImportPath, err)
 		}
 		checked[lp.ImportPath] = pkg
+		if lp.DepOnly {
+			continue
+		}
 		pkgs = append(pkgs, &Package{
 			ImportPath: lp.ImportPath,
 			Dir:        lp.Dir,
@@ -172,9 +180,9 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// sourceFirstImporter resolves imports to already source-checked pattern
-// packages by identity, falling back to compiled export data for everything
-// else (the standard library, out-of-pattern dependencies).
+// sourceFirstImporter resolves imports to already source-checked packages
+// by identity, falling back to compiled export data for everything else
+// (the standard library).
 type sourceFirstImporter struct {
 	checked  map[string]*types.Package
 	fallback types.Importer
