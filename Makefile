@@ -63,9 +63,9 @@ vet-self:
 # panics instead of silent corruption (see DESIGN.md, "Shard lifecycle
 # & eviction").
 test-lifecycle:
-	$(GO) test -race -short -run 'TestLifecycleStress|TestPreparedDrop' .
+	$(GO) test -race -short -run 'TestLifecycleStress|TestPreparedDrop|TestShardBudgetIsProcessState' .
 	$(GO) test -race -short ./internal/core -run 'TestShard|TestEviction|TestClose|TestWarm|TestCache'
-	$(GO) test -tags fastcc_checked -short -run 'TestLifecycleStress|TestPreparedDrop' .
+	$(GO) test -tags fastcc_checked -short -run 'TestLifecycleStress|TestPreparedDrop|TestShardBudgetIsProcessState' .
 	$(GO) test -tags fastcc_checked -short ./internal/core -run 'TestShard|TestEviction|TestClose|TestWarm|TestCache|TestUnpinned'
 
 # Disk-tier gate: the spill round-trip, fault-injection and adoption suites

@@ -48,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) error {
 		addrFile     = fs.String("addr-file", "", "write the bound address to this file once listening")
 		inflight     = fs.Int("inflight", 2, "max concurrent contractions")
 		queue        = fs.Int("queue", 16, "max queued contractions behind the in-flight bound (-1 = none)")
-		cacheBudget  = fs.Int64("cache-budget", 0, "shard-cache budget in bytes (0 = platform default, -1 = unbounded)")
+		cacheBudget  = fs.Int64("cache-budget", 0, "shard-cache budget in bytes (0 = host default, -1 = unbounded)")
 		tenantQuota  = fs.Int64("tenant-quota", 0, "per-tenant shard-cache quota in bytes (0 = none)")
 		uploadQuota  = fs.Int64("upload-quota", 0, "per-tenant registry quota in estimated operand bytes (0 = none)")
 		threads      = fs.Int("threads", 0, "worker threads per contraction (0 = all cores)")

@@ -145,11 +145,8 @@ type options struct {
 	counters     *metrics.Counters
 	rep          core.InputRep
 	ctx          context.Context
-	shardBudget  int64
 	tenant       string
 	tenantSet    bool
-	spillDir     string
-	spillBudget  int64
 }
 
 // resolveOptions applies the options in order and validates the combination
@@ -195,12 +192,6 @@ func (o *options) validate() error {
 		if err := validTenant(o.tenant); err != nil {
 			return fmt.Errorf("%w: WithTenant(%q): %v", ErrBadOption, o.tenant, err)
 		}
-	}
-	if o.spillBudget < 0 {
-		return fmt.Errorf("%w: WithSpillBudget(%d) is negative (0 means unbounded)", ErrBadOption, o.spillBudget)
-	}
-	if o.spillBudget > 0 && o.spillDir == "" {
-		return fmt.Errorf("%w: WithSpillBudget needs WithSpillDir on the same run", ErrBadOption)
 	}
 	return nil
 }
@@ -258,46 +249,37 @@ func WithInputRep(rep InputRep) Option { return func(o *options) { o.rep = rep }
 // the context's error wrapped. See also ContractContext.
 func WithContext(ctx context.Context) Option { return func(o *options) { o.ctx = ctx } }
 
-// WithShardBudget bounds the process-wide cache of built tile shards (the
+// SetShardBudget bounds the process-wide cache of built tile shards (the
 // tables Preshard/ContractPrepared reuse across runs) to the given byte
-// budget: when resident shards exceed it, the least recently used unpinned
-// shards are evicted and their storage recycled; shards pinned by in-flight
-// contractions are never touched. bytes > 0 sets an explicit budget,
-// bytes < 0 disables eviction entirely, and 0 (the default) derives a budget
-// from the platform's last-level cache size. The budget is applied at the
-// start of the run carrying this option and stays in force until another run
-// sets a different one.
-func WithShardBudget(bytes int64) Option { return func(o *options) { o.shardBudget = bytes } }
+// budget and enforces it at once against cold shards. When resident shards
+// exceed the budget, the least recently used unpinned shards are evicted
+// and their storage recycled; shards pinned by in-flight contractions are
+// never touched, and each contraction settles the budget again when its
+// pins drop. bytes > 0 sets an explicit budget, bytes < 0 disables eviction
+// entirely, and 0 restores the default, which the cache also starts with:
+// AutoPlatform().L3Bytes times 64, derived from the host rather than from
+// any run's WithPlatform. The budget is process state: the process owner
+// sets it, and no contraction changes it.
+func SetShardBudget(bytes int64) { core.SetShardBudget(bytes) }
 
-// WithSpillDir enables the shard cache's disk tier for this run and every
-// later one: when the byte budget (WithShardBudget) or a tenant quota evicts
-// a cold shard, its tables are serialized into a compact checksummed file
-// under dir instead of being thrown away, and the next contraction needing
-// that shard reads the file back — skipping the full re-linearize + re-hash
+// ConfigureSpill sets the shard cache's disk tier for the process. With a
+// non-empty dir, a cold shard that the byte budget (SetShardBudget) or a
+// tenant quota evicts is serialized into a compact checksummed file under
+// dir instead of being thrown away, and the next contraction needing that
+// shard reads the file back — skipping the full re-linearize + re-hash
 // rebuild. Every way a read-back can go wrong (missing file, truncation,
 // checksum mismatch, stale generation stamp) degrades to a plain rebuild
-// with a typed fault counter, never a wrong answer.
+// with a typed fault counter, never a wrong answer. An empty dir disables
+// the tier.
 //
-// Like WithShardBudget the setting is process-wide and sticky: it takes
-// effect at the start of the run carrying the option and stays in force
-// until ConfigureSpill changes it. Files are deleted as their shards reload
-// or drop; use ConfigureSpill with persist=true for a warm-restart cache
-// that outlives the process.
-func WithSpillDir(dir string) Option { return func(o *options) { o.spillDir = dir } }
-
-// WithSpillBudget bounds the spill directory's on-disk bytes; the directory
-// makes room oldest-first, and a write that still cannot fit falls back to
-// plain eviction. Zero (the default) means unbounded. Requires WithSpillDir
-// on the same run.
-func WithSpillBudget(bytes int64) Option { return func(o *options) { o.spillBudget = bytes } }
-
-// ConfigureSpill sets the process-wide spill tier directly: dir enables
-// spill-to-disk for shard-cache evictions (empty string disables it),
-// budget bounds the directory's bytes (<= 0 unbounded), and persist selects
-// keep-mode — reloaded or dropped shards leave their files on disk as
-// adoptable orphans, so a restarted process pointed at the same directory
-// warms its cache from them instead of rebuilding (fastcc-serve's restart
-// path). Opening a directory scavenges anonymous and corrupt leftovers.
+// budget bounds the directory's bytes (<= 0 unbounded): the directory makes
+// room oldest-first, and a write that still cannot fit falls back to plain
+// eviction. Files are deleted as their shards reload or drop, unless
+// persist selects keep-mode: reloaded or dropped shards then leave their
+// files on disk as adoptable orphans, so a restarted process pointed at the
+// same directory warms its cache from them instead of rebuilding
+// (fastcc-serve's restart path). Opening a directory scavenges anonymous
+// and corrupt leftovers.
 func ConfigureSpill(dir string, budget int64, persist bool) error {
 	return core.ConfigureSpill(dir, budget, persist)
 }
@@ -328,7 +310,7 @@ type CacheStats = metrics.CacheSnapshot
 
 // ShardCacheStats reports the process-wide shard cache's lifecycle counters
 // and resident-state gauges — the observability hook for tuning
-// WithShardBudget.
+// SetShardBudget and ConfigureSpill.
 func ShardCacheStats() CacheStats { return core.CacheStats() }
 
 // TenantStats is a point-in-time view of one tenant's shard-cache
@@ -338,7 +320,7 @@ type TenantStats = metrics.TenantSnapshot
 
 // SetTenantQuota sets the shard-cache quota for tenant id in bytes and
 // enforces it immediately against the tenant's cold shards; bytes <= 0
-// removes the quota. The quota lives inside the global WithShardBudget
+// removes the quota. The quota lives inside the global SetShardBudget
 // budget — it bounds one tenant's slice, it does not grow the whole.
 // Invalid tenant IDs are rejected with ErrBadOption.
 func SetTenantQuota(id string, bytes int64) error {

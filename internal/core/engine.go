@@ -52,19 +52,6 @@ type Config struct {
 	// Rep selects the input-tile representation: the paper's hash tables
 	// (default) or the sorted-array ablation.
 	Rep InputRep
-	// CacheBudget bounds the process-wide shard cache in bytes: > 0 is an
-	// explicit budget, < 0 disables eviction, 0 derives the default from the
-	// platform LLC (L3Bytes × DefaultBudgetLLCMultiple). Applied — and
-	// enforced — at the start of every run; the last run's setting wins.
-	CacheBudget int64
-	// SpillDir, when non-empty, enables the disk tier (spill.go): shards
-	// the budget evicts are serialized there and reloaded at the next pin
-	// instead of rebuilt. SpillBudget bounds the directory in bytes (<= 0
-	// unlimited). Like CacheBudget, applied at the start of the run; an
-	// EMPTY SpillDir leaves the process-wide spill configuration unchanged
-	// (use ConfigureSpill to disable the tier explicitly).
-	SpillDir    string
-	SpillBudget int64
 	// Tenant, when non-empty, charges every shard this run builds or reuses
 	// to the named tenant's cache account (tenant.go): the shard bytes count
 	// against the tenant's quota, quota overruns are settled by evicting the
@@ -153,12 +140,6 @@ func ContractOperands(l, r *Operand, cfg Config) (*mempool.List[Triple], *Stats,
 	if cfg.Platform == (model.Platform{}) {
 		cfg.Platform = model.Auto()
 	}
-	// (Re)apply this run's shard-cache budget and spill configuration
-	// before any build charges the cache or any eviction could spill.
-	if err := configureSpill(cfg.SpillDir, cfg.SpillBudget); err != nil {
-		return nil, nil, err
-	}
-	shardLRU.setBudget(resolveBudget(cfg.CacheBudget, cfg.Platform))
 	threads := scheduler.Workers(cfg.Threads)
 	st := &Stats{Threads: threads}
 
@@ -186,15 +167,17 @@ func ContractOperands(l, r *Operand, cfg Config) (*mempool.List[Triple], *Stats,
 	st.ShardReusedL, st.ShardReusedR = !builtL, !builtR
 	if cfg.Tenant != "" {
 		// Charge both shards to the run's tenant while the run pins protect
-		// them, and settle the tenant's quota as the run's LAST deferred step
-		// (registered before the Unpins, so it runs after them): once the
-		// pins drop, the enforcement pass can see this run's own shards.
+		// them.
 		claimShard(ls, cfg.Tenant, builtL)
 		if rs != ls {
 			claimShard(rs, cfg.Tenant, builtR)
 		}
-		defer enforceTenant(cfg.Tenant)
 	}
+	// Settle the tenant's quota and the global budget as the run's LAST
+	// deferred step (registered before the Unpins, so it runs after them):
+	// once the pins drop, the enforcement pass can see this run's own
+	// shards.
+	defer shardLRU.settle(cfg.Tenant)
 	defer ls.Unpin()
 	if rs != ls {
 		defer rs.Unpin()

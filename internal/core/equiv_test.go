@@ -148,8 +148,9 @@ func TestShardReuseBitIdentity(t *testing.T) {
 // TestEvictionEquivalence is the lifecycle acceptance test: contract,
 // force-evict everything with a 1-byte budget, contract again over the
 // rebuilt shards, and demand bit-identical output — for every
-// {representation × accumulator} combination, plus a run whose own
-// adversarially small CacheBudget forces rebuilds on every call.
+// {representation × accumulator} combination, plus a run under an
+// adversarially small budget that rebuilds both shards and evicts them as
+// its pins drop.
 func TestEvictionEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	lm := randomMatrix(rng, 300, 40, 2500)
@@ -189,24 +190,30 @@ func TestEvictionEquivalence(t *testing.T) {
 		if after := CacheStats(); after.Evictions <= before.Evictions {
 			t.Fatalf("%s: 1-byte budget evicted nothing (%d -> %d)", c.name, before.Evictions, after.Evictions)
 		}
+		SetShardBudget(-1)
 		rebuilt, st := run(cfg)
 		if st.ShardReusedL || st.ShardReusedR {
 			t.Fatalf("%s: post-eviction run claims shard reuse", c.name)
 		}
 		assertBitIdentical(t, c.name+" rebuilt", cold, rebuilt)
 
-		// Adversarially small per-run budget: every run rebuilds both shards
-		// (they are evicted as soon as the run's pins drop), and the result
-		// must still match.
-		tight := cfg
-		tight.CacheBudget = 1
-		squeezed, _ := run(tight)
+		// Adversarially small budget: the run rebuilds both shards, they are
+		// evicted as soon as its pins drop, and the result must still match.
+		SetShardBudget(1)
+		squeezed, _ := run(cfg)
+		SetShardBudget(-1)
 		assertBitIdentical(t, c.name+" squeezed", cold, squeezed)
+		if _, n := l.Resident(); n != 0 {
+			t.Fatalf("%s: %d left shards resident after a squeezed run", c.name, n)
+		}
+		if _, n := r.Resident(); n != 0 {
+			t.Fatalf("%s: %d right shards resident after a squeezed run", c.name, n)
+		}
 
 		l.Close()
 		r.Close()
 	}
-	SetShardBudget(-1)
+	SetShardBudget(0)
 }
 
 // assertBitIdentical demands the same sorted coordinates and identical
@@ -228,7 +235,7 @@ func assertBitIdentical(t *testing.T, what string, want, got *coo.Tensor) {
 // that do not divide the block sides — and checks both representations
 // against the reference. Seeds pin the partial-edge-block cases; the budget
 // seeds force mid-sequence eviction (shards reclaimed between the hash and
-// sorted runs) through adversarially small CacheBudget values; the spill
+// sorted runs) through adversarially small shard budgets; the spill
 // seeds route those evictions through the disk tier (including budgets tiny
 // enough that the spill write itself fails over budget and falls back),
 // so reload, adoption-miss and fallback paths all fuzz under arbitrary
@@ -260,11 +267,15 @@ func FuzzContractTiling(f *testing.F) {
 		tileR := uint64(tr16%200) + 1
 		nnz := int(nnz16 % 2000)
 		// 0 keeps eviction out of the picture (unlimited); anything else is
-		// a byte budget small enough to churn test-sized shards.
+		// a byte budget small enough to churn test-sized shards. The budget
+		// is process state, so the default comes back when the execution
+		// ends.
 		budget := int64(-1)
 		if budget16 != 0 {
 			budget = int64(budget16)
 		}
+		SetShardBudget(budget)
+		defer SetShardBudget(0)
 		// Nonzero spill16 enables the disk tier with that byte budget for
 		// this execution only; corrupt round trips are impossible here, so
 		// whatever the geometry, the outputs below must stay bit-identical.
@@ -290,7 +301,6 @@ func FuzzContractTiling(f *testing.F) {
 			out, _, err := Contract(l, r, Config{
 				Threads: 3, TileL: tileL, TileR: tileR,
 				Accum: model.AccumSparse, Rep: rep, Platform: tinyLLC,
-				CacheBudget: budget,
 			})
 			if err != nil {
 				t.Fatalf("rep=%v tile=%dx%d: %v", rep, tileL, tileR, err)

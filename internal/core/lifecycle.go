@@ -51,9 +51,10 @@ const (
 )
 
 // DefaultBudgetLLCMultiple sizes the default shard-cache budget as a
-// multiple of the platform's last-level cache: big enough that steady-state
-// reuse workloads never thrash (shards are LLC-sized by construction), small
-// enough to bound a long-lived process that touches many operands.
+// multiple of the host's last-level cache (model.Auto): big enough that
+// steady-state reuse workloads never thrash (shards are LLC-sized by
+// construction), small enough to bound a long-lived process that touches
+// many operands.
 const DefaultBudgetLLCMultiple = 64
 
 // tryPin takes one pin reference, failing only when the shard is already
@@ -132,11 +133,6 @@ func (s *Shard) doom() {
 // for stats).
 func (s *Shard) pinnedNow() bool { return s.state.Load()>>3 != 0 }
 
-// shardCache is the process-wide byte-budgeted LRU over every built shard.
-// Shards are linked intrusively (lruPrev/lruNext on Shard), head most
-// recently used. One instance exists (shardLRU); operands register every
-// completed build and the budget is (re)applied at each engine run from its
-// Config.
 // lruRank pins shardCache.mu into the dynamic lock-rank hierarchy
 // (internal/lockcheck): the same rank and exclusivity the //fastcc:lockrank
 // marker below declares to the static lockorder pass, enforced at runtime
@@ -146,6 +142,11 @@ type lruRank struct{}
 func (lruRank) LockRank() (int, bool) { return 1, true }
 func (lruRank) RankLabel() string     { return "shardCache.mu" }
 
+// shardCache is the process-wide byte-budgeted LRU over every built shard.
+// Shards are linked intrusively (lruPrev/lruNext on Shard), head most
+// recently used. One instance exists (shardLRU); operands register every
+// completed build. The budget is process state: SetShardBudget is its only
+// writer, and engine runs only enforce it.
 type shardCache struct {
 	mu     lockcheck.Mutex[lruRank] //fastcc:lockrank 1 exclusive -- never nested with Operand.mu, in either order
 	budget int64                    // bytes; <= 0 means unlimited
@@ -161,32 +162,30 @@ type shardCache struct {
 	counters metrics.CacheCounters
 }
 
-// shardLRU is the engine's single shard cache.
-var shardLRU shardCache
+// shardLRU is the engine's single shard cache, starting at the default
+// budget.
+var shardLRU = shardCache{budget: resolveBudget(0)}
 
-// resolveBudget maps the Config.CacheBudget convention onto cache semantics:
-// > 0 is an explicit byte budget, < 0 disables eviction, 0 derives a default
-// from the platform's LLC size.
-func resolveBudget(b int64, p model.Platform) int64 {
+// resolveBudget maps the SetShardBudget convention onto cache semantics:
+// > 0 is an explicit byte budget, < 0 disables eviction, 0 derives the
+// default from the host's LLC size.
+func resolveBudget(b int64) int64 {
 	switch {
 	case b > 0:
 		return b
 	case b < 0:
 		return 0
 	default:
-		return p.L3Bytes * DefaultBudgetLLCMultiple
+		return model.Auto().L3Bytes * DefaultBudgetLLCMultiple
 	}
 }
 
-// SetShardBudget sets the process-wide shard-cache byte budget directly and
-// enforces it immediately; bytes <= 0 disables eviction. Engine runs re-apply
-// their own Config-derived budget, so direct calls matter mostly for tests
-// and for trimming between runs.
+// SetShardBudget sets the process-wide shard-cache byte budget and enforces
+// it immediately: > 0 is an explicit budget, < 0 disables eviction, 0
+// restores the host-derived default. Engine runs never write the budget;
+// each settles it as its pins drop.
 func SetShardBudget(bytes int64) {
-	if bytes < 0 {
-		bytes = 0
-	}
-	shardLRU.setBudget(bytes)
+	shardLRU.setBudget(resolveBudget(bytes))
 }
 
 // CacheStats returns the lifecycle counters plus resident-state gauges of
@@ -204,6 +203,19 @@ func (c *shardCache) setBudget(b int64) {
 	c.mu.Lock()
 	c.budget = b
 	victims := c.enforceLocked()
+	c.mu.Unlock()
+	c.reap(victims)
+}
+
+// settle is each engine run's last step, after its pins drop: it brings
+// tenant's account back under its quota (tenant.go; a no-op for "" or a
+// tenant without an account) and then the whole cache back under its
+// budget, so once the last in-flight contraction returns, the resident
+// shards fit both.
+func (c *shardCache) settle(tenant string) {
+	c.mu.Lock()
+	victims := c.enforceTenantLocked(tenant)
+	victims = append(victims, c.enforceLocked()...)
 	c.mu.Unlock()
 	c.reap(victims)
 }

@@ -81,7 +81,7 @@ func TestEvictionSkipsPinnedShards(t *testing.T) {
 	if after.EvictedBytes <= before.EvictedBytes {
 		t.Fatalf("EvictedBytes did not grow (%d -> %d)", before.EvictedBytes, after.EvictedBytes)
 	}
-	SetShardBudget(-1) // back to unlimited for the rest of the binary
+	SetShardBudget(0) // back to the default for the rest of the binary
 }
 
 func TestCloseDropsAndRebuilds(t *testing.T) {
@@ -152,7 +152,7 @@ func TestWarmHoldsNoPin(t *testing.T) {
 	if op.Cached(key) {
 		t.Fatal("warmed shard survived a 1-byte budget: Warm leaked a pin")
 	}
-	SetShardBudget(-1)
+	SetShardBudget(0)
 }
 
 func TestCacheChargeReturnsToBaseline(t *testing.T) {

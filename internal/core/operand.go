@@ -106,8 +106,9 @@ type Shard struct {
 	// spill is the disk-tier image of a spilled shard (spill.go), installed
 	// by trySpill and taken by whoever reloads or drops the stub; guarded by
 	// the owner's mu. spillClaims captures the claim list at retirement so
-	// spill round trips credit the tenants that had the shard warm; guarded
-	// by shardLRU.mu.
+	// spill round trips credit the tenants that had the shard warm; written
+	// under shardLRU.mu before trySpill installs spill, so whoever takes
+	// the handle may read it.
 	spill       *spill.Handle
 	spillClaims []string
 
@@ -196,9 +197,14 @@ func (o *Operand) Shard(key ShardKey, threads int) (*Shard, bool) {
 		}
 		// Retired under us. A spilled stub hands its disk image (and the
 		// tenants it was warm for) to the successor built below; anything
-		// else is a plain stale entry headed for rebuild.
+		// else is a plain stale entry headed for rebuild. Read spillClaims
+		// only with a handle in hand: the evictor writes it before it
+		// installs the handle under o.mu, while a stub without one may
+		// still be mid-eviction.
 		h = s.takeSpillLocked()
-		oldClaims = s.spillClaims
+		if h != nil {
+			oldClaims = s.spillClaims
+		}
 		delete(o.shards, key)
 	} else {
 		h = o.adoptSpillLocked(key)

@@ -73,6 +73,9 @@ func TestSpillEquivalence(t *testing.T) {
 		{"sorted/sparse", RepSorted, model.AccumSparse},
 	}
 	for _, c := range combos {
+		// The previous combo left a 1-byte budget in force; the cold run
+		// must keep its shards resident for the squeeze below to spill.
+		SetShardBudget(-1)
 		l, r := NewOperand(lm), NewOperand(rm)
 		cfg := Config{Threads: 4, TileL: 17, TileR: 32, Accum: c.acc, Rep: c.rep, Platform: tinyLLC}
 		run := func() (*coo.Tensor, *Stats) {
@@ -116,7 +119,7 @@ func TestSpillEquivalence(t *testing.T) {
 		l.Close()
 		r.Close()
 	}
-	SetShardBudget(-1)
+	SetShardBudget(0)
 }
 
 // TestSpillFaultFallback corrupts the on-disk spill files every way the
@@ -195,7 +198,7 @@ func TestSpillFaultFallback(t *testing.T) {
 			}
 			cold, _ := run()
 			SetShardBudget(1)
-			defer SetShardBudget(-1)
+			defer SetShardBudget(0)
 
 			files := spillFiles(t, dir)
 			if len(files) != 2 {
@@ -297,7 +300,7 @@ func TestSpillAdoption(t *testing.T) {
 	l1, r1 := NewKeyedOperand(lm, "adopt-left"), NewKeyedOperand(rm, "adopt-right")
 	cold, _ := run(l1, r1)
 	SetShardBudget(1) // spill both shards under their content keys
-	defer SetShardBudget(-1)
+	defer SetShardBudget(0)
 	l1.Close()
 	r1.Close() // keep-mode Close leaves the files as adoptable orphans
 

@@ -105,8 +105,8 @@ func (c *shardCache) unclaimAllLocked(s *Shard) {
 // a pin on s — the engine claims right after buildShards — so the shard
 // cannot retire out from under the charge. Quota enforcement runs
 // immediately, but the just-claimed shard itself is pinned and therefore
-// never its own victim; the run-exit enforcement in ContractOperands
-// finishes the job once the pins drop.
+// never its own victim; the run's exit settle (shardCache.settle) finishes
+// the job once the pins drop.
 func claimShard(s *Shard, tenant string, built bool) {
 	c := &shardLRU
 	c.mu.Lock()
@@ -123,19 +123,6 @@ func claimShard(s *Shard, tenant string, built bool) {
 		a.shards++
 		victims = c.enforceTenantLocked(tenant)
 	}
-	c.mu.Unlock()
-	c.reap(victims)
-}
-
-// enforceTenant retires tenant's cold claimed shards (coldest first) until
-// its resident charge fits its quota. The engine calls it as each tenanted
-// run's last deferred step — after the run pins are released — so a tenant's
-// charge converges back under quota the moment its last in-flight
-// contraction finishes.
-func enforceTenant(tenant string) {
-	c := &shardLRU
-	c.mu.Lock()
-	victims := c.enforceTenantLocked(tenant)
 	c.mu.Unlock()
 	c.reap(victims)
 }

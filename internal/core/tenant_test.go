@@ -18,7 +18,7 @@ func tenantCleanup(t *testing.T, ids ...string) {
 		for _, id := range ids {
 			DropTenant(id)
 		}
-		SetShardBudget(-1)
+		SetShardBudget(0)
 	})
 }
 
@@ -85,7 +85,7 @@ func TestTenantQuotaEvictsOwnColdShards(t *testing.T) {
 	// back under quota (here: evict everything).
 	s1.Unpin()
 	s2.Unpin()
-	enforceTenant("quota-a")
+	shardLRU.settle("quota-a")
 	snap, _ = TenantStats("quota-a")
 	if snap.Bytes > 1 || snap.Shards != 0 {
 		t.Fatalf("after enforcement: %v, want empty account", snap)
@@ -172,7 +172,7 @@ func TestEngineTenantTaggingAndRunExitEnforcement(t *testing.T) {
 	defer ro.Close()
 
 	SetTenantQuota("engine-t", 1)
-	out, _, err := ContractOperands(lo, ro, Config{Threads: 2, Tenant: "engine-t", CacheBudget: -1})
+	out, _, err := ContractOperands(lo, ro, Config{Threads: 2, Tenant: "engine-t"})
 	if err != nil {
 		t.Fatalf("ContractOperands: %v", err)
 	}

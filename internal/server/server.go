@@ -26,8 +26,9 @@ const TenantHeader = "X-Fastcc-Tenant"
 type Config struct {
 	// Threads caps worker threads per contraction (0 = GOMAXPROCS).
 	Threads int
-	// CacheBudget bounds the process-wide shard cache in bytes (0 = derive
-	// from the platform, < 0 = unbounded); applied on every tenanted run.
+	// CacheBudget bounds the process-wide shard cache in bytes (0 = the
+	// host-derived default, < 0 = unbounded); New sets it once for the
+	// process (fastcc.SetShardBudget), and Close restores the default.
 	CacheBudget int64
 	// TenantQuota is the per-tenant shard-cache quota in bytes, set the
 	// first time a tenant touches the server (0 = no per-tenant quota).
@@ -95,8 +96,9 @@ type Server struct {
 }
 
 // New creates a Server, configuring the spill tier when Config.SpillDir is
-// set (a bad spill directory fails here, not on the first request). The
-// shard-cache gauges observed now become the leak-check baseline for Close.
+// set (a bad spill directory fails here, not on the first request) and then
+// the shard-cache budget. The shard-cache gauges observed now become the
+// leak-check baseline for Close.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.SpillDir != "" {
@@ -104,6 +106,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: opening spill dir: %w", err)
 		}
 	}
+	fastcc.SetShardBudget(cfg.CacheBudget)
 	cs := fastcc.ShardCacheStats()
 	s := &Server{
 		cfg:        cfg,
@@ -133,8 +136,10 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // and tenant account, then verifies the shard-cache and output-chunk gauges
 // returned to their New-time baseline. A nonzero delta is returned as an
 // error — the daemon exits nonzero on it, which is what make serve-smoke
-// asserts.
+// asserts. Last, the budget New set goes back to the host default, so
+// library runs later in the process do not inherit the server's budget.
 func (s *Server) Close() error {
+	defer fastcc.SetShardBudget(0)
 	s.adm.Drain()
 	s.mu.Lock()
 	s.results = map[string]*resultEntry{}
@@ -418,7 +423,6 @@ func (s *Server) handleContract(w http.ResponseWriter, r *http.Request, tenant s
 	opts := []fastcc.Option{
 		fastcc.WithTenant(tenant),
 		fastcc.WithContext(ctx),
-		fastcc.WithShardBudget(s.cfg.CacheBudget),
 	}
 	if s.cfg.Threads > 0 {
 		opts = append(opts, fastcc.WithThreads(s.cfg.Threads))

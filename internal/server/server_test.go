@@ -179,6 +179,39 @@ func TestServerRoundTrip(t *testing.T) {
 	}
 }
 
+// TestServerCloseRestoresDefaultBudget pins the budget hand-back: New sets
+// the process shard-cache budget from Config.CacheBudget and Close puts the
+// default back, so library work later in the process is not squeezed by a
+// closed server's budget. Under a 1-byte budget the first eagerly built
+// shard would be evicted as soon as the second is inserted.
+func TestServerCloseRestoresDefaultBudget(t *testing.T) {
+	srv, err := New(Config{Threads: 2, CacheBudget: 1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	rng := rand.New(rand.NewSource(131))
+	l := randTensor(rng, []uint64{30, 25}, 240)
+	r := randTensor(rng, []uint64{25, 20}, 220)
+	// WithTileSize builds each operand's shard at Preshard time.
+	ls, err := fastcc.Preshard(l, []int{1}, fastcc.WithTileSize(8, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Drop()
+	rs, err := fastcc.Preshard(r, []int{0}, fastcc.WithTileSize(8, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Drop()
+	if !ls.Warm() || !rs.Warm() {
+		t.Fatalf("after Close: warm left=%v right=%v, want both resident under the default budget", ls.Warm(), rs.Warm())
+	}
+}
+
 // apiErrorCode extracts the server's error envelope code, failing the test
 // on any other error shape.
 func apiErrorCode(t *testing.T, err error) (status int, code string) {

@@ -54,6 +54,11 @@ func TestServerSoakManyTenants(t *testing.T) {
 	if cs.Evictions == 0 {
 		t.Error("soak produced no evictions — cache budget was not under pressure")
 	}
+	// Each run settles the global budget as its pins drop, so the cache fits
+	// it once the last run has returned.
+	if cs.CachedBytes > cacheBudget {
+		t.Errorf("%d resident shard bytes at quiescence, budget %d", cs.CachedBytes, cacheBudget)
+	}
 
 	// Clean shutdown: HTTP listener first, then the Server's own leak check
 	// (shard cache and output chunks back to the New-time baseline).

@@ -40,32 +40,7 @@ type Sharded struct {
 // WithInputRep select the eager build, WithThreads its parallelism, and
 // other options are ignored here — pass them to the contraction instead.
 func Preshard(t *Tensor, modes []int, opts ...Option) (*Sharded, error) {
-	o, err := resolveOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	// Reuse the spec structural checks for one operand's mode list.
-	probe := Spec{CtrLeft: modes, CtrRight: modes}
-	if err := probe.ValidateModes(t.Order(), t.Order()); err != nil {
-		return nil, err
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	s, err := preshardValidated(t, modes, "")
-	if err != nil {
-		return nil, err
-	}
-	// Eager build for pinned tile grids: a later contraction using the same
-	// override lands exactly on these keys. Warm builds without keeping a
-	// pin — the prepared operand holds no claim against eviction; a budget
-	// squeeze simply means the first contraction rebuilds.
-	for _, tile := range []uint64{o.tileL, o.tileR} {
-		if tile != 0 {
-			s.op.Warm(core.ShardKey{Tile: tile, Rep: o.rep}, o.threads)
-		}
-	}
-	return s, nil
+	return PreshardKeyed(t, modes, "", opts...)
 }
 
 // Drop releases every tile shard cached inside the Sharded: unpinned shards
@@ -118,6 +93,7 @@ func PreshardKeyed(t *Tensor, modes []int, key string, opts ...Option) (*Sharded
 	if err != nil {
 		return nil, err
 	}
+	// Reuse the spec structural checks for one operand's mode list.
 	probe := Spec{CtrLeft: modes, CtrRight: modes}
 	if err := probe.ValidateModes(t.Order(), t.Order()); err != nil {
 		return nil, err
@@ -129,6 +105,10 @@ func PreshardKeyed(t *Tensor, modes []int, key string, opts ...Option) (*Sharded
 	if err != nil {
 		return nil, err
 	}
+	// Eager build for pinned tile grids: a later contraction using the same
+	// override lands exactly on these keys. Warm builds without keeping a
+	// pin — the prepared operand holds no claim against eviction; a budget
+	// squeeze simply means the first contraction rebuilds.
 	for _, tile := range []uint64{o.tileL, o.tileR} {
 		if tile != 0 {
 			s.op.Warm(core.ShardKey{Tile: tile, Rep: o.rep}, o.threads)
@@ -214,18 +194,15 @@ func contractSharded(l, r *Sharded, o *options, linearize time.Duration) (*Tenso
 	tStart := time.Now()
 
 	out, cst, err := core.ContractOperands(l.op, r.op, core.Config{
-		Threads:     o.threads,
-		TileL:       o.tileL,
-		TileR:       o.tileR,
-		Accum:       o.accum,
-		Platform:    o.platform,
-		Counters:    o.counters,
-		Rep:         o.rep,
-		Context:     o.ctx,
-		CacheBudget: o.shardBudget,
-		Tenant:      o.tenant,
-		SpillDir:    o.spillDir,
-		SpillBudget: o.spillBudget,
+		Threads:  o.threads,
+		TileL:    o.tileL,
+		TileR:    o.tileR,
+		Accum:    o.accum,
+		Platform: o.platform,
+		Counters: o.counters,
+		Rep:      o.rep,
+		Context:  o.ctx,
+		Tenant:   o.tenant,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -406,6 +406,7 @@ func TestPreparedSpillRepin(t *testing.T) {
 		if err := ConfigureSpill("", 0, false); err != nil {
 			t.Errorf("disabling spill: %v", err)
 		}
+		SetShardBudget(0)
 	})
 
 	rng := rand.New(rand.NewSource(29))
@@ -420,6 +421,9 @@ func TestPreparedSpillRepin(t *testing.T) {
 		{"self", a, a, Spec{CtrLeft: []int{1, 2}, CtrRight: []int{1, 2}}, 1},
 		{"pair", a, b, Spec{CtrLeft: []int{1, 2}, CtrRight: []int{0, 1}}, 2},
 	} {
+		// The previous case left a 1-byte budget in force; the cold run must
+		// keep its shards resident for the squeeze below to spill.
+		SetShardBudget(-1)
 		ls, err := Preshard(c.l, c.spec.CtrLeft)
 		if err != nil {
 			t.Fatal(err)
@@ -439,10 +443,9 @@ func TestPreparedSpillRepin(t *testing.T) {
 		}
 
 		// A 1-byte budget evicts every unpinned shard, and with the spill
-		// tier on each eviction writes the shard image to disk. The next
-		// run re-applies its own (default) budget.
+		// tier on each eviction writes the shard image to disk.
 		before := ShardCacheStats()
-		core.SetShardBudget(1)
+		SetShardBudget(1)
 		if ls.Warm() || rs.Warm() {
 			t.Fatalf("%s: shards still resident after eviction", c.name)
 		}

@@ -92,7 +92,7 @@ func TestTenantQuotaThroughPublicAPI(t *testing.T) {
 	// enforcement must settle the account, and results must stay correct
 	// even though the tenant's shards are evicted between runs.
 	for i := 0; i < 3; i++ {
-		out, _, err := ContractPrepared(lsh, rsh, WithTenant(tenant), WithShardBudget(-1))
+		out, _, err := ContractPrepared(lsh, rsh, WithTenant(tenant))
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
