@@ -13,9 +13,10 @@ test:
 	$(GO) test ./...
 
 # Sanitizer build: mempool poisons recycled storage and tracks chunk
-# provenance, Sealed/Shard validate generation stamps on every access, so
-# the lifetime bugs the poolescape/sealedmut analyzers model statically
-# become deterministic panics at runtime (see DESIGN.md).
+# provenance, Sealed/Shard validate generation stamps on every access, and
+# internal/lockcheck checks every ranked Lock against the lock hierarchy, so
+# lifetime and lock-order bugs become deterministic panics at runtime (see
+# DESIGN.md).
 test-checked:
 	$(GO) test -tags fastcc_checked ./...
 
@@ -25,12 +26,12 @@ race:
 	$(GO) test -race -short ./...
 
 # gofmt over the whole tree, go vet, and the project's own analyzer suite:
-# the per-package passes (atomicmix, errdiscard, hotalloc, linovf,
-# poolescape, sealedmut, spanarith, wgmisuse) and the whole-program passes
-# reasoning over a shared call graph (lockorder, pinbracket, poolescapex) —
-# see tools/analysis/ and README.md. The fastcc-vet binary is built once
-# into bin/ so this leg and vet-self share it; CI reuses the compiled
-# analyzer packages via the Go build cache.
+# nine per-package passes (atomicmix, batchlen, errdiscard, hotalloc,
+# linovf, poolescape, sealedmut, spanarith, wgmisuse) — see tools/analysis/
+# and README.md. Lock order is gated at runtime by internal/lockcheck in
+# the fastcc_checked legs, not by a static pass. The fastcc-vet binary
+# is built once into bin/ so this leg and vet-self share it; CI reuses the
+# compiled analyzer packages via the Go build cache.
 vet:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
@@ -41,21 +42,9 @@ vet:
 # driver are Go code holding the same invariants they enforce on the
 # engine, and a mis-registered pass aborts here with exit 2 before it can
 # silently disable a gate on the main tree.
-#
-# The second half is the devirtualization ledger. The whole-program passes
-# re-run over the layers with the densest indirect calls (the server's
-# handler plumbing, the core microkernel dispatch, the command drivers),
-# then the call-graph stats are printed into the log and the opaque-site
-# count — the passes' tracked soundness gap — is compared against the
-# checked-in golden number. Drift fails the build in both directions: a
-# rise means a change gave the passes new blind spots (resolve it or
-# annotate the site //fastcc:dynamic with a rationale); a drop means the
-# devirtualizer got stronger — lower the golden number to lock in the gain.
 vet-self:
 	$(GO) build -o bin/fastcc-vet ./cmd/fastcc-vet
 	./bin/fastcc-vet ./tools/analysis/... ./cmd/fastcc-vet
-	./bin/fastcc-vet -c lockorder,pinbracket,poolescapex ./internal/server ./internal/core ./cmd/...
-	./bin/fastcc-vet -stats -c lockorder ./... | tee /dev/stderr | grep '^opaque call sites:' | diff tools/analysis/opaque_golden.txt -
 
 # Shard-cache lifecycle gate: the concurrent Drop/eviction soak and the
 # core lifecycle suite under the race detector, then again under the

@@ -12,18 +12,14 @@
 // errors (errdiscard), pool-obtained memory escaping its recycle point
 // (poolescape), narrow-integer span arithmetic (spanarith), writes to
 // sealed structures outside their constructors (sealedmut) and batched
-// probe/scatter length contracts at provable call sites (batchlen). Three
-// whole-program passes reason over a shared call graph: interprocedural
-// pool escape (poolescapex), mutex acquisition order against annotated
-// //fastcc:lockrank ranks (lockorder), and pin/guard/pool bracket balance on
-// every control-flow path (pinbracket). Findings are suppressed per line
-// with //fastcc:allow <name> -- reason; deliberate ownership transfers carry
+// probe/scatter length contracts at provable call sites (batchlen). Every
+// pass sees one package at a time. Findings are suppressed per line with
+// //fastcc:allow <name> -- reason; deliberate ownership transfers carry
 // //fastcc:owned instead.
 //
 // Exit status: 0 when clean, 1 on findings, 2 on usage or load errors —
-// including a malformed suite registration: a nil, unnamed or
-// duplicate-named analyzer, or one that does not set exactly one of Run and
-// RunProgram, aborts the run instead of being skipped silently.
+// including a malformed suite registration: a nil, unnamed, duplicate-named
+// or Run-less analyzer aborts the run instead of being skipped silently.
 package main
 
 import (
@@ -39,10 +35,7 @@ import (
 	"fastcc/tools/analysis/framework"
 	"fastcc/tools/analysis/hotalloc"
 	"fastcc/tools/analysis/linovf"
-	"fastcc/tools/analysis/lockorder"
-	"fastcc/tools/analysis/pinbracket"
 	"fastcc/tools/analysis/poolescape"
-	"fastcc/tools/analysis/poolescapex"
 	"fastcc/tools/analysis/sealedmut"
 	"fastcc/tools/analysis/spanarith"
 	"fastcc/tools/analysis/wgmisuse"
@@ -55,10 +48,7 @@ var All = []*framework.Analyzer{
 	errdiscard.Analyzer,
 	hotalloc.Analyzer,
 	linovf.Analyzer,
-	lockorder.Analyzer,
-	pinbracket.Analyzer,
 	poolescape.Analyzer,
-	poolescapex.Analyzer,
 	sealedmut.Analyzer,
 	spanarith.Analyzer,
 	wgmisuse.Analyzer,
@@ -80,10 +70,8 @@ func validateSuite(all []*framework.Analyzer) error {
 			return fmt.Errorf("analyzer %d is nil", i)
 		case a.Name == "":
 			return fmt.Errorf("analyzer %d has no name", i)
-		case a.Run == nil && a.RunProgram == nil:
-			return fmt.Errorf("analyzer %q has neither Run nor RunProgram", a.Name)
-		case a.Run != nil && a.RunProgram != nil:
-			return fmt.Errorf("analyzer %q sets both Run and RunProgram; exactly one must be set", a.Name)
+		case a.Run == nil:
+			return fmt.Errorf("analyzer %q has no Run", a.Name)
 		case seen[a.Name]:
 			return fmt.Errorf("analyzer %q registered twice", a.Name)
 		}
@@ -103,8 +91,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list    = fs.Bool("list", false, "list the analyzers and exit")
 		checks  = fs.String("c", "", "comma-separated analyzer names to run (default: all)")
 		workDir = fs.String("dir", ".", "directory to resolve package patterns from")
-		stats   = fs.Bool("stats", false, "print call-graph devirtualization statistics (opaque-site count) after analysis")
-		opaque  = fs.Bool("opaque", false, "list every opaque (unresolved indirect) call site; implies -stats")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -138,39 +124,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "fastcc-vet:", err)
 		return 2
 	}
-	prog := framework.NewProgram(pkgs)
-	diags, fset, err := framework.RunAnalyzersOn(prog, analyzers)
+	diags, fset, err := framework.RunAnalyzers(pkgs, analyzers)
 	if err != nil {
 		fmt.Fprintln(stderr, "fastcc-vet:", err)
 		return 2
 	}
 	for _, d := range diags {
 		fmt.Fprintln(stdout, framework.Format(fset, d))
-	}
-	if *opaque {
-		*stats = true
-		for _, node := range prog.CallGraph().Nodes {
-			for _, site := range node.Calls {
-				if site.Opaque && site.Kind != framework.CallExternal {
-					pos := prog.Fset.Position(site.Call.Pos())
-					fmt.Fprintf(stdout, "opaque: %s:%d:%d in %s\n", pos.Filename, pos.Line, pos.Column, node.Name())
-				}
-			}
-		}
-	}
-	if *stats {
-		// The devirtualization ledger: how much of the call graph the
-		// whole-program passes actually see. "opaque call sites" is the
-		// tracked soundness gap — CI guards it against regression
-		// (tools/analysis/opaque_golden.txt).
-		s := prog.CallStats()
-		fmt.Fprintf(stdout, "call sites: %d\n", s.Sites)
-		fmt.Fprintf(stdout, "  direct: %d\n", s.Direct)
-		fmt.Fprintf(stdout, "  external (no source): %d\n", s.External)
-		fmt.Fprintf(stdout, "  devirtualized interface calls: %d\n", s.DevirtIface)
-		fmt.Fprintf(stdout, "  devirtualized func-value calls: %d\n", s.DevirtFunc)
-		fmt.Fprintf(stdout, "  dynamic (annotated //fastcc:dynamic): %d\n", s.Dynamic)
-		fmt.Fprintf(stdout, "opaque call sites: %d\n", s.Opaque)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "fastcc-vet: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))

@@ -25,7 +25,6 @@ func TestValidateSuite(t *testing.T) {
 		t.Fatalf("registered suite invalid: %v", err)
 	}
 	ok := &framework.Analyzer{Name: "ok", Run: func(*framework.Pass) error { return nil }}
-	wp := func(*framework.ProgramPass) error { return nil }
 	cases := []struct {
 		name string
 		all  []*framework.Analyzer
@@ -33,9 +32,7 @@ func TestValidateSuite(t *testing.T) {
 		{"nil entry", []*framework.Analyzer{ok, nil}},
 		{"unnamed", []*framework.Analyzer{{Run: ok.Run}}},
 		{"runless", []*framework.Analyzer{{Name: "broken"}}},
-		{"both modes", []*framework.Analyzer{{Name: "both", Run: ok.Run, RunProgram: wp}}},
 		{"duplicate", []*framework.Analyzer{ok, {Name: "ok", Run: ok.Run}}},
-		{"duplicate whole-program", []*framework.Analyzer{ok, {Name: "ok", RunProgram: wp}}},
 	}
 	for _, tc := range cases {
 		if err := validateSuite(tc.all); err == nil {
@@ -56,28 +53,6 @@ func TestBrokenSuiteExitsNonZero(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "invalid analyzer suite") {
 		t.Errorf("stderr missing suite diagnosis: %s", errOut.String())
-	}
-}
-
-// TestMisregisteredWholeProgramPassExits2 pins the driver contract for the
-// whole-program passes: an analyzer that sets both Run and RunProgram is
-// ambiguous — the driver cannot know whether to run it per package or once
-// over the call graph — and must abort the run with exit 2 before any
-// package loads, never pick one mode silently.
-func TestMisregisteredWholeProgramPassExits2(t *testing.T) {
-	saved := All
-	defer func() { All = saved }()
-	All = append(append([]*framework.Analyzer(nil), saved...), &framework.Analyzer{
-		Name:       "bothways",
-		Run:        func(*framework.Pass) error { return nil },
-		RunProgram: func(*framework.ProgramPass) error { return nil },
-	})
-	var out, errOut bytes.Buffer
-	if code := run([]string{"./..."}, &out, &errOut); code != 2 {
-		t.Fatalf("run with both-modes analyzer = %d, want 2 (stderr: %s)", code, errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "exactly one must be set") {
-		t.Errorf("stderr missing the both-modes diagnosis: %s", errOut.String())
 	}
 }
 

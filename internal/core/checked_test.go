@@ -113,11 +113,10 @@ func TestBuiltShardPassesGenerationCheck(t *testing.T) {
 // TestLockRankTwinCatchesInversion nests the two locks the lifecycle
 // contract forbids ever holding together — shardLRU.mu (rank 1 exclusive)
 // and Operand.mu (rank 2 exclusive) — and requires the fastcc_checked build
-// to panic at the second acquisition (internal/lockcheck's dynamic twin of
-// the lockorder pass), while the normal build stays silent. The static pass
-// flags this shape on paths it can see; the twin catches whatever path
-// actually ran, including ones reaching the locks through calls the static
-// call graph reports as opaque.
+// to panic at the second acquisition (internal/lockcheck, the lock-order
+// gate), while the normal build stays silent. The gate catches whatever
+// path actually ran, so every test that drives the lifecycle under
+// fastcc_checked also checks the lock order on its paths.
 func TestLockRankTwinCatchesInversion(t *testing.T) {
 	op := &Operand{}
 	shardLRU.mu.Lock()

@@ -163,7 +163,7 @@ func ContractOperands(l, r *Operand, cfg Config) (*mempool.List[Triple], *Stats,
 	// are released when the run ends (a self-contraction holds one pin on
 	// its single shard), keeping eviction away from the tables until every
 	// worker has also released its own guard pins.
-	ls, rs, builtL, builtR := buildShards(l, r, ShardKey{Tile: tl, Rep: cfg.Rep}, ShardKey{Tile: tr, Rep: cfg.Rep}, threads, st) //fastcc:allow pinbracket -- on the self-contraction path rs aliases ls and carries a single pin, released by ls's deferred Unpin; the rs != ls guard below is the release for the two-shard path
+	ls, rs, builtL, builtR := buildShards(l, r, ShardKey{Tile: tl, Rep: cfg.Rep}, ShardKey{Tile: tr, Rep: cfg.Rep}, threads, st)
 	st.ShardReusedL, st.ShardReusedR = !builtL, !builtR
 	if cfg.Tenant != "" {
 		// Charge both shards to the run's tenant while the run pins protect

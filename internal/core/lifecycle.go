@@ -133,10 +133,9 @@ func (s *Shard) doom() {
 // for stats).
 func (s *Shard) pinnedNow() bool { return s.state.Load()>>3 != 0 }
 
-// lruRank pins shardCache.mu into the dynamic lock-rank hierarchy
-// (internal/lockcheck): the same rank and exclusivity the //fastcc:lockrank
-// marker below declares to the static lockorder pass, enforced at runtime
-// under fastcc_checked.
+// lruRank places shardCache.mu in the lock-rank hierarchy
+// (internal/lockcheck): rank 1, exclusive, so it never nests with
+// Operand.mu in either order. fastcc_checked builds enforce it at runtime.
 type lruRank struct{}
 
 func (lruRank) LockRank() (int, bool) { return 1, true }
@@ -148,7 +147,7 @@ func (lruRank) RankLabel() string     { return "shardCache.mu" }
 // completed build. The budget is process state: SetShardBudget is its only
 // writer, and engine runs only enforce it.
 type shardCache struct {
-	mu     lockcheck.Mutex[lruRank] //fastcc:lockrank 1 exclusive -- never nested with Operand.mu, in either order
+	mu     lockcheck.Mutex[lruRank] // never nested with Operand.mu, in either order
 	budget int64                    // bytes; <= 0 means unlimited
 	bytes  int64                    // resident footprint of listed shards
 	head   *Shard

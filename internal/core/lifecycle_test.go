@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"fastcc/internal/mempool"
@@ -153,6 +156,59 @@ func TestWarmHoldsNoPin(t *testing.T) {
 		t.Fatal("warmed shard survived a 1-byte budget: Warm leaked a pin")
 	}
 	SetShardBudget(0)
+}
+
+// countdownCtx is a context whose Err reports nil for its first n calls and
+// context.Canceled after, so a test can cancel a run at each of its
+// cancellation checks in turn.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func newCountdownCtx(n int64) *countdownCtx {
+	c := &countdownCtx{Context: context.Background()}
+	c.left.Store(n)
+	return c
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestShardPinsReleasedOnCancel cancels ContractOperands at every
+// cancellation check a run makes, one check later each time, until a run
+// completes. Whatever check fires, the run's shard pins (the run-level
+// pins and every worker's guard pins) must all be released by the time it
+// returns: a leaked pin blocks eviction of the shard forever.
+func TestShardPinsReleasedOnCancel(t *testing.T) {
+	l, r := lifecycleOperand(41), lifecycleOperand(43)
+	defer l.Close()
+	defer r.Close()
+	for _, threads := range []int{1, 2} {
+		completed := false
+		for n := int64(0); !completed; n++ {
+			if n > 10000 {
+				t.Fatalf("threads=%d: no run completed after %d cancellation points", threads, n)
+			}
+			before := CacheStats().PinnedBytes
+			cfg := Config{Threads: threads, TileL: 32, TileR: 32, Platform: tinyLLC, Context: newCountdownCtx(n)}
+			out, _, err := ContractOperands(l, r, cfg)
+			switch {
+			case err == nil:
+				completed = true
+				RecycleOutput(out)
+			case !errors.Is(err, context.Canceled):
+				t.Fatalf("threads=%d cancel after %d checks: %v", threads, n, err)
+			}
+			if after := CacheStats().PinnedBytes; after != before {
+				t.Fatalf("threads=%d cancel after %d checks: PinnedBytes=%d, want %d", threads, n, after, before)
+			}
+		}
+	}
 }
 
 func TestCacheChargeReturnsToBaseline(t *testing.T) {

@@ -24,7 +24,7 @@ type Operand struct {
 	// Mat is the matrixized operand; treated as immutable once wrapped.
 	Mat *coo.Matrix
 
-	mu     lockcheck.Mutex[operandRank] //fastcc:lockrank 2 exclusive -- never nested with shardLRU.mu, in either order
+	mu     lockcheck.Mutex[operandRank] // never nested with shardLRU.mu, in either order
 	shards map[ShardKey]*Shard
 
 	// spillKey is the content key naming this operand's spill files (empty
@@ -34,9 +34,10 @@ type Operand struct {
 	spillID  string
 }
 
-// operandRank pins Operand.mu into the dynamic lock-rank hierarchy
-// (internal/lockcheck), mirroring the //fastcc:lockrank marker above for
-// fastcc_checked builds.
+// operandRank places Operand.mu in the lock-rank hierarchy
+// (internal/lockcheck): rank 2, exclusive, so it never nests with
+// shardCache.mu in either order. fastcc_checked builds enforce it at
+// runtime.
 type operandRank struct{}
 
 func (operandRank) LockRank() (int, bool) { return 2, true }

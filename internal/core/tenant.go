@@ -20,7 +20,7 @@
 // All account state (the accounts map, each account's gauges, and the
 // claim lists on shards) is guarded by shardLRU.mu, exactly like the LRU
 // links; reclamation of victims always happens after the lock is released
-// (the lockorder invariant: shardLRU.mu never nests with Operand.mu).
+// (the lock-rank invariant: shardLRU.mu never nests with Operand.mu).
 package core
 
 import (

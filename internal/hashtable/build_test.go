@@ -42,27 +42,46 @@ func doubledSlots(keyHint, distinct int) int {
 // TestBuildSealedPoolsBalance: a build followed by Recycle leaves every
 // arena pool's leak gauge where it found it. The build draws and returns
 // outgrown slot arrays (hint 0 forces several doublings) and the dense-index
-// scratch, so a scratch that never came back shows up here.
+// scratch, so a scratch that never came back shows up here. A one-key tile
+// is built too: the smallest shape must return its scratch as well.
 func TestBuildSealedPoolsBalance(t *testing.T) {
 	gauges := func() [5]int64 {
 		return [5]int64{arenaU64.Outstanding(), arenaI32.Outstanding(),
 			arenaSpan.Outstanding(), arenaPair.Outstanding(), denseScratch.Outstanding()}
 	}
-	before := gauges()
-	var c cols
+	var grown, oneKey cols
 	for i := 0; i < 300; i++ {
-		c.add(uint64(i%150)*7919, uint32(i), float64(i))
+		grown.add(uint64(i%150)*7919, uint32(i), float64(i))
 	}
-	s := c.build(0)
-	if s.Slots() <= hintSlots(0) {
-		t.Fatalf("test premise broken: %d slots, want growth past %d", s.Slots(), hintSlots(0))
+	for i := 0; i < 5; i++ {
+		oneKey.add(42, uint32(i), float64(i))
 	}
-	if after := gauges(); after[4] != before[4] {
-		t.Fatalf("dense-index scratch outstanding after build: %d -> %d", before[4], after[4])
-	}
-	s.Recycle()
-	if after := gauges(); after != before {
-		t.Fatalf("pool gauges (u64, i32, span, pair, scratch) %v after build+Recycle, want %v", after, before)
+	for _, tc := range []struct {
+		name  string
+		c     cols
+		check func(*Sealed)
+	}{
+		{"growth", grown, func(s *Sealed) {
+			if s.Slots() <= hintSlots(0) {
+				t.Fatalf("test premise broken: %d slots, want growth past %d", s.Slots(), hintSlots(0))
+			}
+		}},
+		{"one key", oneKey, func(s *Sealed) {
+			if s.Len() != 1 {
+				t.Fatalf("test premise broken: %d keys, want 1", s.Len())
+			}
+		}},
+	} {
+		before := gauges()
+		s := tc.c.build(0)
+		tc.check(s)
+		if after := gauges(); after[4] != before[4] {
+			t.Fatalf("%s: dense-index scratch outstanding after build: %d -> %d", tc.name, before[4], after[4])
+		}
+		s.Recycle()
+		if after := gauges(); after != before {
+			t.Fatalf("%s: pool gauges (u64, i32, span, pair, scratch) %v after build+Recycle, want %v", tc.name, after, before)
+		}
 	}
 }
 

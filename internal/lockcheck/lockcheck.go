@@ -1,16 +1,16 @@
-// Package lockcheck is the dynamic twin of the lockorder static pass
-// (tools/analysis/lockorder): the same //fastcc:lockrank hierarchy, enforced
-// at runtime under the fastcc_checked build tag.
+// Package lockcheck is the repo's lock-order gate: a mutex whose place in
+// the lock hierarchy is part of its type, checked at runtime under the
+// fastcc_checked build tag.
 //
-// The static pass proves ordering over every path it can see, but its view
-// stops at the soundness gaps the call-graph stats report as opaque — calls
-// through interfaces it cannot bound, cgo, reflection. The dynamic twin
-// covers exactly those: each goroutine carries a stack of the ranked locks
-// it currently holds, and an acquisition that violates the declared order —
-// rank not strictly above every held rank, or an `exclusive` lock nested
-// with any ranked lock in either order — panics deterministically at the
-// Lock call, naming both locks and the rule broken, in the same words the
-// static diagnostic would use.
+// Each goroutine carries a stack of the ranked locks it currently holds,
+// and an acquisition that violates the declared order — rank not strictly
+// above every held rank, or an `exclusive` lock nested with any ranked lock
+// in either order — panics deterministically at the Lock call, naming both
+// locks and the rule broken. A violation therefore fails whichever test
+// first drives the offending path, not only a run that happens to
+// deadlock. The fastcc_checked legs of `make ci` (test, lifecycle, spill
+// and fuzz) arm it, and the checked test leg executes every Lock call on
+// the ranked mutexes.
 //
 // A ranked mutex is declared by naming its rank as a type:
 //
@@ -19,18 +19,16 @@
 //	func (lruRank) LockRank() (int, bool) { return 1, true } // rank 1, exclusive
 //	func (lruRank) RankLabel() string     { return "shardCache.mu" }
 //
-//	mu lockcheck.Mutex[lruRank] //fastcc:lockrank 1 exclusive -- never nested with Operand.mu
+//	mu lockcheck.Mutex[lruRank] // never nested with Operand.mu
 //
 // Carrying the rank in the type parameter keeps the zero value ready to use
 // (no SetRank call to forget, no per-instance state) and keeps the normal
 // build at literal zero cost: without fastcc_checked, Mutex is a thin
-// wrapper whose Lock/Unlock inline to sync.Mutex calls. The //fastcc:lockrank
-// marker stays on the same declaration so the static pass and the dynamic
-// twin read one source of truth; drift between the marker and LockRank is a
-// bug in the declaration, not in either checker.
+// wrapper whose Lock/Unlock inline to sync.Mutex calls. The rank type is
+// the one source of truth for a lock's place in the hierarchy.
 //
 // Like the rest of fastcc_checked (mempool poisoning, Sealed generation
-// stamps), the twin trades throughput for determinism: the held-rank
+// stamps), the check trades throughput for determinism: the held-rank
 // registry is a single locked map keyed by goroutine ID, which is exactly as
 // slow as it sounds and exactly why it compiles to nothing in normal builds.
 package lockcheck
@@ -43,7 +41,7 @@ package lockcheck
 // lock is exclusive (a leaf and a root at once: nothing ranked may be held
 // when it is acquired, and nothing ranked acquired while it is held).
 // RankLabel names the lock in panic messages; use the declaration's
-// Type.field spelling so dynamic panics and static diagnostics agree.
+// Type.field spelling so a panic points at the field.
 //
 // Both methods must be pure functions of the type: the checker calls them on
 // the zero value.

@@ -12,7 +12,7 @@ const Checked = false
 // Mutex is a sync.Mutex whose place in the lock hierarchy is named by its
 // type parameter. In the normal build it is a thin wrapper — these
 // forwarders inline, so a ranked mutex costs exactly a sync.Mutex — and the
-// rank is enforced statically only (tools/analysis/lockorder). The field is
+// rank is not checked; the fastcc_checked build enforces it. The field is
 // unexported in both builds so no caller can reach the inner mutex and
 // bypass the checked build's accounting.
 type Mutex[R Rank] struct {

@@ -2,10 +2,9 @@
 
 // fastcc_checked mode: every Lock on a ranked mutex is validated against the
 // acquiring goroutine's stack of currently held ranks, so a hierarchy
-// violation the static lockorder pass could not see (a path through an
-// opaque call, an interleaving a -race soak never hit) becomes a
-// deterministic panic at the acquisition site instead of a once-a-month
-// deadlock. The check runs BEFORE blocking on the inner mutex: an inversion
+// violation on any executed path (including an interleaving a -race soak
+// never hit) becomes a deterministic panic at the acquisition site instead
+// of a once-a-month deadlock. The check runs BEFORE blocking on the inner mutex: an inversion
 // is exactly the shape that deadlocks, and a panic is only useful if it
 // fires instead of the hang.
 package lockcheck
@@ -89,9 +88,7 @@ func gid() uint64 {
 }
 
 // acquire validates r against every rank this goroutine already holds and
-// pushes it. The violation wording mirrors the static lockorder
-// diagnostics, so a dynamic panic and a static finding for the same bug
-// read the same.
+// pushes it.
 func acquire(r Rank) {
 	rank, excl := r.LockRank()
 	label := r.RankLabel()

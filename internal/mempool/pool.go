@@ -117,7 +117,8 @@ type List[T any] struct {
 
 // Concat builds a List from the pools' chunks without copying elements.
 //
-//fastcc:owned pools -- pointer movement IS the contract: the List takes over the pools' chunks, and List.Release (or output recycling) hands them back
+// Ownership: pointer movement is the contract. The List takes over the
+// pools' chunks, and List.Release (or output recycling) hands them back.
 func Concat[T any](pools ...*Pool[T]) *List[T] {
 	l := &List[T]{}
 	for _, p := range pools {
@@ -216,7 +217,8 @@ func (c *ChunkCache[T]) Dropped() uint64 { return c.dropped.Load() }
 // Dropped, because a chunk the cache cannot vouch for may still be
 // referenced by its real owner.
 //
-//fastcc:owned l -- the recycle point: the cache owns l's chunks after this call
+// Ownership: this is the recycle point; the cache owns l's chunks after
+// this call.
 func (c *ChunkCache[T]) Release(l *List[T]) {
 	if l == nil {
 		return
@@ -238,15 +240,15 @@ func (c *ChunkCache[T]) Release(l *List[T]) {
 // here between runs, keyed by their shape, so repeated contractions stop
 // reallocating tile-sized buffers.
 type Freelist[K comparable, V any] struct {
-	mu     lockcheck.Mutex[freelistRank] //fastcc:lockrank 3 -- leaf below the core lifecycle locks; park/vend only
+	mu     lockcheck.Mutex[freelistRank] // leaf below the core lifecycle locks; park/vend only
 	perKey int
 	items  map[K][]V
 	ck     checkedFreelist[K, V] // zero-sized unless built with fastcc_checked
 }
 
-// freelistRank pins Freelist.mu into the dynamic lock-rank hierarchy
-// (internal/lockcheck), mirroring the //fastcc:lockrank marker above for
-// fastcc_checked builds.
+// freelistRank places Freelist.mu in the lock-rank hierarchy
+// (internal/lockcheck): rank 3, not exclusive, below the core lifecycle
+// locks. fastcc_checked builds enforce it at runtime.
 type freelistRank struct{}
 
 func (freelistRank) LockRank() (int, bool) { return 3, false }
@@ -292,7 +294,8 @@ func (f *Freelist[K, V]) Note(k K, v V) { f.note(k, v) }
 // rejected at the recycle point, not discovered at reuse. A value never seen
 // before is bound to k by this Put.
 //
-//fastcc:owned v -- the recycle point: the freelist owns v after this call
+// Ownership: this is the recycle point; the freelist owns v after this
+// call.
 func (f *Freelist[K, V]) Put(k K, v V) {
 	f.checkPut(k, v)
 	f.mu.Lock()
@@ -335,7 +338,7 @@ func (s *SlicePool[T]) Outstanding() int64 {
 // slices carry no storage worth parking and are dropped with a count
 // (still a return for leak accounting: the caller handed back what it held).
 //
-//fastcc:owned b -- the recycle point: the pool owns b after this call
+// Ownership: this is the recycle point; the pool owns b after this call.
 func (s *SlicePool[T]) Put(b []T) {
 	s.returned.Add(1)
 	if cap(b) == 0 {

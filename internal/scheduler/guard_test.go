@@ -41,27 +41,32 @@ func TestGuardBalancedPerWorker(t *testing.T) {
 }
 
 // TestGuardReleasesOnCancellation: a canceled run must still pair every
-// Acquire with a Release — a leaked pin would block eviction forever.
+// Acquire with a Release — a leaked pin would block eviction forever. With
+// batch 3, canceling at task 5 stops a worker at a batch's end, in the claim
+// loop; canceling at task 4 stops the worker holding tasks 3..5 mid-batch,
+// on the return before task 5.
 func TestGuardReleasesOnCancellation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		var acquires, releases atomic.Int64
-		g := Guard{
-			Acquire: func(int) { acquires.Add(1) },
-			Release: func(int) { releases.Add(1) },
-		}
-		err := PoolCtxBatchGuarded(ctx, workers, 500, 3, g, func(_, task int) {
-			if task == 5 {
-				cancel()
+		for _, cancelAt := range []int{4, 5} {
+			ctx, cancel := context.WithCancel(context.Background())
+			var acquires, releases atomic.Int64
+			g := Guard{
+				Acquire: func(int) { acquires.Add(1) },
+				Release: func(int) { releases.Add(1) },
 			}
-		})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err=%v, want context.Canceled", workers, err)
+			err := PoolCtxBatchGuarded(ctx, workers, 500, 3, g, func(_, task int) {
+				if task == cancelAt {
+					cancel()
+				}
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers=%d cancel at %d: err=%v, want context.Canceled", workers, cancelAt, err)
+			}
+			if acquires.Load() != releases.Load() || acquires.Load() == 0 {
+				t.Fatalf("workers=%d cancel at %d: %d acquires vs %d releases after cancellation", workers, cancelAt, acquires.Load(), releases.Load())
+			}
+			cancel()
 		}
-		if acquires.Load() != releases.Load() || acquires.Load() == 0 {
-			t.Fatalf("workers=%d: %d acquires vs %d releases after cancellation", workers, acquires.Load(), releases.Load())
-		}
-		cancel()
 	}
 }
 

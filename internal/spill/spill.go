@@ -86,7 +86,7 @@ func (OS) ReadDir(dir string) ([]string, error) {
 	}
 	names := make([]string, 0, len(ents))
 	for _, e := range ents {
-		if !e.IsDir() { //fastcc:dynamic -- os.DirEntry is a stdlib interface; its implementations live outside the loaded packages
+		if !e.IsDir() {
 			names = append(names, e.Name())
 		}
 	}

@@ -220,7 +220,7 @@ func (r *SectionReader) U32s(alloc func(n int) []uint32) []uint32 {
 	if r.err != nil {
 		return nil
 	}
-	out := alloc(n)[:n] //fastcc:dynamic -- caller-supplied pool tap; no in-repo caller seeds points-to for this width yet
+	out := alloc(n)[:n]
 	for i := range out {
 		out[i] = r.U32()
 	}
@@ -246,7 +246,7 @@ func (r *SectionReader) F64s(alloc func(n int) []float64) []float64 {
 	if r.err != nil {
 		return nil
 	}
-	out := alloc(n)[:n] //fastcc:dynamic -- caller-supplied pool tap; no in-repo caller seeds points-to for this width yet
+	out := alloc(n)[:n]
 	for i := range out {
 		out[i] = math.Float64frombits(r.U64())
 	}

@@ -93,21 +93,10 @@ var wantRe = regexp.MustCompile("// want((?: +`[^`]*`)+)")
 var wantArgRe = regexp.MustCompile("`([^`]*)`")
 
 // Run loads testdata/src/<name> for each named fixture package, applies the
-// analyzer, and reports mismatches through t.
-//
-// Per-package analyzers (Run set) are applied to each fixture package in
-// isolation, in argument order. Whole-program analyzers (RunProgram set) see
-// all named fixtures as one Program: every package is type-checked first,
-// the analyzer runs once over the combined call graph, and `want`
-// expectations are matched across all fixture files together — so a
-// two-package fixture can assert that a diagnostic in package a is caused by
-// a function in package b.
+// analyzer to each fixture package in isolation, in argument order, and
+// reports mismatches through t.
 func Run(t *testing.T, testdata string, a *framework.Analyzer, fixtures ...string) {
 	t.Helper()
-	if a.RunProgram != nil {
-		runProgram(t, testdata, a, fixtures)
-		return
-	}
 	imp := fixtureImporter{local: map[string]*types.Package{}, std: stdImporter()}
 	for _, name := range fixtures {
 		dir := filepath.Join(testdata, "src", name)
@@ -161,41 +150,6 @@ func loadDir(t *testing.T, dir string, imp types.Importer) (*framework.Package, 
 		Pkg:        pkg,
 		TypesInfo:  info,
 	}, want
-}
-
-// runProgram loads every named fixture into one shared Program and applies a
-// whole-program analyzer once over it.
-func runProgram(t *testing.T, testdata string, a *framework.Analyzer, fixtures []string) {
-	t.Helper()
-	imp := fixtureImporter{local: map[string]*types.Package{}, std: stdImporter()}
-	var pkgs []*framework.Package
-	var allFiles []*ast.File
-	want := map[string]map[int][]*expectation{}
-	for _, name := range fixtures {
-		pkg, w := loadDir(t, filepath.Join(testdata, "src", name), imp)
-		imp.local[name] = pkg.Pkg
-		pkgs = append(pkgs, pkg)
-		allFiles = append(allFiles, pkg.Files...)
-		for file, byLine := range w {
-			want[file] = byLine
-		}
-	}
-
-	var diags []framework.Diagnostic
-	sup := framework.CollectSuppressions(sharedFset, allFiles)
-	pass := &framework.ProgramPass{
-		Analyzer: a,
-		Program:  framework.NewProgram(pkgs),
-		Report: func(d framework.Diagnostic) {
-			if !sup.Allows(sharedFset, d) {
-				diags = append(diags, d)
-			}
-		},
-	}
-	if err := a.RunProgram(pass); err != nil {
-		t.Fatalf("running %s: %v", a.Name, err)
-	}
-	matchExpectations(t, diags, want)
 }
 
 // matchExpectations pairs reported diagnostics with `want` expectations and

@@ -1,16 +1,12 @@
 // Control-flow graphs over function bodies, the substrate for the forward
 // dataflow engine (dataflow.go). One statement per node keeps client
-// transfer functions simple; branch edges carry the branch condition so
-// clients can refine state along them (e.g. `if s.tryPin()` acquires a pin
-// only on the true edge).
+// transfer functions simple.
 //
 // The builder covers the statement forms the repo and its fixtures use:
 // blocks, if/else, for and range loops, expression/type switches, select,
 // labeled and unlabeled break/continue, return, defer, go. Two deliberate
 // approximations keep it small: `goto` jumps conservatively to the function
-// exit, and a statement-level `panic(...)` call likewise edges to the exit
-// (deferred calls still run there, which is what the resource-bracket
-// clients need).
+// exit, and a statement-level `panic(...)` call likewise edges to the exit.
 package framework
 
 import (
@@ -38,16 +34,8 @@ type CFG struct {
 type CFGNode struct {
 	Index int
 	Stmt  ast.Stmt
-	Succs []CFGEdge
+	Succs []*CFGNode
 	Preds []*CFGNode
-}
-
-// A CFGEdge connects two nodes. When Cond is non-nil the edge is taken only
-// when Cond evaluates to Branch — the if/for condition refinement hook.
-type CFGEdge struct {
-	To     *CFGNode
-	Cond   ast.Expr
-	Branch bool
 }
 
 type cfgBuilder struct {
@@ -73,12 +61,12 @@ func BuildCFG(body *ast.BlockStmt) *CFG {
 	b.cfg.Entry = b.newNode(nil)
 	b.cfg.Exit = b.newNode(nil)
 	if body == nil {
-		b.edge(b.cfg.Entry, b.cfg.Exit, nil, false)
+		b.edge(b.cfg.Entry, b.cfg.Exit)
 		return b.cfg
 	}
 	end := b.stmts(b.cfg.Entry, body.List, "")
 	if end != nil {
-		b.edge(end, b.cfg.Exit, nil, false)
+		b.edge(end, b.cfg.Exit)
 	}
 	return b.cfg
 }
@@ -89,8 +77,8 @@ func (b *cfgBuilder) newNode(s ast.Stmt) *CFGNode {
 	return n
 }
 
-func (b *cfgBuilder) edge(from, to *CFGNode, cond ast.Expr, branch bool) {
-	from.Succs = append(from.Succs, CFGEdge{To: to, Cond: cond, Branch: branch})
+func (b *cfgBuilder) edge(from, to *CFGNode) {
+	from.Succs = append(from.Succs, to)
 	to.Preds = append(to.Preds, from)
 }
 
@@ -125,21 +113,21 @@ func (b *cfgBuilder) stmt(cur *CFGNode, s ast.Stmt, label string) *CFGNode {
 			cur = b.stmt(cur, s.Init, "")
 		}
 		condNode := b.newNode(&ast.ExprStmt{X: s.Cond})
-		b.edge(cur, condNode, nil, false)
+		b.edge(cur, condNode)
 		after := b.newNode(nil)
 		thenEntry := b.newNode(nil)
-		b.edge(condNode, thenEntry, s.Cond, true)
+		b.edge(condNode, thenEntry)
 		if thenEnd := b.stmts(thenEntry, s.Body.List, ""); thenEnd != nil {
-			b.edge(thenEnd, after, nil, false)
+			b.edge(thenEnd, after)
 		}
 		if s.Else != nil {
 			elseEntry := b.newNode(nil)
-			b.edge(condNode, elseEntry, s.Cond, false)
+			b.edge(condNode, elseEntry)
 			if elseEnd := b.stmt(elseEntry, s.Else, ""); elseEnd != nil {
-				b.edge(elseEnd, after, nil, false)
+				b.edge(elseEnd, after)
 			}
 		} else {
-			b.edge(condNode, after, s.Cond, false)
+			b.edge(condNode, after)
 		}
 		if len(after.Preds) == 0 {
 			return nil
@@ -151,13 +139,13 @@ func (b *cfgBuilder) stmt(cur *CFGNode, s ast.Stmt, label string) *CFGNode {
 			cur = b.stmt(cur, s.Init, "")
 		}
 		head := b.newNode(nil)
-		b.edge(cur, head, nil, false)
+		b.edge(cur, head)
 		after := b.newNode(nil)
 		contTarget := head
 		var post *CFGNode
 		if s.Post != nil {
 			post = b.newNode(s.Post)
-			b.edge(post, head, nil, false)
+			b.edge(post, head)
 			contTarget = post
 		}
 		frame := cfgFrame{label: label, brk: after, cont: contTarget, loopLike: true}
@@ -165,14 +153,14 @@ func (b *cfgBuilder) stmt(cur *CFGNode, s ast.Stmt, label string) *CFGNode {
 		bodyEntry := b.newNode(nil)
 		if s.Cond != nil {
 			condNode := b.newNode(&ast.ExprStmt{X: s.Cond})
-			b.edge(head, condNode, nil, false)
-			b.edge(condNode, bodyEntry, s.Cond, true)
-			b.edge(condNode, after, s.Cond, false)
+			b.edge(head, condNode)
+			b.edge(condNode, bodyEntry)
+			b.edge(condNode, after)
 		} else {
-			b.edge(head, bodyEntry, nil, false)
+			b.edge(head, bodyEntry)
 		}
 		if bodyEnd := b.stmts(bodyEntry, s.Body.List, ""); bodyEnd != nil {
-			b.edge(bodyEnd, contTarget, nil, false)
+			b.edge(bodyEnd, contTarget)
 		}
 		b.popFrame(frame)
 		if len(after.Preds) == 0 {
@@ -182,15 +170,15 @@ func (b *cfgBuilder) stmt(cur *CFGNode, s ast.Stmt, label string) *CFGNode {
 
 	case *ast.RangeStmt:
 		head := b.newNode(rangeBinding(s)) // the per-iteration variable binding
-		b.edge(cur, head, nil, false)
+		b.edge(cur, head)
 		after := b.newNode(nil)
-		b.edge(head, after, nil, false) // range may be empty / exhausted
+		b.edge(head, after) // range may be empty / exhausted
 		frame := cfgFrame{label: label, brk: after, cont: head, loopLike: true}
 		b.pushFrame(frame)
 		bodyEntry := b.newNode(nil)
-		b.edge(head, bodyEntry, nil, false)
+		b.edge(head, bodyEntry)
 		if bodyEnd := b.stmts(bodyEntry, s.Body.List, ""); bodyEnd != nil {
-			b.edge(bodyEnd, head, nil, false)
+			b.edge(bodyEnd, head)
 		}
 		b.popFrame(frame)
 		return after
@@ -204,7 +192,7 @@ func (b *cfgBuilder) stmt(cur *CFGNode, s ast.Stmt, label string) *CFGNode {
 			tag = &ast.ExprStmt{X: s.Tag}
 		}
 		head := b.newNode(tag) // evaluates the tag
-		b.edge(cur, head, nil, false)
+		b.edge(cur, head)
 		after := b.newNode(nil)
 		frame := cfgFrame{label: label, brk: after}
 		b.pushFrame(frame)
@@ -220,7 +208,7 @@ func (b *cfgBuilder) stmt(cur *CFGNode, s ast.Stmt, label string) *CFGNode {
 			cur = b.stmt(cur, s.Init, "")
 		}
 		head := b.newNode(s.Assign) // the x.(type) assignment (a simple stmt)
-		b.edge(cur, head, nil, false)
+		b.edge(cur, head)
 		after := b.newNode(nil)
 		frame := cfgFrame{label: label, brk: after}
 		b.pushFrame(frame)
@@ -233,16 +221,16 @@ func (b *cfgBuilder) stmt(cur *CFGNode, s ast.Stmt, label string) *CFGNode {
 
 	case *ast.SelectStmt:
 		head := b.newNode(nil)
-		b.edge(cur, head, nil, false)
+		b.edge(cur, head)
 		after := b.newNode(nil)
 		frame := cfgFrame{label: label, brk: after}
 		b.pushFrame(frame)
 		for _, cl := range s.Body.List {
 			comm := cl.(*ast.CommClause)
 			entry := b.newNode(comm.Comm) // the comm op itself; nil for default
-			b.edge(head, entry, nil, false)
+			b.edge(head, entry)
 			if end := b.stmts(entry, comm.Body, ""); end != nil {
-				b.edge(end, after, nil, false)
+				b.edge(end, after)
 			}
 		}
 		b.popFrame(frame)
@@ -253,35 +241,35 @@ func (b *cfgBuilder) stmt(cur *CFGNode, s ast.Stmt, label string) *CFGNode {
 
 	case *ast.ReturnStmt:
 		n := b.newNode(s)
-		b.edge(cur, n, nil, false)
-		b.edge(n, b.cfg.Exit, nil, false)
+		b.edge(cur, n)
+		b.edge(n, b.cfg.Exit)
 		return nil
 
 	case *ast.BranchStmt:
 		n := b.newNode(s)
-		b.edge(cur, n, nil, false)
+		b.edge(cur, n)
 		switch s.Tok {
 		case token.BREAK:
 			if t := b.frameFor(s.Label, false); t != nil {
-				b.edge(n, t.brk, nil, false)
+				b.edge(n, t.brk)
 			} else {
-				b.edge(n, b.cfg.Exit, nil, false)
+				b.edge(n, b.cfg.Exit)
 			}
 		case token.CONTINUE:
 			if t := b.frameFor(s.Label, true); t != nil && t.cont != nil {
-				b.edge(n, t.cont, nil, false)
+				b.edge(n, t.cont)
 			} else {
-				b.edge(n, b.cfg.Exit, nil, false)
+				b.edge(n, b.cfg.Exit)
 			}
 		case token.GOTO:
 			// Conservative: treat as leaving the function. No repo code and
 			// no fixture uses goto; a client seeing this edge assumes exit
 			// obligations apply.
-			b.edge(n, b.cfg.Exit, nil, false)
+			b.edge(n, b.cfg.Exit)
 		case token.FALLTHROUGH:
 			// Handled by switchClauses: the clause end falls into the next
 			// clause body. Here reached only for malformed code; edge to exit.
-			b.edge(n, b.cfg.Exit, nil, false)
+			b.edge(n, b.cfg.Exit)
 		}
 		return nil
 
@@ -290,9 +278,9 @@ func (b *cfgBuilder) stmt(cur *CFGNode, s ast.Stmt, label string) *CFGNode {
 		// go, send, inc/dec, empty. One node, straight-through edge. A
 		// statement-level panic(...) terminates the path.
 		n := b.newNode(s)
-		b.edge(cur, n, nil, false)
+		b.edge(cur, n)
 		if isPanicStmt(s) {
-			b.edge(n, b.cfg.Exit, nil, false)
+			b.edge(n, b.cfg.Exit)
 			return nil
 		}
 		return n
@@ -311,14 +299,14 @@ func (b *cfgBuilder) switchClauses(head, after *CFGNode, clauses []ast.Stmt) {
 		// carry no statements (their rare side effects are out of scope).
 		entries[i] = b.newNode(nil)
 		bodyEntries[i] = b.newNode(nil)
-		b.edge(head, entries[i], nil, false)
-		b.edge(entries[i], bodyEntries[i], nil, false)
+		b.edge(head, entries[i])
+		b.edge(entries[i], bodyEntries[i])
 		if cc.List == nil {
 			hasDefault = true
 		}
 	}
 	if !hasDefault {
-		b.edge(head, after, nil, false) // no case matched
+		b.edge(head, after) // no case matched
 	}
 	for i, cl := range clauses {
 		cc := cl.(*ast.CaseClause)
@@ -335,9 +323,9 @@ func (b *cfgBuilder) switchClauses(head, after *CFGNode, clauses []ast.Stmt) {
 			continue
 		}
 		if fallsThrough && i+1 < len(clauses) {
-			b.edge(end, bodyEntries[i+1], nil, false)
+			b.edge(end, bodyEntries[i+1])
 		} else {
-			b.edge(end, after, nil, false)
+			b.edge(end, after)
 		}
 	}
 }

@@ -1,8 +1,7 @@
 // A small forward dataflow engine over the CFGs of cfg.go. Clients describe
-// a lattice (Join, Equal, Copy), a per-statement Transfer, and an optional
-// per-edge Refine for branch conditions; Solve runs the classic worklist
-// iteration to a fixpoint and returns the state at every node entry and
-// exit. State types are client-defined (typically small maps); the engine
+// a lattice (Join, Equal, Copy) and a per-statement Transfer; Solve runs the
+// classic worklist iteration to a fixpoint and returns the state at every
+// node entry. State types are client-defined (typically small maps); the engine
 // never inspects them beyond the supplied callbacks.
 package framework
 
@@ -17,11 +16,6 @@ type Flow[S any] struct {
 	// is a private copy (see Copy); Transfer may mutate and return it.
 	Transfer func(n *CFGNode, in S) S
 
-	// Refine adjusts the state flowing along a conditional edge (Cond non-nil)
-	// before it joins the successor. Optional; nil means no refinement. The
-	// input is a private copy; Refine may mutate and return it.
-	Refine func(e CFGEdge, out S) S
-
 	// Join merges a predecessor's contribution into an accumulated state,
 	// returning the merged state. The accumulator may be mutated.
 	Join func(acc, in S) S
@@ -33,11 +27,10 @@ type Flow[S any] struct {
 	Copy func(S) S
 }
 
-// A FlowResult holds the fixpoint: state at entry to and exit from each node,
-// indexed by CFGNode.Index.
+// A FlowResult holds the fixpoint: the state at entry to each node, indexed
+// by CFGNode.Index.
 type FlowResult[S any] struct {
-	In  []S
-	Out []S
+	In []S
 	// Reached marks nodes the iteration visited; unreached nodes (dead code)
 	// hold zero states.
 	Reached []bool
@@ -48,7 +41,7 @@ type FlowResult[S any] struct {
 // (bounded maps, saturating counters).
 func (f *Flow[S]) Solve() *FlowResult[S] {
 	n := len(f.CFG.Nodes)
-	res := &FlowResult[S]{In: make([]S, n), Out: make([]S, n), Reached: make([]bool, n)}
+	res := &FlowResult[S]{In: make([]S, n), Reached: make([]bool, n)}
 
 	entry := f.CFG.Entry.Index
 	res.In[entry] = f.Copy(f.Init)
@@ -65,14 +58,10 @@ func (f *Flow[S]) Solve() *FlowResult[S] {
 		queued[node.Index] = false
 
 		out := f.Transfer(node, f.Copy(res.In[node.Index]))
-		res.Out[node.Index] = out
 
-		for _, e := range node.Succs {
+		for _, to := range node.Succs {
 			contrib := f.Copy(out)
-			if e.Cond != nil && f.Refine != nil {
-				contrib = f.Refine(e, contrib)
-			}
-			succ := e.To.Index
+			succ := to.Index
 			var merged S
 			if !res.Reached[succ] {
 				merged = contrib
@@ -86,7 +75,7 @@ func (f *Flow[S]) Solve() *FlowResult[S] {
 			res.In[succ] = merged
 			if !queued[succ] {
 				queued[succ] = true
-				work = append(work, e.To)
+				work = append(work, to)
 			}
 		}
 	}

@@ -25,9 +25,7 @@ import (
 	"strings"
 )
 
-// An Analyzer describes one static check. Exactly one of Run (per-package)
-// and RunProgram (whole-program) must be set; drivers reject registrations
-// that set both or neither.
+// An Analyzer describes one static check, run on one package at a time.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in //fastcc:allow
 	// suppression comments. Lower-case, no spaces.
@@ -36,10 +34,6 @@ type Analyzer struct {
 	Doc string
 	// Run applies the analyzer to one package.
 	Run func(*Pass) error
-	// RunProgram applies the analyzer once to every loaded package at once,
-	// with a shared call graph — for interprocedural checks (escape chains,
-	// lock-order summaries) that need to see across package boundaries.
-	RunProgram func(*ProgramPass) error
 }
 
 // A Pass presents one type-checked package to an analyzer.
@@ -53,24 +47,6 @@ type Pass struct {
 	// Report delivers one diagnostic. Drivers install this; analyzers call
 	// Reportf instead.
 	Report func(Diagnostic)
-}
-
-// A ProgramPass presents every loaded package to a whole-program analyzer.
-// The packages are the pattern-matched targets of one Load call; packages
-// outside the pattern (the standard library, export-only dependencies) have
-// no syntax here, and analyzers must treat calls into them conservatively.
-type ProgramPass struct {
-	Analyzer *Analyzer
-	Program  *Program
-
-	// Report delivers one diagnostic. Drivers install this; analyzers call
-	// Reportf instead.
-	Report func(Diagnostic)
-}
-
-// Reportf reports a formatted diagnostic at pos.
-func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
 }
 
 // A Diagnostic is one finding at a source position.
@@ -186,75 +162,6 @@ func CollectLineMarkers(fset *token.FileSet, files []*ast.File, marker string) m
 func MarkedAt(fset *token.FileSet, markers map[string]map[int]bool, pos token.Pos) bool {
 	p := fset.Position(pos)
 	return markers[p.Filename][p.Line]
-}
-
-// CollectLineMarkerArgs is CollectLineMarkers for directives that carry
-// arguments: it records, per file and line, the text following
-// //fastcc:<marker> up to an optional "--" justification, trimmed. Like the
-// other line directives, a marker covers its own line and the line below.
-// Example: `mu sync.Mutex //fastcc:lockrank 2 exclusive` records "2
-// exclusive" on the field's line.
-func CollectLineMarkerArgs(fset *token.FileSet, files []*ast.File, marker string) map[string]map[int]string {
-	want := "fastcc:" + marker
-	out := map[string]map[int]string{}
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				idx := strings.Index(c.Text, want)
-				if idx < 0 {
-					continue
-				}
-				arg := MarkerArg(c.Text[idx+len(want):])
-				pos := fset.Position(c.Pos())
-				lines := out[pos.Filename]
-				if lines == nil {
-					lines = map[int]string{}
-					out[pos.Filename] = lines
-				}
-				lines[pos.Line] = arg
-				lines[pos.Line+1] = arg
-			}
-		}
-	}
-	return out
-}
-
-// MarkerArgAt returns the argument recorded by CollectLineMarkerArgs at pos
-// and whether a directive covers that line.
-func MarkerArgAt(fset *token.FileSet, markers map[string]map[int]string, pos token.Pos) (string, bool) {
-	p := fset.Position(pos)
-	arg, ok := markers[p.Filename][p.Line]
-	return arg, ok
-}
-
-// MarkerArg normalizes a directive's trailing text: everything up to an
-// optional " -- justification", whitespace-trimmed.
-func MarkerArg(rest string) string {
-	if cut := strings.Index(rest, "--"); cut >= 0 {
-		rest = rest[:cut]
-	}
-	return strings.TrimSpace(rest)
-}
-
-// FuncMarkerArgs returns the whitespace-split arguments of every
-// //fastcc:<marker> directive in the function's doc comment. A directive with
-// no arguments contributes nothing; `//fastcc:owned buf dst` contributes
-// "buf" and "dst". Used for parameter-level ownership annotations, where the
-// directive names the parameters whose ownership transfers to the callee.
-func FuncMarkerArgs(fn *ast.FuncDecl, marker string) []string {
-	if fn == nil || fn.Doc == nil {
-		return nil
-	}
-	want := "fastcc:" + marker
-	var args []string
-	for _, c := range fn.Doc.List {
-		idx := strings.Index(c.Text, want)
-		if idx < 0 {
-			continue
-		}
-		args = append(args, strings.Fields(MarkerArg(c.Text[idx+len(want):]))...)
-	}
-	return args
 }
 
 // FuncHasMarker reports whether the function declaration carries the given

@@ -93,14 +93,11 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 
 	// Type-check packages in dependency order so each one imports its
 	// non-standard dependencies as the SAME *types.Package that was checked
-	// from source, not a parallel export-data universe. Object identity
-	// across packages is what lets the call graph link a cross-package call
-	// to the callee's declaration — and the devirtualizer match interface
-	// and func-value objects program-wide. Out-of-pattern dependencies are
-	// checked from source too: an export-data copy of one would bring in its
-	// own copies of the packages it imports, so a pattern package handing a
-	// value between the two would fail to type-check. Export data supplies
-	// only the standard library.
+	// from source, not a parallel export-data universe. Out-of-pattern
+	// dependencies are checked from source too: an export-data copy of one
+	// would bring in its own copies of the packages it imports, so a
+	// pattern package handing a value between the two would fail to
+	// type-check. Export data supplies only the standard library.
 	targetSet := map[string]*listPackage{}
 	for _, lp := range targets {
 		targetSet[lp.ImportPath] = lp
@@ -207,35 +204,15 @@ func NewTypesInfo() *types.Info {
 	}
 }
 
-// RunAnalyzers applies every analyzer and returns the surviving
-// (non-suppressed) diagnostics in file/line order. Per-package analyzers
-// (Run) visit each package in turn; whole-program analyzers (RunProgram) run
-// once over a Program wrapping every package, with suppressions merged
-// across all of them.
+// RunAnalyzers applies every analyzer to each package in turn and returns
+// the surviving (non-suppressed) diagnostics in file/line order.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, *token.FileSet, error) {
-	return RunAnalyzersOn(NewProgram(pkgs), analyzers)
-}
-
-// RunAnalyzersOn is RunAnalyzers over a caller-built Program, letting the
-// driver share one call graph between the analyzer run and -stats reporting
-// instead of building it twice.
-func RunAnalyzersOn(prog *Program, analyzers []*Analyzer) ([]Diagnostic, *token.FileSet, error) {
-	pkgs := prog.Pkgs
 	var diags []Diagnostic
 	var fset *token.FileSet
-	var programAnalyzers []*Analyzer
-	for _, a := range analyzers {
-		if a.RunProgram != nil {
-			programAnalyzers = append(programAnalyzers, a)
-		}
-	}
 	for _, pkg := range pkgs {
 		fset = pkg.Fset
 		sup := CollectSuppressions(pkg.Fset, pkg.Files)
 		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
 			pass := &Pass{
 				Analyzer:  a,
 				Fset:      pkg.Fset,
@@ -250,24 +227,6 @@ func RunAnalyzersOn(prog *Program, analyzers []*Analyzer) ([]Diagnostic, *token.
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, nil, fmt.Errorf("framework: %s on %s: %w", a.Name, pkg.ImportPath, err)
-			}
-		}
-	}
-	if len(programAnalyzers) > 0 && len(pkgs) > 0 {
-		var allFiles []*ast.File
-		for _, pkg := range pkgs {
-			allFiles = append(allFiles, pkg.Files...)
-		}
-		sup := CollectSuppressions(prog.Fset, allFiles)
-		for _, a := range programAnalyzers {
-			pass := &ProgramPass{Analyzer: a, Program: prog}
-			pass.Report = func(d Diagnostic) {
-				if !sup.Allows(prog.Fset, d) {
-					diags = append(diags, d)
-				}
-			}
-			if err := a.RunProgram(pass); err != nil {
-				return nil, nil, fmt.Errorf("framework: %s: %w", a.Name, err)
 			}
 		}
 	}

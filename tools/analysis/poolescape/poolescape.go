@@ -178,27 +178,6 @@ func trackedVars(info *types.Info, body *ast.BlockStmt) map[*types.Var]bool {
 	return tracked
 }
 
-// TrackedVars, IsPooled and SourceCall export the pool-tracking core for the
-// interprocedural sibling analyzer (poolescapex), which reuses the same
-// notion of "pool-obtained" while adding call-graph reasoning on top.
-
-// TrackedVars returns the local variables of body that hold pool-obtained
-// memory (assigned from a producing mempool call, directly or via aliases).
-func TrackedVars(info *types.Info, body *ast.BlockStmt) map[*types.Var]bool {
-	return trackedVars(info, body)
-}
-
-// IsPooled reports whether e evaluates to pool-obtained memory under the
-// given tracked-variable set.
-func IsPooled(info *types.Info, tracked map[*types.Var]bool, e ast.Expr) bool {
-	return isPooled(info, tracked, e)
-}
-
-// SourceCall reports whether e is a call to a producing mempool method.
-func SourceCall(info *types.Info, e ast.Expr) bool {
-	return sourceCall(info, e)
-}
-
 func markVar(info *types.Info, tracked map[*types.Var]bool, lhs ast.Expr) {
 	id, ok := lhs.(*ast.Ident)
 	if !ok {

@@ -301,9 +301,7 @@ func loopResident(cfg *framework.CFG) []bool {
 	for _, start := range cfg.Nodes {
 		seen := make([]bool, n)
 		stack := make([]*framework.CFGNode, 0, len(start.Succs))
-		for _, e := range start.Succs {
-			stack = append(stack, e.To)
-		}
+		stack = append(stack, start.Succs...)
 		for len(stack) > 0 {
 			nd := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
@@ -315,9 +313,7 @@ func loopResident(cfg *framework.CFG) []bool {
 				continue
 			}
 			seen[nd.Index] = true
-			for _, e := range nd.Succs {
-				stack = append(stack, e.To)
-			}
+			stack = append(stack, nd.Succs...)
 		}
 	}
 	return out

@@ -88,9 +88,9 @@ stop_daemon
 echo "serve-smoke: ok (clean shutdown, leak gauges at baseline)"
 
 # --- spill run 1: evict-to-disk and reload within one daemon ------------
-# The 1-byte cache budget evicts every cold shard at the start of each run,
-# so the selftest's warm round re-pins its shards from the spill files the
-# first round's eviction wrote — and must still be bit-identical.
+# The 1-byte cache budget evicts each run's shards as soon as the run's pins
+# drop, so the selftest's warm round re-pins its shards from the spill files
+# the first round's eviction wrote — and must still be bit-identical.
 start_daemon -cache-budget 1 \
     -spill-dir "$SPILL_DIR" -spill-budget 1048576 -spill-persist
 echo "serve-smoke: spill daemon 1 on $ADDR"
