@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test test-checked race vet vet-self test-lifecycle test-spill fuzz-smoke bench-smoke bench-test serve-smoke ci
+.PHONY: build test test-checked race vet test-lifecycle test-spill fuzz-smoke bench-smoke bench-test serve-smoke ci
 
 build:
 	$(GO) build ./...
@@ -26,25 +26,18 @@ race:
 	$(GO) test -race -short ./...
 
 # gofmt over the whole tree, go vet, and the project's own analyzer suite:
-# nine per-package passes (atomicmix, batchlen, errdiscard, hotalloc,
-# linovf, poolescape, sealedmut, spanarith, wgmisuse) — see tools/analysis/
-# and README.md. Lock order is gated at runtime by internal/lockcheck in
-# the fastcc_checked legs, not by a static pass. The fastcc-vet binary
-# is built once into bin/ so this leg and vet-self share it; CI reuses the
-# compiled analyzer packages via the Go build cache.
+# six per-package passes (atomicmix, errdiscard, hotalloc, linovf,
+# poolescape, spanarith) — see tools/analysis/ and README.md. ./... covers
+# the analyzers' own packages too, and a mis-registered pass aborts with
+# exit 2. Lock order is gated at runtime by internal/lockcheck in the
+# fastcc_checked legs; sealed-table writes and WaitGroup misuse by the race
+# and test legs. CI reuses the compiled analyzer packages via the Go build
+# cache.
 vet:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) build -o bin/fastcc-vet ./cmd/fastcc-vet
 	./bin/fastcc-vet ./...
-
-# The analyzer suite applied to itself: the framework, the passes and the
-# driver are Go code holding the same invariants they enforce on the
-# engine, and a mis-registered pass aborts here with exit 2 before it can
-# silently disable a gate on the main tree.
-vet-self:
-	$(GO) build -o bin/fastcc-vet ./cmd/fastcc-vet
-	./bin/fastcc-vet ./tools/analysis/... ./cmd/fastcc-vet
 
 # Shard-cache lifecycle gate: the concurrent Drop/eviction soak and the
 # core lifecycle suite under the race detector, then again under the
@@ -104,4 +97,4 @@ serve-smoke:
 	$(GO) build -o bin/fastcc-client ./cmd/fastcc-client
 	sh tools/serve_smoke.sh bin
 
-ci: build vet vet-self test test-checked race test-lifecycle test-spill fuzz-smoke bench-smoke bench-test serve-smoke
+ci: build vet test test-checked race test-lifecycle test-spill fuzz-smoke bench-smoke bench-test serve-smoke

@@ -5,17 +5,15 @@
 //	fastcc-vet -c atomicmix,linovf ./internal/scheduler
 //	fastcc-vet -list                    # describe the analyzers
 //
-// The suite checks concurrency, indexing and memory-lifetime invariants the
-// compiler cannot: mixed atomic/plain access (atomicmix), unchecked
-// dimension products (linovf), allocations in //fastcc:hotpath kernels
-// (hotalloc), WaitGroup fork/join mistakes (wgmisuse), discarded finalizer
-// errors (errdiscard), pool-obtained memory escaping its recycle point
-// (poolescape), narrow-integer span arithmetic (spanarith), writes to
-// sealed structures outside their constructors (sealedmut) and batched
-// probe/scatter length contracts at provable call sites (batchlen). Every
-// pass sees one package at a time. Findings are suppressed per line with
-// //fastcc:allow <name> -- reason; deliberate ownership transfers carry
-// //fastcc:owned instead.
+// The suite checks six invariants the compiler cannot: mixed atomic/plain
+// access (atomicmix), unchecked dimension products (linovf), allocations in
+// //fastcc:hotpath kernels (hotalloc), discarded finalizer errors
+// (errdiscard), pool-obtained memory escaping its recycle point
+// (poolescape) and narrow-integer span arithmetic (spanarith). Each pass
+// guards a bug class no test, race run or fastcc_checked build catches
+// (DESIGN.md, "Mutation audit"). Every pass sees one package at a time.
+// Findings are suppressed per line with //fastcc:allow <name> -- reason;
+// deliberate ownership transfers carry //fastcc:owned instead.
 //
 // Exit status: 0 when clean, 1 on findings, 2 on usage or load errors —
 // including a malformed suite registration: a nil, unnamed, duplicate-named
@@ -30,28 +28,22 @@ import (
 	"strings"
 
 	"fastcc/tools/analysis/atomicmix"
-	"fastcc/tools/analysis/batchlen"
 	"fastcc/tools/analysis/errdiscard"
 	"fastcc/tools/analysis/framework"
 	"fastcc/tools/analysis/hotalloc"
 	"fastcc/tools/analysis/linovf"
 	"fastcc/tools/analysis/poolescape"
-	"fastcc/tools/analysis/sealedmut"
 	"fastcc/tools/analysis/spanarith"
-	"fastcc/tools/analysis/wgmisuse"
 )
 
 // All is the registered analyzer suite, in reporting order.
 var All = []*framework.Analyzer{
 	atomicmix.Analyzer,
-	batchlen.Analyzer,
 	errdiscard.Analyzer,
 	hotalloc.Analyzer,
 	linovf.Analyzer,
 	poolescape.Analyzer,
-	sealedmut.Analyzer,
 	spanarith.Analyzer,
-	wgmisuse.Analyzer,
 }
 
 func main() {

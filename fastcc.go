@@ -25,7 +25,6 @@ package fastcc
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -189,30 +188,8 @@ func (o *options) validate() error {
 		return fmt.Errorf("%w: WithAccumulator(AccumDense) conflicts with WithTileSize(%d, %d) (dense tile exceeds addressable positions)", ErrBadOption, o.tileL, o.tileR)
 	}
 	if o.tenantSet {
-		if err := validTenant(o.tenant); err != nil {
+		if err := core.ValidTenant(o.tenant); err != nil {
 			return fmt.Errorf("%w: WithTenant(%q): %v", ErrBadOption, o.tenant, err)
-		}
-	}
-	return nil
-}
-
-// tenantMaxLen bounds tenant IDs so they stay usable as HTTP header values
-// and map keys without pathological memory cost.
-const tenantMaxLen = 128
-
-// validTenant checks the tenant-ID grammar shared by WithTenant,
-// SetTenantQuota and the server: 1–128 bytes of printable ASCII with no
-// spaces, so an ID travels unmangled through headers, logs and URLs.
-func validTenant(id string) error {
-	if id == "" {
-		return errors.New("tenant ID is empty")
-	}
-	if len(id) > tenantMaxLen {
-		return fmt.Errorf("tenant ID exceeds %d bytes", tenantMaxLen)
-	}
-	for i := 0; i < len(id); i++ {
-		if c := id[i]; c <= 0x20 || c >= 0x7f {
-			return fmt.Errorf("tenant ID byte %d (0x%02x) is not printable ASCII", i, c)
 		}
 	}
 	return nil
@@ -324,7 +301,7 @@ type TenantStats = metrics.TenantSnapshot
 // budget — it bounds one tenant's slice, it does not grow the whole.
 // Invalid tenant IDs are rejected with ErrBadOption.
 func SetTenantQuota(id string, bytes int64) error {
-	if err := validTenant(id); err != nil {
+	if err := core.ValidTenant(id); err != nil {
 		return fmt.Errorf("%w: SetTenantQuota(%q): %v", ErrBadOption, id, err)
 	}
 	core.SetTenantQuota(id, bytes)
@@ -346,7 +323,7 @@ func AllTenantCacheStats() []TenantStats { return core.AllTenantStats() }
 // good; its next tagged run simply re-opens the account. Invalid tenant IDs
 // are rejected with ErrBadOption.
 func DropTenant(id string) error {
-	if err := validTenant(id); err != nil {
+	if err := core.ValidTenant(id); err != nil {
 		return fmt.Errorf("%w: DropTenant(%q): %v", ErrBadOption, id, err)
 	}
 	core.DropTenant(id)

@@ -127,9 +127,3 @@ func (d *Dense) Reset() {
 	}
 	d.apos = d.apos[:0]
 }
-
-// FootprintBytes reports the buffer footprint, used by tests to validate
-// the model's cache-fitting tile sizes.
-func (d *Dense) FootprintBytes() int {
-	return len(d.vals)*8 + cap(d.apos)*4 + len(d.bm)*8
-}

@@ -11,6 +11,7 @@ func FuzzReadTNS(f *testing.F) {
 	f.Add("# comment\n\n2 2 1e300\n")
 	f.Add("0 0 0\n")
 	f.Add("x")
+	f.Add("1 NAN")
 	f.Fuzz(func(t *testing.T, in string) {
 		tn, err := ReadTNS(strings.NewReader(in)) // must never panic
 		if err != nil {

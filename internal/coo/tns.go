@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -92,6 +93,10 @@ func ReadTNS(r io.Reader) (*Tensor, error) {
 		v, err := strconv.ParseFloat(fields[order], 64)
 		if err != nil {
 			return nil, fmt.Errorf("coo: line %d: bad value %q: %v", lineNo, fields[order], err)
+		}
+		if math.IsNaN(v) {
+			// ParseFloat accepts "NaN", but a tensor may not hold one (Validate).
+			return nil, fmt.Errorf("coo: line %d: value is NaN", lineNo)
 		}
 		t.Vals = append(t.Vals, v)
 	}

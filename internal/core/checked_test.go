@@ -16,7 +16,7 @@ import (
 func TestShardGenerationCheck(t *testing.T) {
 	unbuilt := &Shard{
 		Key:    ShardKey{Tile: 4, Rep: RepHash},
-		sealed: make([]*hashtable.Sealed, 1), //fastcc:allow sealedmut -- test forges a half-built shard on purpose
+		sealed: make([]*hashtable.Sealed, 1),
 	}
 	defer func() {
 		r := recover()
@@ -42,7 +42,7 @@ func TestShardGenerationCheck(t *testing.T) {
 func TestSpilledShardGenerationCheck(t *testing.T) {
 	spilled := &Shard{
 		Key:    ShardKey{Tile: 4, Rep: RepHash},
-		sealed: make([]*hashtable.Sealed, 1), //fastcc:allow sealedmut -- test forges a mid-spill shard on purpose
+		sealed: make([]*hashtable.Sealed, 1),
 	}
 	spilled.stampBuilt()
 	spilled.stampSpilled()

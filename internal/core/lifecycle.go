@@ -325,36 +325,34 @@ func (c *shardCache) stats() metrics.CacheSnapshot {
 	return snap
 }
 
-// The LRU link fields are the one deliberately mutable region of a Shard:
-// they are lifecycle state owned by this cache and touched only under
-// c.mu, never by the immutable-table readers the sealedmut analyzer
-// protects.
+// The LRU link fields are lifecycle state owned by this cache and touched
+// only under c.mu, never by the lock-free readers of the shard's tables.
 func (c *shardCache) pushFrontLocked(s *Shard) {
-	s.lruPrev = nil    //fastcc:allow sealedmut -- LRU link, guarded by shardLRU.mu
-	s.lruNext = c.head //fastcc:allow sealedmut -- LRU link, guarded by shardLRU.mu
+	s.lruPrev = nil
+	s.lruNext = c.head
 	if c.head != nil {
-		c.head.lruPrev = s //fastcc:allow sealedmut -- LRU link, guarded by shardLRU.mu
+		c.head.lruPrev = s
 	}
 	c.head = s
 	if c.tail == nil {
 		c.tail = s
 	}
-	s.inLRU = true //fastcc:allow sealedmut -- LRU link, guarded by shardLRU.mu
+	s.inLRU = true
 }
 
 func (c *shardCache) unlinkLocked(s *Shard) {
 	if s.lruPrev != nil {
-		s.lruPrev.lruNext = s.lruNext //fastcc:allow sealedmut -- LRU link, guarded by shardLRU.mu
+		s.lruPrev.lruNext = s.lruNext
 	} else {
 		c.head = s.lruNext
 	}
 	if s.lruNext != nil {
-		s.lruNext.lruPrev = s.lruPrev //fastcc:allow sealedmut -- LRU link, guarded by shardLRU.mu
+		s.lruNext.lruPrev = s.lruPrev
 	} else {
 		c.tail = s.lruPrev
 	}
-	s.lruPrev, s.lruNext = nil, nil //fastcc:allow sealedmut -- LRU link, guarded by shardLRU.mu
-	s.inLRU = false                 //fastcc:allow sealedmut -- LRU link, guarded by shardLRU.mu
+	s.lruPrev, s.lruNext = nil, nil
+	s.inLRU = false
 }
 
 // removeLocked uncharges s if it is still listed; safe to call twice (the

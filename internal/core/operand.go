@@ -261,8 +261,6 @@ func (o *Operand) Cached(key ShardKey) bool {
 // segments. Against the seed's scan-and-filter scheme — every worker
 // scanning the whole operand — total Build reads drop from
 // O(workers × nnz) to O(nnz).
-//
-//fastcc:sealer -- the one function allowed to populate a Shard
 func (s *Shard) build(m *coo.Matrix, threads int) {
 	m.VerifyStamp("core.Shard.build")
 	part := coo.PartitionByTile(m, s.Key.Tile, threads)
@@ -321,8 +319,6 @@ func (s *Shard) footprint() int64 {
 // tryRetire may call this, after the shard is uncharged and unmapped. Under
 // fastcc_checked the shard's generation stamp flips to retired first, so a
 // reader that skipped pinning panics at its next tile access.
-//
-//fastcc:sealer -- lifecycle transition, the inverse of build
 func (s *Shard) recycle() {
 	s.stampRetired()
 	for i, t := range s.sealed {

@@ -57,8 +57,6 @@ func (st *sortedTile) memBytes() int64 {
 
 // recycle returns the tile's arrays to the sorted pools. Callers must hold
 // the retired shard's reclamation ownership (see Shard.recycle).
-//
-//fastcc:sealer -- lifecycle transition, the inverse of buildSortedTiles
 func (st *sortedTile) recycle() {
 	sortedKeyPool.Put(st.keys)
 	sortedOffPool.Put(st.offs)

@@ -181,7 +181,7 @@ func (o *Operand) adoptSpillLocked(key ShardKey) *spill.Handle {
 // whoever takes the handle owes it a Release or Discard.
 func (s *Shard) takeSpillLocked() *spill.Handle {
 	h := s.spill
-	s.spill = nil //fastcc:allow sealedmut -- spill handle, lifecycle state guarded by Operand.mu
+	s.spill = nil
 	return h
 }
 
@@ -215,7 +215,7 @@ func trySpill(s *Shard) bool {
 		d.Discard(h)
 		return false
 	}
-	s.spill = h //fastcc:allow sealedmut -- spill handle, lifecycle state guarded by Operand.mu
+	s.spill = h
 	o.mu.Unlock()
 	// Mark the spilled state in the lifecycle word (tryPin keeps failing on
 	// the retired bit; the spilled bit records why) and free the RAM tier.
@@ -261,8 +261,6 @@ func creditTenantSpill(claims []string, bytes int64, write bool) {
 // is counted, the file is discarded, partially decoded tiles are recycled,
 // and the caller rebuilds this same shard from the operand — graceful
 // degradation, never a wrong answer.
-//
-//fastcc:sealer -- the spill twin of build: the restore path populating a Shard
 func (s *Shard) loadSpill(h *spill.Handle, m *coo.Matrix) bool {
 	d := h.Dir()
 	r, err := d.Read(h)
@@ -291,8 +289,6 @@ func badSpillBody(format string, args ...any) error {
 // at every step that the image matches the shard key and the operand it is
 // being reattached to. A failure partway recycles everything decoded so
 // far and leaves the shard empty for the rebuild fallback.
-//
-//fastcc:sealer -- the spill twin of build: the restore path populating a Shard
 func (s *Shard) decodeSpill(r *tnsbin.SectionReader, m *coo.Matrix) (err error) {
 	defer func() {
 		if err != nil {
@@ -367,8 +363,6 @@ func (s *Shard) decodeSpill(r *tnsbin.SectionReader, m *coo.Matrix) (err error) 
 
 // abortSpillDecode recycles whatever decodeSpill populated before failing
 // and leaves the shard as empty as Shard() created it, ready for build.
-//
-//fastcc:sealer -- failure-path inverse of decodeSpill
 func (s *Shard) abortSpillDecode() {
 	for i, t := range s.sealed {
 		if t != nil {

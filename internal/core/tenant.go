@@ -24,10 +24,35 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 
 	"fastcc/internal/metrics"
 )
+
+// tenantMaxLen bounds tenant IDs so they stay usable as HTTP header values
+// and map keys without pathological memory cost.
+const tenantMaxLen = 128
+
+// ValidTenant checks the tenant-ID grammar shared by WithTenant,
+// SetTenantQuota, DropTenant and the server's tenant header: 1–128 bytes of
+// printable ASCII with no spaces, so an ID travels unmangled through
+// headers, logs and URLs.
+func ValidTenant(id string) error {
+	if id == "" {
+		return errors.New("tenant ID is empty")
+	}
+	if len(id) > tenantMaxLen {
+		return fmt.Errorf("tenant ID exceeds %d bytes", tenantMaxLen)
+	}
+	for i := 0; i < len(id); i++ {
+		if c := id[i]; c <= 0x20 || c >= 0x7f {
+			return fmt.Errorf("tenant ID byte %d (0x%02x) is not printable ASCII", i, c)
+		}
+	}
+	return nil
+}
 
 // tenantAccount is one tenant's shard-cache accounting, guarded by
 // shardLRU.mu.
@@ -96,8 +121,8 @@ func (c *shardCache) unclaimAllLocked(s *Shard) {
 	// Keep the claimant list on the shard past the uncharge: if this
 	// retirement spills the tables, the disk-tier round trip is credited to
 	// the tenants that had the shard warm (creditTenantSpill).
-	s.spillClaims = s.claims //fastcc:allow sealedmut -- spill-credit list, guarded by shardLRU.mu
-	s.claims = nil           //fastcc:allow sealedmut -- claim list, lifecycle state guarded by shardLRU.mu
+	s.spillClaims = s.claims
+	s.claims = nil
 }
 
 // claimShard charges s to tenant's account (once per tenant per shard
@@ -118,7 +143,7 @@ func claimShard(s *Shard, tenant string, built bool) {
 	}
 	var victims []*Shard
 	if !s.claimedByLocked(tenant) {
-		s.claims = append(s.claims, tenant) //fastcc:allow sealedmut -- claim list, lifecycle state guarded by shardLRU.mu
+		s.claims = append(s.claims, tenant)
 		a.bytes += s.bytes
 		a.shards++
 		victims = c.enforceTenantLocked(tenant)
@@ -254,7 +279,7 @@ func (c *shardCache) removeClaimLocked(s *Shard, id string) {
 		if t != id {
 			continue
 		}
-		s.claims = append(s.claims[:i], s.claims[i+1:]...) //fastcc:allow sealedmut -- claim list, lifecycle state guarded by shardLRU.mu
+		s.claims = append(s.claims[:i], s.claims[i+1:]...)
 		if a := c.tenants[id]; a != nil {
 			a.bytes -= s.bytes
 			a.shards--

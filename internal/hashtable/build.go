@@ -43,7 +43,6 @@ var denseScratch mempool.SlicePool[int32]
 // val must have the same length (below 2^31); they are only read.
 //
 //fastcc:hotpath
-//fastcc:sealer -- the one function allowed to populate a Sealed from nonzeros
 func BuildSealed(ctr []uint64, intra []uint32, val []float64, keyHint int) *Sealed {
 	n := len(ctr)
 	intra, val = intra[:n], val[:n] // one length check here; intra[k], val[k] need none below

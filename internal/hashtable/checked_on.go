@@ -23,8 +23,6 @@ func (s *Sealed) stampLive() { s.ck.gen = sealedLiveGen }
 
 // invalidate retires the table: every later access panics. Reserved for a
 // future recycling path; exercised by the checked-mode lifetime tests.
-//
-//fastcc:sealer -- lifecycle transition, the inverse of the build's stamp
 func (s *Sealed) invalidate() { s.ck.gen = 0 }
 
 func (s *Sealed) checkLive(op string) {

@@ -61,6 +61,6 @@ func TestSealedCorruptSpanPanics(t *testing.T) {
 		t.Skip("span re-validation is compiled in only under fastcc_checked")
 	}
 	s := BuildSealed([]uint64{7}, []uint32{1}, []float64{1.5}, 4)
-	s.spans[0].Len = int32(len(s.pairs)) + 5 //fastcc:allow sealedmut -- test corrupts sealed state on purpose
+	s.spans[0].Len = int32(len(s.pairs)) + 5
 	expectPanicWhenChecked(t, "PairsAt with corrupt span", func() { _ = s.PairsAt(0) })
 }

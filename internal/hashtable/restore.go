@@ -39,8 +39,6 @@ func DiscardRestore(keys []uint64, spans []Span, pairs []Pair) {
 // every lookup resolves to the same dense key index as before the spill,
 // which is all bit-identical contraction output requires. The returned
 // table owns all four slices; Recycle returns everything to the pools.
-//
-//fastcc:sealer -- the spill twin of BuildSealed: the restore path populating a Sealed
 func RestoreSealed(mask uint64, keys []uint64, spans []Span, pairs []Pair) *Sealed {
 	slotKeys, slotIdx := newSlots(int(mask) + 1)
 	for li, k := range keys {

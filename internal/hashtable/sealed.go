@@ -239,8 +239,6 @@ func (s *Sealed) MemBytes() int64 {
 // Under fastcc_checked the generation stamp is invalidated first, so any
 // reader that skipped pinning panics deterministically at its next access
 // instead of observing another shard's recycled data.
-//
-//fastcc:sealer -- lifecycle transition, the inverse of BuildSealed
 func (s *Sealed) Recycle() {
 	s.invalidate()
 	arenaU64.Put(s.slotKeys)

@@ -14,9 +14,3 @@ func BenchmarkPoolTicketOverhead(b *testing.B) {
 		sink.Add(int64(task & 1))
 	})
 }
-
-func BenchmarkTeamsSpawn(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		Teams(4, func(_, _ int) {}, func(_, _ int) {})
-	}
-}

@@ -70,8 +70,8 @@ func TestGuardReleasesOnCancellation(t *testing.T) {
 	}
 }
 
-// TestGuardZeroValueIsNoop: PoolCtxBatch must behave identically through
-// its guarded implementation with a zero Guard (nil funcs).
+// TestGuardZeroValueIsNoop: a zero Guard (nil funcs) must be a no-op, as
+// Pool and the tests that pass Guard{} rely on.
 func TestGuardZeroValueIsNoop(t *testing.T) {
 	var ran atomic.Int64
 	if err := PoolCtxBatchGuarded(context.Background(), 3, 50, 1, Guard{}, func(_, _ int) { ran.Add(1) }); err != nil {

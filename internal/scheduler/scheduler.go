@@ -1,12 +1,16 @@
 // Package scheduler provides the two parallel skeletons FaSTCC needs
 // (paper Section 4.2):
 //
-//   - Teams: two worker teams running concurrently (the paper's nested
-//     OpenMP parallel regions where half the threads build HL and half
-//     build HR);
-//   - Pool: a dynamic task queue over an index range, the Go substitute for
-//     Taskflow — tasks are claimed with an atomic ticket so load imbalance
-//     between tile-tile contractions is absorbed at run time.
+//   - Static: a fixed team of workers that partition an index range among
+//     themselves (the cyclic tile ownership of the shard build);
+//   - PoolCtxBatchGuarded (and its Pool shorthand): a dynamic task queue
+//     over an index range, the Go substitute for Taskflow — tasks are
+//     claimed with an atomic ticket so load imbalance between tile-tile
+//     contractions is absorbed at run time.
+//
+// The paper's nested parallel regions, where half the threads build HL and
+// half build HR, are core.buildShards splitting its worker budget between
+// the two operands' builds.
 package scheduler
 
 import (
@@ -24,59 +28,21 @@ func Workers(n int) int {
 	return n
 }
 
-// Teams runs two functions concurrently, each with a team of workers. With
-// n total workers, team A gets ceil(n/2) and team B gets the rest (minimum
-// one each). Each worker invocation receives its worker id and team size;
-// Teams returns when all workers of both teams finish.
-func Teams(n int, teamA, teamB func(worker, teamSize int)) {
-	n = Workers(n)
-	sizeA := (n + 1) / 2
-	sizeB := n - sizeA
-	if sizeB == 0 {
-		sizeB = 1 // run teams sequentially-concurrent with one worker each
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < sizeA; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			teamA(w, sizeA)
-		}(w)
-	}
-	for w := 0; w < sizeB; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			teamB(w, sizeB)
-		}(w)
-	}
-	wg.Wait()
-}
-
 // Pool runs fn(worker, task) for every task in [0, tasks), claimed
 // dynamically by an atomic ticket counter across `workers` goroutines. Each
 // worker keeps its id for the task's lifetime, so fn can use worker-local
 // scratch state (accumulators, output pools). Returns when all tasks finish.
 func Pool(workers, tasks int, fn func(worker, task int)) {
-	// context.Background() is never canceled, so the per-task Err() check in
-	// PoolCtx reduces to a nil comparison.
-	_ = PoolCtx(context.Background(), workers, tasks, fn)
+	// context.Background() is never canceled, so the per-task Err() check
+	// reduces to a nil comparison.
+	_ = PoolCtxBatchGuarded(context.Background(), workers, tasks, 1, Guard{}, fn)
 }
 
-// PoolCtx is Pool with cooperative cancellation: workers stop claiming new
-// tasks once ctx is done and PoolCtx returns ctx.Err(). Tasks already
-// in flight run to completion — cancellation is observed only at tile-task
-// boundaries, so worker-local scratch state is never abandoned mid-task.
-// Returns nil when every task ran.
-func PoolCtx(ctx context.Context, workers, tasks int, fn func(worker, task int)) error {
-	return PoolCtxBatch(ctx, workers, tasks, 1, fn)
-}
-
-// ClaimBatch picks a per-claim batch size for PoolCtxBatch: 1 while tasks
-// are scarce relative to workers (dynamic balancing matters most), growing
-// once tasks >> workers so the atomic ticket stops being a contention
-// point, and capped so the tail imbalance stays below ~1/claimSlack of a
-// worker's share.
+// ClaimBatch picks a per-claim batch size for PoolCtxBatchGuarded: 1 while
+// tasks are scarce relative to workers (dynamic balancing matters most),
+// growing once tasks >> workers so the atomic ticket stops being a
+// contention point, and capped so the tail imbalance stays below
+// ~1/claimSlack of a worker's share.
 func ClaimBatch(tasks, workers int) int {
 	workers = Workers(workers)
 	b := tasks / (workers * claimSlack)
@@ -97,17 +63,6 @@ const (
 	// large task range behind it.
 	maxClaimBatch = 64
 )
-
-// PoolCtxBatch is PoolCtx with batched ticket claiming: each atomic
-// increment claims up to `batch` consecutive tasks, cutting claim
-// contention by that factor when tasks are tiny and plentiful. Cancellation
-// is still observed at every task boundary — a canceled context stops a
-// worker mid-batch, leaving the rest of its claimed range unexecuted —
-// so the latency to stop is one task, not one batch. batch < 1 is treated
-// as 1 (identical to PoolCtx).
-func PoolCtxBatch(ctx context.Context, workers, tasks, batch int, fn func(worker, task int)) error {
-	return PoolCtxBatchGuarded(ctx, workers, tasks, batch, Guard{}, fn)
-}
 
 // Guard brackets each worker's participation in a pool run: Acquire runs on
 // the worker's own goroutine before its first claim, Release runs (deferred,
@@ -135,8 +90,20 @@ func (g Guard) release(w int) {
 	}
 }
 
-// PoolCtxBatchGuarded is PoolCtxBatch with a per-worker Guard. See Guard for
-// the bracket contract; with a zero Guard it is exactly PoolCtxBatch.
+// PoolCtxBatchGuarded is Pool with cooperative cancellation, batched ticket
+// claiming and a per-worker Guard (see Guard for the bracket contract).
+//
+// Workers stop claiming new tasks once ctx is done, and the call returns
+// ctx.Err(); it returns nil when every task ran. Tasks already in flight
+// run to completion, so worker-local scratch state is never abandoned
+// mid-task.
+//
+// Each atomic increment claims up to `batch` consecutive tasks, cutting
+// claim contention by that factor when tasks are tiny and plentiful;
+// batch < 1 is treated as 1. Cancellation is still observed at every task
+// boundary — a canceled context stops a worker mid-batch, leaving the rest
+// of its claimed range unexecuted — so the latency to stop is one task, not
+// one batch.
 func PoolCtxBatchGuarded(ctx context.Context, workers, tasks, batch int, g Guard, fn func(worker, task int)) error {
 	workers = Workers(workers)
 	if tasks <= 0 {

@@ -11,11 +11,11 @@ import (
 func TestPoolCtxCompletesUncanceled(t *testing.T) {
 	const tasks = 200
 	var hits [tasks]atomic.Int32
-	err := PoolCtx(context.Background(), 4, tasks, func(_, task int) {
+	err := PoolCtxBatchGuarded(context.Background(), 4, tasks, 1, Guard{}, func(_, task int) {
 		hits[task].Add(1)
 	})
 	if err != nil {
-		t.Fatalf("PoolCtx: %v", err)
+		t.Fatalf("PoolCtxBatchGuarded: %v", err)
 	}
 	for i := range hits {
 		if hits[i].Load() != 1 {
@@ -28,7 +28,7 @@ func TestPoolCtxStopsAtTaskBoundary(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int64
-		err := PoolCtx(ctx, workers, 100000, func(_, task int) {
+		err := PoolCtxBatchGuarded(ctx, workers, 100000, 1, Guard{}, func(_, task int) {
 			if ran.Add(1) == 3 {
 				cancel()
 			}
@@ -49,7 +49,7 @@ func TestPoolCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
-	err := PoolCtx(ctx, 2, 10, func(_, task int) { ran.Add(1) })
+	err := PoolCtxBatchGuarded(ctx, 2, 10, 1, Guard{}, func(_, task int) { ran.Add(1) })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err=%v", err)
 	}
@@ -112,35 +112,6 @@ func TestPoolWorkerIDsBounded(t *testing.T) {
 	})
 	if bad.Load() {
 		t.Fatal("worker id out of range")
-	}
-}
-
-func TestTeamsBothRunAndSizesPartition(t *testing.T) {
-	var aRuns, bRuns atomic.Int32
-	var aSize, bSize atomic.Int32
-	Teams(5, func(w, size int) {
-		aRuns.Add(1)
-		aSize.Store(int32(size))
-		if w < 0 || w >= size {
-			t.Errorf("team A worker %d of %d", w, size)
-		}
-	}, func(w, size int) {
-		bRuns.Add(1)
-		bSize.Store(int32(size))
-	})
-	if aSize.Load() != 3 || bSize.Load() != 2 {
-		t.Fatalf("team sizes %d/%d want 3/2", aSize.Load(), bSize.Load())
-	}
-	if aRuns.Load() != 3 || bRuns.Load() != 2 {
-		t.Fatalf("team runs %d/%d", aRuns.Load(), bRuns.Load())
-	}
-}
-
-func TestTeamsSingleWorker(t *testing.T) {
-	var a, b atomic.Int32
-	Teams(1, func(_, size int) { a.Store(int32(size)) }, func(_, size int) { b.Store(int32(size)) })
-	if a.Load() != 1 || b.Load() != 1 {
-		t.Fatalf("teams with one worker: %d/%d", a.Load(), b.Load())
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // tasks that finish in nanoseconds (maximum claim contention on the atomic
 // ticket), and a shared sink indexed by worker id. The engine hands each
 // worker id a private accumulator and output pool, so the invariant under
-// test is that a Pool/Teams worker id is never held by two live goroutines
+// test is that a Pool worker id is never held by two live goroutines
 // at once — if it ever is, the unsynchronized writes to sink[w] here are a
 // detector hit, not a flaky counter.
 //
@@ -80,7 +80,7 @@ func TestPoolBatchRaceStress(t *testing.T) {
 	)
 	for _, batch := range []int{1, 7, 64, tasks + 1} {
 		var sink [workers]sinkSlot // worker-id-indexed, intentionally non-atomic
-		err := PoolCtxBatch(context.Background(), workers, tasks, batch, func(w, task int) {
+		err := PoolCtxBatchGuarded(context.Background(), workers, tasks, batch, Guard{}, func(w, task int) {
 			if w < 0 || w >= workers {
 				t.Errorf("worker id %d out of range", w)
 				return
@@ -120,7 +120,7 @@ func TestPoolBatchCancellationAtTaskBoundaries(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var executed atomic.Int64
-	err := PoolCtxBatch(ctx, workers, tasks, batch, func(w, task int) {
+	err := PoolCtxBatchGuarded(ctx, workers, tasks, batch, Guard{}, func(w, task int) {
 		if executed.Add(1) == stopAt {
 			cancel()
 		}
@@ -144,7 +144,7 @@ func TestPoolBatchSerialCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ran := 0
-	err := PoolCtxBatch(ctx, 1, 1000, 16, func(w, task int) {
+	err := PoolCtxBatchGuarded(ctx, 1, 1000, 16, Guard{}, func(w, task int) {
 		ran++
 		if ran == 10 {
 			cancel()
@@ -171,40 +171,6 @@ func TestClaimBatchBounds(t *testing.T) {
 	mid := ClaimBatch(8*claimSlack*10, 8)
 	if mid != 10 {
 		t.Fatalf("mid range: %d want 10", mid)
-	}
-}
-
-func TestTeamsRaceStress(t *testing.T) {
-	const (
-		threads = 32
-		iters   = 5_000
-		rounds  = 4
-	)
-	for round := 0; round < rounds; round++ {
-		// Separate per-team sinks: worker ids are only unique within a team.
-		var sinkA, sinkB [threads]sinkSlot
-		hammer := func(sink *[threads]sinkSlot) func(w, size int) {
-			return func(w, size int) {
-				if w < 0 || w >= size || size > threads {
-					t.Errorf("worker %d of team size %d", w, size)
-					return
-				}
-				for i := 0; i < iters; i++ {
-					sink[w].claims++
-					if i&63 == 0 {
-						runtime.Gosched() // interleave the teams on few cores
-					}
-				}
-			}
-		}
-		Teams(threads, hammer(&sinkA), hammer(&sinkB))
-		var got int64
-		for w := 0; w < threads; w++ {
-			got += sinkA[w].claims + sinkB[w].claims
-		}
-		if got != int64(threads)*iters {
-			t.Fatalf("round %d: sink total %d want %d", round, got, int64(threads)*iters)
-		}
 	}
 }
 

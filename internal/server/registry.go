@@ -208,28 +208,6 @@ func (r *Registry) Release(tenant, hash string) error {
 	return nil
 }
 
-// ReleaseTenant drops every reference tenant holds, as if Release were
-// called per hash. Used when a tenant disconnects for good.
-func (r *Registry) ReleaseTenant(tenant string) {
-	r.mu.Lock()
-	var orphaned []*operandEntry
-	for hash, e := range r.operands {
-		if !e.refs[tenant] {
-			continue
-		}
-		delete(e.refs, tenant)
-		if len(e.refs) == 0 {
-			delete(r.operands, hash)
-			orphaned = append(orphaned, e)
-		}
-	}
-	delete(r.charged, tenant)
-	r.mu.Unlock()
-	for _, e := range orphaned {
-		e.drop()
-	}
-}
-
 // Close drops every entry regardless of references. After Close the
 // registry is empty but remains usable.
 func (r *Registry) Close() {

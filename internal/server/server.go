@@ -289,19 +289,14 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // --- handlers -----------------------------------------------------------
 
-// validTenantID mirrors fastcc's WithTenant grammar so malformed IDs are
+// validTenantID applies fastcc's WithTenant grammar so malformed IDs are
 // rejected at the door with the same ErrBadOption family.
 func validTenantID(id string) error {
 	if id == "" {
 		return fmt.Errorf("%w: missing %s header", fastcc.ErrBadOption, TenantHeader)
 	}
-	if len(id) > 128 {
-		return fmt.Errorf("%w: tenant ID longer than 128 bytes", fastcc.ErrBadOption)
-	}
-	for i := 0; i < len(id); i++ {
-		if id[i] <= ' ' || id[i] > '~' {
-			return fmt.Errorf("%w: tenant ID must be printable ASCII without spaces", fastcc.ErrBadOption)
-		}
+	if err := core.ValidTenant(id); err != nil {
+		return fmt.Errorf("%w: %v", fastcc.ErrBadOption, err)
 	}
 	return nil
 }

@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -304,10 +306,24 @@ func TestServerErrorPaths(t *testing.T) {
 		}
 	})
 	t.Run("invalid tenant header", func(t *testing.T) {
-		bad := NewClient(hs.URL, strings.Repeat("x", 129), hs.Client())
-		_, err := bad.Stats(ctx)
-		if s, code := apiErrorCode(t, err); s != 400 || code != "bad_option" {
-			t.Fatalf("got %d %s, want 400 bad_option", s, code)
+		for _, id := range []string{strings.Repeat("x", 129), "a b"} {
+			_, err := NewClient(hs.URL, id, hs.Client()).Stats(ctx)
+			if s, code := apiErrorCode(t, err); s != 400 || code != "bad_option" {
+				t.Fatalf("tenant %q: got %d %s, want 400 bad_option", id, s, code)
+			}
+		}
+		// net/http neither sends nor parses a DEL byte in a header value,
+		// so that case goes to the handler directly.
+		req := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
+		req.Header.Set(TenantHeader, "a\x7fb")
+		rec := httptest.NewRecorder()
+		hs.Config.Handler.ServeHTTP(rec, req)
+		var body errorBody
+		if err := json.NewDecoder(rec.Body).Decode(&body); err != nil || rec.Code != 400 || body.Error.Code != "bad_option" {
+			t.Fatalf("DEL byte: got %d %+v (%v), want 400 bad_option", rec.Code, body, err)
+		}
+		if _, err := NewClient(hs.URL, strings.Repeat("x", 128), hs.Client()).Stats(ctx); err != nil {
+			t.Fatalf("128-byte tenant ID rejected: %v", err)
 		}
 	})
 	t.Run("garbage upload body", func(t *testing.T) {

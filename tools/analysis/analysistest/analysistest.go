@@ -22,8 +22,8 @@
 // packages in argument order and registers each under its directory name, so
 // a later fixture can `import "mempool"` when testdata/src/mempool was named
 // first. Dependency fixtures let analyzers that key on package names
-// (poolescape on mempool, sealedmut on hashtable/core) see realistic typed
-// call sites without importing the real module, mirroring x/tools
+// (poolescape on mempool) see realistic typed call sites without importing
+// the real module, mirroring x/tools
 // analysistest's GOPATH-style fixture imports. The analyzer runs over
 // dependency fixtures too, so they can carry `want` expectations (or assert
 // cleanliness by carrying none).

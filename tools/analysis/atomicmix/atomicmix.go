@@ -10,11 +10,10 @@
 //
 // A variable (struct field or package-level var) is "atomic" once its
 // address is passed to any sync/atomic function. Every other syntactic use
-// is then reported, with two deliberate exceptions:
-//
-//   - composite-literal initialization (construction happens-before sharing);
-//   - taking the address for a non-atomic call is still reported, because a
-//     leaked address defeats the discipline anyway.
+// is then reported, including a read used as a composite-literal field
+// value and taking the address for a non-atomic call (a leaked address
+// defeats the discipline anyway). Declarations and composite-literal keys
+// only name a field, so they are not uses.
 //
 // The robust fix is usually to switch the field to one of the atomic.Int64
 // family of types, which makes plain access impossible to express.
@@ -92,7 +91,7 @@ func run(pass *framework.Pass) error {
 				return true
 			}
 			firstAtomic, ok := atomicVars[v]
-			if !ok || inCompositeLit(stack) {
+			if !ok {
 				return true
 			}
 			pass.Reportf(expr.Pos(),
@@ -127,13 +126,4 @@ func refVar(info *types.Info, e ast.Expr) *types.Var {
 		return v
 	}
 	return nil
-}
-
-func inCompositeLit(stack []ast.Node) bool {
-	for _, n := range stack {
-		if _, ok := n.(*ast.CompositeLit); ok {
-			return true
-		}
-	}
-	return false
 }

@@ -29,6 +29,12 @@ func newPool() *pool {
 	return &pool{next: 0} // construction: not an access
 }
 
+type snapshot struct{ Next int64 }
+
+func (p *pool) snapshotLit() snapshot {
+	return snapshot{Next: p.next} // want `next.*accessed atomically.*used plainly`
+}
+
 var counter int64
 
 func bump() {

@@ -13,7 +13,7 @@ const supSrc = `package p
 
 func f() int {
 	x := 1 //fastcc:allow linovf -- same line
-	//fastcc:allow hotalloc,wgmisuse -- line above
+	//fastcc:allow hotalloc,spanarith -- line above
 	y := 2
 	z := 3
 	return x + y + z
@@ -36,7 +36,7 @@ func TestSuppressions(t *testing.T) {
 		{4, "hotalloc", false},
 		{5, "hotalloc", true},
 		{6, "hotalloc", true},
-		{6, "wgmisuse", true},
+		{6, "spanarith", true},
 		{6, "linovf", false},
 		{7, "hotalloc", false},
 	}
