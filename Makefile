@@ -76,7 +76,7 @@ fuzz-smoke:
 
 # One-iteration run of the prepared-operand reuse benchmark: exercises the
 # Preshard/ContractPrepared path end to end (the warm iterations assert
-# Stats.Build == 0 and ShardReused) without paying full benchmark time.
+# Stats.BuildTime == 0 and ShardReused) without paying full benchmark time.
 bench-smoke:
 	$(GO) test -bench=Reuse -benchtime=1x -run=^$$ .
 

@@ -108,19 +108,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *showStats || *metrics {
-		reuse := "none"
-		switch {
-		case stats.ShardReused:
-			reuse = "both"
-		case stats.ShardReusedL:
-			reuse = "left"
-		case stats.ShardReusedR:
-			reuse = "right"
-		}
-		fmt.Fprintf(stderr, "accumulator=%s tile=%dx%d grid=%dx%d tasks=%d threads=%d shard_reuse=%s\n",
-			stats.Decision.Kind, stats.TileL, stats.TileR, stats.NL, stats.NR, stats.Tasks, stats.Threads, reuse)
-		fmt.Fprintf(stderr, "output nnz=%d total=%v (linearize=%v build=%v contract=%v concat=%v delinearize=%v)\n",
-			stats.OutputNNZ, stats.Total, stats.Linearize, stats.Build, stats.Contract, stats.Concat, stats.Delinearize)
+		fmt.Fprintln(stderr, stats)
 		if *metrics {
 			fmt.Fprintf(stderr, "counters: %v\n", stats.Counters)
 		}

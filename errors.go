@@ -4,12 +4,13 @@ import (
 	"errors"
 
 	"fastcc/internal/coo"
+	"fastcc/internal/core"
 )
 
 // Typed errors. Every validation failure out of Contract, ContractPrepared,
-// Preshard, Einsum and ParseEinsum wraps one of these sentinels (or is a
-// *ShapeError), so callers branch with errors.Is / errors.As instead of
-// string matching:
+// Preshard, Einsum, EinsumN and ParseEinsum wraps one of these sentinels
+// (or is a *ShapeError), so callers branch with errors.Is / errors.As
+// instead of string matching:
 //
 //	_, _, err := fastcc.Contract(l, r, spec)
 //	var se *fastcc.ShapeError
@@ -39,11 +40,15 @@ var (
 	ErrBadExpr = errors.New("einsum: bad expression")
 
 	// ErrBadOption matches an invalid or conflicting Option combination,
-	// reported eagerly by Contract/Preshard before any work runs: negative
-	// WithThreads, tile sides beyond 2^31, a non-power-of-two TileR under a
-	// forced dense accumulator, or a dense tile exceeding the addressable
-	// positions.
-	ErrBadOption = errors.New("fastcc: bad option")
+	// reported eagerly, before any work runs: negative WithThreads, tile
+	// sides beyond 2^31, an unknown accumulator or input representation, a
+	// WithPlatform profile with no cores or cache, a malformed WithTenant
+	// ID, or, under a forced dense accumulator, a non-power-of-two right
+	// tile side or a tile beyond the addressable positions. One case needs
+	// the model's decision, so Contract and ContractPrepared report it only
+	// after linearizing: a WithTileSize right side that is not a power of
+	// two when the model picks the dense accumulator.
+	ErrBadOption = core.ErrBadOption
 )
 
 // ShapeError reports a contracted-extent mismatch between the two operands,

@@ -39,7 +39,7 @@ func main() {
 		}
 		fmt.Printf("%-14s output: order=%d nnz=%-9d accumulator=%-6s tile=%-6d time=%v\n",
 			gen.ContractionName("chicago", modes),
-			out.Order(), out.NNZ(), stats.Decision.Kind, stats.TileL, stats.Total)
+			out.Order(), out.NNZ(), stats.Decision.Kind, stats.TileL, stats.TotalTime)
 	}
 
 	fmt.Println("\nContracting more modes shrinks the output order (3+3, 2+2, 1+1 external")

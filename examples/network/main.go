@@ -40,7 +40,7 @@ func main() {
 	fmt.Println("chosen plan:", plan)
 	for i, s := range plan.Steps {
 		fmt.Printf("  step %d: %s × %s -> %s  (%d nnz, accumulator=%s, %v)\n",
-			i+1, s.Left, s.Right, s.Result, s.NNZ, s.Stats.Decision.Kind, s.Stats.Total)
+			i+1, s.Left, s.Right, s.Result, s.NNZ, s.Stats.Decision.Kind, s.Stats.TotalTime)
 	}
 	fmt.Printf("result: %v\n", out)
 

@@ -40,7 +40,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("  -> Int%v nnz=%d accumulator=%s tile=%d tasks=%d time=%v\n\n",
-			out.Dims, out.NNZ(), stats.Decision.Kind, stats.TileL, stats.Tasks, stats.Total)
+			out.Dims, out.NNZ(), stats.Decision.Kind, stats.TileL, stats.Tasks, stats.TotalTime)
 	}
 
 	fmt.Println("TE_vv slices are dense (diffuse virtuals) while TE_oo is very sparse —")

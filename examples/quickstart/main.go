@@ -45,6 +45,6 @@ func main() {
 	fmt.Printf("\nmodel decision: accumulator=%s tile=%dx%d (estimated output density %.3g)\n",
 		stats.Decision.Kind, stats.TileL, stats.TileR, stats.Decision.PNonzero)
 	fmt.Printf("phases: linearize=%v build=%v contract=%v concat=%v delinearize=%v\n",
-		stats.Linearize, stats.Build, stats.Contract, stats.Concat, stats.Delinearize)
+		stats.LinearizeTime, stats.BuildTime, stats.ContractTime, stats.ConcatTime, stats.DelinearizeTime)
 	fmt.Printf("counters: %v\n", stats.Counters)
 }

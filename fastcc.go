@@ -26,6 +26,7 @@ package fastcc
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"fastcc/internal/coo"
@@ -69,60 +70,10 @@ func AutoPlatform() Platform { return model.Auto() }
 // NewTensor returns an empty tensor with the given mode extents.
 func NewTensor(dims []uint64, capHint int) *Tensor { return coo.New(dims, capHint) }
 
-// Stats reports everything one contraction run decided and measured.
-type Stats struct {
-	// Decision is the probabilistic model's output (densities, expected
-	// tile nonzeros, accumulator kind, tile sizes).
-	Decision model.Decision
-	// TileL, TileR are the tile sizes actually used.
-	TileL, TileR uint64
-	// NL, NR are the tile-grid dimensions; Tasks the executed tile pairs.
-	NL, NR, Tasks int
-	// BlockL, BlockR are the LLC super-block sides (in non-empty tiles) of
-	// the contract schedule; Blocks is the block-task count workers claimed.
-	BlockL, BlockR, Blocks int
-	// Threads is the worker count used.
-	Threads int
-	// OutputNNZ is the number of nonzeros in the output.
-	OutputNNZ int
-
-	// ShardReusedL/ShardReusedR report that the operand's tile shard was
-	// served from a *Sharded cache instead of being rebuilt; ShardReused is
-	// the full hit (both sides), in which case Build == 0.
-	ShardReusedL, ShardReusedR bool
-	ShardReused                bool
-
-	// Phase timings. Total = Linearize + Build + Contract + Concat +
-	// Delinearize; linearization and delinearization are included in the
-	// measured time exactly as in the paper.
-	Linearize   time.Duration
-	Build       time.Duration
-	Contract    time.Duration
-	Concat      time.Duration
-	Delinearize time.Duration
-	Total       time.Duration
-
-	// Counters holds data-access statistics when metrics were requested.
-	Counters metrics.Snapshot
-}
-
-// String renders the stats on two lines for logs.
-func (s *Stats) String() string {
-	reuse := ""
-	switch {
-	case s.ShardReused:
-		reuse = " shards=reused"
-	case s.ShardReusedL:
-		reuse = " shards=reusedL"
-	case s.ShardReusedR:
-		reuse = " shards=reusedR"
-	}
-	return fmt.Sprintf(
-		"fastcc: accumulator=%s tile=%dx%d grid=%dx%d tasks=%d block=%dx%d threads=%d out_nnz=%d%s\n"+
-			"fastcc: total=%v (linearize=%v build=%v contract=%v concat=%v delinearize=%v)",
-		s.Decision.Kind, s.TileL, s.TileR, s.NL, s.NR, s.Tasks, s.BlockL, s.BlockR, s.Threads, s.OutputNNZ, reuse,
-		s.Total, s.Linearize, s.Build, s.Contract, s.Concat, s.Delinearize)
-}
+// Stats reports everything one contraction run decided and measured: the
+// model's decision, tile geometry, reuse flags, the six phase timings and,
+// with WithMetrics, the data-access counters.
+type Stats = core.Stats
 
 // InputRep selects the input-tile representation: the paper's hash tables
 // (RepHash, default) or radix-sorted grouped arrays with merge
@@ -135,96 +86,52 @@ const (
 	RepSorted = core.RepSorted
 )
 
-// options is the resolved option set.
-type options struct {
-	threads      int
-	tileL, tileR uint64
-	accum        model.AccumKind
-	platform     model.Platform
-	counters     *metrics.Counters
-	rep          core.InputRep
-	ctx          context.Context
-	tenant       string
-	tenantSet    bool
-}
+// Option configures one run. Options apply in order, so the last one
+// setting a field wins.
+type Option func(*core.Config)
 
-// resolveOptions applies the options in order and validates the combination
-// eagerly, so a bad call fails with ErrBadOption before any work runs.
-func resolveOptions(opts []Option) (options, error) {
-	var o options
-	for _, fn := range opts {
-		fn(&o)
+// config applies opts and checks the result eagerly, so a bad call fails
+// with ErrBadOption before any work runs. The engine checks it again, and
+// also checks an overridden tile against the accumulator the model picks.
+func config(opts []Option) (core.Config, error) {
+	var c core.Config
+	for _, o := range opts {
+		o(&c)
 	}
-	if err := o.validate(); err != nil {
-		return options{}, err
-	}
-	return o, nil
+	return c, c.Validate()
 }
-
-// validate reports invalid or conflicting option combinations. Checks that
-// depend on operand data (zero extents, model fallbacks) stay in the engine;
-// everything knowable from the options alone is rejected here.
-func (o *options) validate() error {
-	if o.threads < 0 {
-		return fmt.Errorf("%w: WithThreads(%d) is negative (0 means GOMAXPROCS)", ErrBadOption, o.threads)
-	}
-	if o.tileL > 1<<31 || o.tileR > 1<<31 {
-		return fmt.Errorf("%w: WithTileSize(%d, %d) exceeds the 2^31 tile-side bound", ErrBadOption, o.tileL, o.tileR)
-	}
-	switch o.accum {
-	case model.AccumAuto, model.AccumDense, model.AccumSparse:
-	default:
-		return fmt.Errorf("%w: WithAccumulator(%d) is not a known accumulator kind", ErrBadOption, int(o.accum))
-	}
-	switch o.rep {
-	case core.RepHash, core.RepSorted:
-	default:
-		return fmt.Errorf("%w: WithInputRep(%d) is not a known input representation", ErrBadOption, int(o.rep))
-	}
-	if o.accum == model.AccumDense && o.tileR != 0 && o.tileR&(o.tileR-1) != 0 {
-		return fmt.Errorf("%w: WithAccumulator(AccumDense) conflicts with WithTileSize tr=%d (dense accumulation needs a power-of-two right tile side)", ErrBadOption, o.tileR)
-	}
-	if o.accum == model.AccumDense && o.tileL != 0 && o.tileR != 0 && o.tileL*o.tileR > 1<<31 {
-		return fmt.Errorf("%w: WithAccumulator(AccumDense) conflicts with WithTileSize(%d, %d) (dense tile exceeds addressable positions)", ErrBadOption, o.tileL, o.tileR)
-	}
-	if o.tenantSet {
-		if err := core.ValidTenant(o.tenant); err != nil {
-			return fmt.Errorf("%w: WithTenant(%q): %v", ErrBadOption, o.tenant, err)
-		}
-	}
-	return nil
-}
-
-// Option configures Contract.
-type Option func(*options)
 
 // WithThreads sets the worker count (default: GOMAXPROCS).
-func WithThreads(n int) Option { return func(o *options) { o.threads = n } }
+func WithThreads(n int) Option { return func(c *core.Config) { c.Threads = n } }
 
 // WithTileSize overrides the model's tile sizes. With a dense accumulator
 // tr must be a power of two. Zero leaves a dimension model-chosen.
 func WithTileSize(tl, tr uint64) Option {
-	return func(o *options) { o.tileL, o.tileR = tl, tr }
+	return func(c *core.Config) { c.TileL, c.TileR = tl, tr }
 }
 
 // WithAccumulator forces a dense or sparse tile accumulator.
-func WithAccumulator(k AccumKind) Option { return func(o *options) { o.accum = k } }
+func WithAccumulator(k AccumKind) Option { return func(c *core.Config) { c.Accum = k } }
 
-// WithPlatform sets the platform profile used by the tile-size model.
-func WithPlatform(p Platform) Option { return func(o *options) { o.platform = p } }
+// WithPlatform sets the platform profile used by the tile-size model. The
+// zero Platform means AutoPlatform.
+func WithPlatform(p Platform) Option { return func(c *core.Config) { c.Platform = p } }
 
 // WithMetrics enables data-access counter collection into Stats.Counters.
 func WithMetrics() Option {
-	return func(o *options) { o.counters = &metrics.Counters{} }
+	return func(c *core.Config) { c.Counters = &metrics.Counters{} }
 }
 
 // WithInputRep selects the input-tile representation (default RepHash).
-func WithInputRep(rep InputRep) Option { return func(o *options) { o.rep = rep } }
+func WithInputRep(rep InputRep) Option { return func(c *core.Config) { c.Rep = rep } }
 
-// WithContext attaches a context for cooperative cancellation: the run
-// checks it between pipeline stages and at tile-task boundaries and returns
-// the context's error wrapped. See also ContractContext.
-func WithContext(ctx context.Context) Option { return func(o *options) { o.ctx = ctx } }
+// WithContext attaches a context for cooperative cancellation. It is the
+// one cancellation path through the package: every entry point (Contract,
+// SelfContract, ContractPrepared, Einsum, EinsumN) accepts it, checks the
+// context between pipeline stages and at tile-task boundaries, and returns
+// ctx.Err() wrapped (errors.Is(err, context.Canceled) and errors.Is(err,
+// context.DeadlineExceeded) hold).
+func WithContext(ctx context.Context) Option { return func(c *core.Config) { c.Context = ctx } }
 
 // SetShardBudget bounds the process-wide cache of built tile shards (the
 // tables Preshard/ContractPrepared reuse across runs) to the given byte
@@ -278,7 +185,7 @@ func SpillFaults() SpillFaultStats { return core.SpillFaults() }
 // Tenant IDs are 1–128 bytes of printable ASCII without spaces; anything
 // else is rejected eagerly with ErrBadOption.
 func WithTenant(id string) Option {
-	return func(o *options) { o.tenant, o.tenantSet = id, true }
+	return func(c *core.Config) { c.Tenant, c.TenantSet = id, true }
 }
 
 // CacheStats is a point-in-time view of the shard cache: hit/miss/eviction
@@ -302,7 +209,7 @@ type TenantStats = metrics.TenantSnapshot
 // Invalid tenant IDs are rejected with ErrBadOption.
 func SetTenantQuota(id string, bytes int64) error {
 	if err := core.ValidTenant(id); err != nil {
-		return fmt.Errorf("%w: SetTenantQuota(%q): %v", ErrBadOption, id, err)
+		return err
 	}
 	core.SetTenantQuota(id, bytes)
 	return nil
@@ -324,7 +231,7 @@ func AllTenantCacheStats() []TenantStats { return core.AllTenantStats() }
 // are rejected with ErrBadOption.
 func DropTenant(id string) error {
 	if err := core.ValidTenant(id); err != nil {
-		return fmt.Errorf("%w: DropTenant(%q): %v", ErrBadOption, id, err)
+		return err
 	}
 	core.DropTenant(id)
 	return nil
@@ -336,7 +243,7 @@ func DropTenant(id string) error {
 // amortize that work across repeated contractions, Preshard the operands
 // once and use ContractPrepared.
 func Contract(l, r *Tensor, spec Spec, opts ...Option) (*Tensor, *Stats, error) {
-	o, err := resolveOptions(opts)
+	cfg, err := config(opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -365,28 +272,14 @@ func Contract(l, r *Tensor, spec Spec, opts ...Option) (*Tensor, *Stats, error) 
 	// shard-cache budget until eviction notices.
 	defer lsh.Drop()
 	rsh := lsh
-	if !(r == l && sameModes(spec.CtrLeft, spec.CtrRight)) {
+	if !(r == l && slices.Equal(spec.CtrLeft, spec.CtrRight)) {
 		rsh, err = preshardValidated(r, spec.CtrRight, "")
 		if err != nil {
 			return nil, nil, err
 		}
 		defer rsh.Drop()
 	}
-	return contractSharded(lsh, rsh, &o, time.Since(t0))
-}
-
-// sameModes reports whether two contracted-mode lists are identical
-// (same modes, same pairing order).
-func sameModes(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return contractSharded(lsh, rsh, cfg, time.Since(t0))
 }
 
 // SelfContract contracts a tensor with itself over the given modes — the

@@ -45,7 +45,7 @@ func TestContractMatrixMultiply(t *testing.T) {
 			t.Fatalf("O[%d,%d]=%g want %g", k[0], k[1], got, v)
 		}
 	}
-	if st.OutputNNZ != 4 || st.Total <= 0 {
+	if st.OutputNNZ != 4 || st.TotalTime <= 0 {
 		t.Fatalf("stats %+v", st)
 	}
 }

@@ -30,7 +30,7 @@ func TestContractRaggedLastTile(t *testing.T) {
 		r.Ctr = append(r.Ctr, e%3)
 		r.Val = append(r.Val, float64(e+2))
 	}
-	out, st, err := Contract(l, r, Config{Threads: 3, TileL: 32, TileR: 32})
+	out, st, err := contract(l, r, Config{Threads: 3, TileL: 32, TileR: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestContractTileLargerThanExtent(t *testing.T) {
 	l := randomMatrix(rng, 10, 5, 30)
 	r := randomMatrix(rng, 10, 5, 30)
 	// A tile far larger than either extent: one task, full contraction.
-	out, st, err := Contract(l, r, Config{Threads: 2, TileL: 1 << 12, TileR: 1 << 12, Accum: model.AccumSparse})
+	out, st, err := contract(l, r, Config{Threads: 2, TileL: 1 << 12, TileR: 1 << 12, Accum: model.AccumSparse})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestContractExtremeAspectTiles(t *testing.T) {
 	l := randomMatrix(rng, 128, 16, 400)
 	r := randomMatrix(rng, 128, 16, 400)
 	for _, tile := range [][2]uint64{{1, 128}, {128, 1}, {2, 64}} {
-		out, _, err := Contract(l, r, Config{Threads: 2, TileL: tile[0], TileR: tile[1]})
+		out, _, err := contract(l, r, Config{Threads: 2, TileL: tile[0], TileR: tile[1]})
 		if err != nil {
 			t.Fatalf("tile %v: %v", tile, err)
 		}
@@ -95,7 +95,7 @@ func TestContractNonPow2TileWithSparseAccum(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	l := randomMatrix(rng, 90, 11, 300)
 	r := randomMatrix(rng, 77, 11, 300)
-	out, st, err := Contract(l, r, Config{Threads: 2, TileL: 30, TileR: 21, Accum: model.AccumSparse})
+	out, st, err := contract(l, r, Config{Threads: 2, TileL: 30, TileR: 21, Accum: model.AccumSparse})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestContractNonPow2TileWithSparseAccum(t *testing.T) {
 func TestContractManyMoreThreadsThanTasks(t *testing.T) {
 	l := &coo.Matrix{Ext: []uint64{0}, Ctr: []uint64{0}, Val: []float64{2}, ExtDim: 4, CtrDim: 1}
 	r := &coo.Matrix{Ext: []uint64{1}, Ctr: []uint64{0}, Val: []float64{3}, ExtDim: 4, CtrDim: 1}
-	out, _, err := Contract(l, r, Config{Threads: 16, TileL: 2, TileR: 2})
+	out, _, err := contract(l, r, Config{Threads: 16, TileL: 2, TileR: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestContractSingleC(t *testing.T) {
 	// CtrDim == 1: every nonzero pair contributes (a pure outer product).
 	l := &coo.Matrix{Ext: []uint64{0, 1, 2}, Ctr: []uint64{0, 0, 0}, Val: []float64{1, 2, 3}, ExtDim: 3, CtrDim: 1}
 	r := &coo.Matrix{Ext: []uint64{0, 1}, Ctr: []uint64{0, 0}, Val: []float64{10, 100}, ExtDim: 2, CtrDim: 1}
-	out, _, err := Contract(l, r, Config{Threads: 2})
+	out, _, err := contract(l, r, Config{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestContractDuplicateInputCoordinates(t *testing.T) {
 	// Duplicates are independent contributions and must accumulate.
 	l := &coo.Matrix{Ext: []uint64{5, 5}, Ctr: []uint64{2, 2}, Val: []float64{1, 1}, ExtDim: 8, CtrDim: 4}
 	r := &coo.Matrix{Ext: []uint64{3}, Ctr: []uint64{2}, Val: []float64{10}, ExtDim: 8, CtrDim: 4}
-	out, _, err := Contract(l, r, Config{Threads: 1})
+	out, _, err := contract(l, r, Config{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestSortedRepMatchesHashRep(t *testing.T) {
 	l := randomMatrix(rng, 200, 40, 2000)
 	r := randomMatrix(rng, 150, 40, 1500)
 	collect := func(rep InputRep) *coo.Tensor {
-		out, _, err := Contract(l, r, Config{Threads: 3, TileL: 64, TileR: 64, Rep: rep})
+		out, _, err := contract(l, r, Config{Threads: 3, TileL: 64, TileR: 64, Rep: rep})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestSortedRepWithSparseAccumAndRaggedTiles(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	l := randomMatrix(rng, 97, 13, 700)
 	r := randomMatrix(rng, 83, 13, 600)
-	out, stc, err := Contract(l, r, Config{Threads: 2, TileL: 30, TileR: 41, Accum: model.AccumSparse, Rep: RepSorted})
+	out, stc, err := contract(l, r, Config{Threads: 2, TileL: 30, TileR: 41, Accum: model.AccumSparse, Rep: RepSorted})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestRepsAgreeOnUpdateCounts(t *testing.T) {
 	r := randomMatrix(rng, 110, 25, 800)
 	count := func(rep InputRep) int64 {
 		var c metrics.Counters
-		if _, _, err := Contract(l, r, Config{Threads: 2, TileL: 32, TileR: 32, Rep: rep, Counters: &c}); err != nil {
+		if _, _, err := contract(l, r, Config{Threads: 2, TileL: 32, TileR: 32, Rep: rep, Counters: &c}); err != nil {
 			t.Fatal(err)
 		}
 		return c.Snapshot().Updates

@@ -18,6 +18,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -59,6 +60,9 @@ type Config struct {
 	// eviction policy prefers over-quota tenants' shards. Empty leaves the
 	// run untenanted (shards unclaimed, global budget only).
 	Tenant string
+	// TenantSet marks Tenant as named by the caller, so Validate rejects an
+	// empty name instead of reading it as untenanted.
+	TenantSet bool
 	// Context, when non-nil, cancels the run cooperatively: it is checked
 	// between stages and at tile-task boundaries, and the run returns
 	// Context.Err() wrapped.
@@ -72,9 +76,67 @@ func (c Config) ctx() context.Context {
 	return context.Background()
 }
 
-// Stats reports what one contraction run did.
+// ErrBadOption matches an invalid or conflicting Config (see Validate),
+// and a tile override that conflicts with the accumulator the model picks.
+var ErrBadOption = errors.New("fastcc: bad option")
+
+// Validate reports an invalid or conflicting Config with an error wrapping
+// ErrBadOption. It checks everything knowable from the Config alone; plan
+// checks the dense-tile bound again once the model has picked the
+// accumulator.
+func (c Config) Validate() error {
+	if c.Threads < 0 {
+		return fmt.Errorf("%w: %d threads is negative (0 means GOMAXPROCS)", ErrBadOption, c.Threads)
+	}
+	if c.TileL > 1<<31 || c.TileR > 1<<31 {
+		return fmt.Errorf("%w: tile %dx%d exceeds the 2^31 tile-side bound", ErrBadOption, c.TileL, c.TileR)
+	}
+	switch c.Accum {
+	case model.AccumAuto, model.AccumSparse:
+	case model.AccumDense:
+		if err := checkDenseTile(c.TileL, c.TileR); err != nil {
+			return err
+		}
+	default:
+		return fmt.Errorf("%w: accumulator %d is not a known kind", ErrBadOption, int(c.Accum))
+	}
+	switch c.Rep {
+	case RepHash, RepSorted:
+	default:
+		return fmt.Errorf("%w: input representation %d is not a known one", ErrBadOption, int(c.Rep))
+	}
+	if c.Platform != (model.Platform{}) {
+		if err := c.Platform.Validate(); err != nil {
+			return fmt.Errorf("%w: %v", ErrBadOption, err)
+		}
+	}
+	if c.TenantSet || c.Tenant != "" {
+		return ValidTenant(c.Tenant)
+	}
+	return nil
+}
+
+// checkDenseTile reports a tile the dense accumulator cannot address: the
+// right side must be a power of two and the tile at most 2^31 positions.
+// A zero side is model-chosen and passes. Sides are at most 2^31, so the
+// product cannot wrap.
+func checkDenseTile(tl, tr uint64) error {
+	if tr&(tr-1) != 0 {
+		return fmt.Errorf("%w: a dense accumulator needs a power-of-two right tile side, got %d", ErrBadOption, tr)
+	}
+	if tl*tr > 1<<31 {
+		return fmt.Errorf("%w: dense tile %dx%d exceeds addressable positions", ErrBadOption, tl, tr)
+	}
+	return nil
+}
+
+// Stats reports everything one contraction run decided and measured.
 type Stats struct {
-	Decision     model.Decision
+	// Decision is the probabilistic model's output (densities, expected
+	// tile nonzeros, accumulator kind, tile sizes, kernel).
+	Decision model.Decision
+	// TileL, TileR are the tile sizes actually used; NL, NR the tile-grid
+	// dimensions.
 	TileL, TileR uint64
 	NL, NR       int
 	Threads      int
@@ -89,13 +151,41 @@ type Stats struct {
 	// OutputNNZ is the number of output nonzeros produced.
 	OutputNNZ int
 	// ShardReusedL/ShardReusedR report that the operand's tile shard was
-	// served from an Operand's cache instead of being built; BuildTime is
-	// zero when both are true.
+	// served from an Operand's cache instead of being built; ShardReused is
+	// the full hit (both sides), in which case BuildTime is zero.
 	ShardReusedL, ShardReusedR bool
-	// Phase timings (the paper's four steps; drain time is inside Contract).
-	BuildTime    time.Duration
-	ContractTime time.Duration
-	ConcatTime   time.Duration
+	ShardReused                bool
+	// Phase timings. The root package's entry points fill LinearizeTime,
+	// DelinearizeTime and TotalTime, the steps they own; TotalTime is the
+	// wall time of the whole run, linearize and delinearize included as in
+	// the paper. Drain time is inside ContractTime.
+	LinearizeTime   time.Duration
+	BuildTime       time.Duration
+	ContractTime    time.Duration
+	ConcatTime      time.Duration
+	DelinearizeTime time.Duration
+	TotalTime       time.Duration
+	// Counters snapshots Config.Counters at the end of the run (zero when
+	// none were given).
+	Counters metrics.Snapshot
+}
+
+// String renders the stats on two lines for logs.
+func (s *Stats) String() string {
+	reuse := ""
+	switch {
+	case s.ShardReused:
+		reuse = " shards=reused"
+	case s.ShardReusedL:
+		reuse = " shards=reusedL"
+	case s.ShardReusedR:
+		reuse = " shards=reusedR"
+	}
+	return fmt.Sprintf(
+		"fastcc: accumulator=%s tile=%dx%d grid=%dx%d tasks=%d block=%dx%d threads=%d out_nnz=%d%s\n"+
+			"fastcc: total=%v (linearize=%v build=%v contract=%v concat=%v delinearize=%v)",
+		s.Decision.Kind, s.TileL, s.TileR, s.NL, s.NR, s.Tasks, s.BlockL, s.BlockR, s.Threads, s.OutputNNZ, reuse,
+		s.TotalTime, s.LinearizeTime, s.BuildTime, s.ContractTime, s.ConcatTime, s.DelinearizeTime)
 }
 
 // outputChunks recycles the chunk storage of output triple lists across
@@ -113,30 +203,17 @@ type accKey struct {
 // buffers.
 var workerFree = mempool.NewFreelist[accKey, *worker](0)
 
-// Contract runs the tiled-CO contraction O[l,r] = Σ_c L[l,c]·R[c,r] on
-// matrixized operands and returns the output as a concatenated chunk list
-// of triples. The operands are sharded transiently — the shards are dropped
-// before returning, so one-shot contractions leave nothing charged to the
-// shard cache; callers that contract the same operand repeatedly should
-// wrap it once with NewOperand and use ContractOperands.
-func Contract(l, r *coo.Matrix, cfg Config) (*mempool.List[Triple], *Stats, error) {
-	lo := NewOperand(l)
-	ro := lo
-	if r != l {
-		ro = NewOperand(r)
-	}
-	defer lo.Close()
-	if ro != lo {
-		defer ro.Close()
-	}
-	return ContractOperands(lo, ro, cfg)
-}
-
-// ContractOperands is Contract over shard-caching operands: each side's
-// Build phase is skipped when the operand already holds a shard compatible
-// with this run's plan (same tile side and representation). Passing the
-// same *Operand on both sides of a self-contraction shards it exactly once.
+// ContractOperands runs the tiled-CO contraction O[l,r] = Σ_c L[l,c]·R[c,r]
+// on two shard-caching operands and returns the output as a concatenated
+// chunk list of triples. Each side's Build phase is skipped when the
+// operand already holds a shard compatible with this run's plan (same tile
+// side and representation). Passing the same *Operand on both sides of a
+// self-contraction shards it exactly once. A Config that fails Validate is
+// rejected before any work runs.
 func ContractOperands(l, r *Operand, cfg Config) (*mempool.List[Triple], *Stats, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
 	if cfg.Platform == (model.Platform{}) {
 		cfg.Platform = model.Auto()
 	}
@@ -165,6 +242,7 @@ func ContractOperands(l, r *Operand, cfg Config) (*mempool.List[Triple], *Stats,
 	// worker has also released its own guard pins.
 	ls, rs, builtL, builtR := buildShards(l, r, ShardKey{Tile: tl, Rep: cfg.Rep}, ShardKey{Tile: tr, Rep: cfg.Rep}, threads, st)
 	st.ShardReusedL, st.ShardReusedR = !builtL, !builtR
+	st.ShardReused = !builtL && !builtR
 	if cfg.Tenant != "" {
 		// Charge both shards to the run's tenant while the run pins protect
 		// them.
@@ -197,7 +275,7 @@ func canceled(err error) error {
 }
 
 // plan runs the model decision (Algorithm 7), applies overrides, and
-// validates the resulting tile geometry.
+// checks the resulting tile against the accumulator the model picked.
 func plan(l, r *coo.Matrix, cfg Config) (model.Decision, error) {
 	if l.ExtDim == 0 || r.ExtDim == 0 || l.CtrDim == 0 {
 		return model.Decision{}, fmt.Errorf("core: zero-extent operand (L=%d, R=%d, C=%d)", l.ExtDim, r.ExtDim, l.CtrDim)
@@ -220,20 +298,9 @@ func plan(l, r *coo.Matrix, cfg Config) (model.Decision, error) {
 	if cfg.TileR != 0 {
 		dec.TileR = cfg.TileR
 	}
-	tl, tr := dec.TileL, dec.TileR
-	if tl == 0 || tr == 0 {
-		return model.Decision{}, fmt.Errorf("core: zero tile size %dx%d", tl, tr)
-	}
-	// Bound the sides first so the tl*tr product below cannot wrap uint64.
-	if tl > 1<<31 || tr > 1<<31 {
-		return model.Decision{}, fmt.Errorf("core: tile side exceeds 2^31 (%dx%d)", tl, tr)
-	}
 	if dec.Kind == model.AccumDense {
-		if tr&(tr-1) != 0 {
-			return model.Decision{}, fmt.Errorf("core: dense accumulator needs power-of-two TileR, got %d", tr)
-		}
-		if tl*tr > 1<<31 {
-			return model.Decision{}, fmt.Errorf("core: dense tile %dx%d exceeds addressable positions", tl, tr)
+		if err := checkDenseTile(dec.TileL, dec.TileR); err != nil {
+			return model.Decision{}, err
 		}
 	}
 	dec.Kernel = model.SelectKernel(cfg.Rep == RepSorted, dec.Kind)
@@ -389,6 +456,7 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 	if dec.Kind == model.AccumDense {
 		cfg.Counters.MaxWorkspace(int64(tl) * int64(tr) * int64(threads))
 	}
+	st.Counters = cfg.Counters.Snapshot()
 	return out, st, nil
 }
 

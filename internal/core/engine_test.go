@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"fastcc/internal/coo"
+	"fastcc/internal/mempool"
 	"fastcc/internal/metrics"
 	"fastcc/internal/model"
 	"fastcc/internal/ref"
@@ -24,13 +25,27 @@ func randomMatrix(rng *rand.Rand, extDim, ctrDim uint64, nnz int) *coo.Matrix {
 	return m
 }
 
+// contract runs ContractOperands on transient operands, dropping their
+// shards before returning, so a test leaves nothing charged to the shard
+// cache.
+func contract(l, r *coo.Matrix, cfg Config) (*mempool.List[Triple], *Stats, error) {
+	lo := NewOperand(l)
+	defer lo.Close()
+	ro := lo
+	if r != l {
+		ro = NewOperand(r)
+		defer ro.Close()
+	}
+	return ContractOperands(lo, ro, cfg)
+}
+
 // runAndCompare contracts with cfg and checks the result against the map
 // reference. Returns the stats for further assertions.
 func runAndCompare(t *testing.T, l, r *coo.Matrix, cfg Config) *Stats {
 	t.Helper()
-	out, st, err := Contract(l, r, cfg)
+	out, st, err := contract(l, r, cfg)
 	if err != nil {
-		t.Fatalf("Contract: %v", err)
+		t.Fatalf("contract: %v", err)
 	}
 	var ls, rs []uint64
 	var vs []float64
@@ -58,7 +73,7 @@ func TestContractTinyKnown(t *testing.T) {
 		Ext: []uint64{0, 0, 1}, Ctr: []uint64{0, 1, 1},
 		Val: []float64{4, 5, 6}, ExtDim: 2, CtrDim: 2,
 	}
-	out, st, err := Contract(l, r, Config{Threads: 1})
+	out, st, err := contract(l, r, Config{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +117,7 @@ func TestContractDeterministicAcrossThreads(t *testing.T) {
 	l := randomMatrix(rng, 500, 80, 4000)
 	r := randomMatrix(rng, 400, 80, 3000)
 	collect := func(threads int) *coo.Tensor {
-		out, _, err := Contract(l, r, Config{Threads: threads, TileL: 64, TileR: 64})
+		out, _, err := contract(l, r, Config{Threads: threads, TileL: 64, TileR: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +142,7 @@ func TestContractDeterministicAcrossThreads(t *testing.T) {
 func TestContractEmptyOperands(t *testing.T) {
 	l := &coo.Matrix{ExtDim: 10, CtrDim: 10}
 	r := &coo.Matrix{ExtDim: 10, CtrDim: 10}
-	out, st, err := Contract(l, r, Config{})
+	out, st, err := contract(l, r, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +155,7 @@ func TestContractDisjointContractionIndices(t *testing.T) {
 	// L only has c=0, R only has c=1: product is empty.
 	l := &coo.Matrix{Ext: []uint64{3}, Ctr: []uint64{0}, Val: []float64{5}, ExtDim: 8, CtrDim: 2}
 	r := &coo.Matrix{Ext: []uint64{4}, Ctr: []uint64{1}, Val: []float64{7}, ExtDim: 8, CtrDim: 2}
-	out, _, err := Contract(l, r, Config{Threads: 2})
+	out, _, err := contract(l, r, Config{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +178,7 @@ func TestContractErrors(t *testing.T) {
 		{"bad platform", ok, ok, Config{Platform: model.Platform{Name: "x", Cores: -1, L3Bytes: 1, WordBytes: 8}}},
 	}
 	for _, c := range cases {
-		if _, _, err := Contract(c.l, c.r, c.cfg); err == nil {
+		if _, _, err := contract(c.l, c.r, c.cfg); err == nil {
 			t.Errorf("%s: want error", c.name)
 		}
 	}
@@ -174,7 +189,7 @@ func TestContractCountersPlausible(t *testing.T) {
 	l := randomMatrix(rng, 100, 30, 500)
 	r := randomMatrix(rng, 100, 30, 500)
 	var c metrics.Counters
-	_, st, err := Contract(l, r, Config{Threads: 2, TileL: 32, TileR: 32, Counters: &c})
+	_, st, err := contract(l, r, Config{Threads: 2, TileL: 32, TileR: 32, Counters: &c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +252,7 @@ func TestContractTilingInvarianceProperty(t *testing.T) {
 		r := randomMatrix(rng, extR, ctr, rng.Intn(150))
 		want := ref.MapToMatrixTensor(ref.ContractMatrix(l, r), extL, extR)
 		for _, tile := range []uint64{1, 4, 16, 512} {
-			out, _, err := Contract(l, r, Config{Threads: 3, TileL: tile, TileR: tile})
+			out, _, err := contract(l, r, Config{Threads: 3, TileL: tile, TileR: tile})
 			if err != nil {
 				return false
 			}
@@ -279,7 +294,7 @@ func TestContractOutputChunksReturnToBaseline(t *testing.T) {
 	l := randomMatrix(rng, 120, 40, 900)
 	r := randomMatrix(rng, 150, 40, 900)
 	for i := 0; i < 3; i++ {
-		out, _, err := Contract(l, r, Config{Threads: 3})
+		out, _, err := contract(l, r, Config{Threads: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

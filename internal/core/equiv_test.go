@@ -19,9 +19,9 @@ import (
 // collectSorted contracts and returns the output as a sorted tensor.
 func collectSorted(t *testing.T, l, r *coo.Matrix, cfg Config) *coo.Tensor {
 	t.Helper()
-	out, _, err := Contract(l, r, cfg)
+	out, _, err := contract(l, r, cfg)
 	if err != nil {
-		t.Fatalf("Contract(%+v): %v", cfg, err)
+		t.Fatalf("contract(%+v): %v", cfg, err)
 	}
 	var ls, rs []uint64
 	var vs []float64
@@ -104,7 +104,7 @@ func TestBlockedScheduleMatchesAcrossThreadsAndPlatforms(t *testing.T) {
 
 func TestShardReuseBitIdentity(t *testing.T) {
 	// A warm run over cached shards must reproduce the cold run bit for bit
-	// and report the reuse (Build == 0, sealed tables served from cache).
+	// and report the reuse (BuildTime == 0, sealed tables served from cache).
 	rng := rand.New(rand.NewSource(77))
 	lm := randomMatrix(rng, 400, 50, 3000)
 	rm := randomMatrix(rng, 350, 50, 2800)
@@ -298,7 +298,7 @@ func FuzzContractTiling(f *testing.F) {
 		for _, rep := range []InputRep{RepHash, RepSorted} {
 			// Sparse accumulator: no power-of-two TileR constraint, so every
 			// fuzzed geometry is legal.
-			out, _, err := Contract(l, r, Config{
+			out, _, err := contract(l, r, Config{
 				Threads: 3, TileL: tileL, TileR: tileR,
 				Accum: model.AccumSparse, Rep: rep, Platform: tinyLLC,
 			})

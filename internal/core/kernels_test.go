@@ -29,7 +29,7 @@ func TestKernelResolution(t *testing.T) {
 	}
 	for _, c := range cases {
 		cfg := Config{Threads: 2, TileL: 32, TileR: 32, Accum: c.acc, Rep: c.rep, Platform: tinyLLC}
-		out, st, err := Contract(l, r, cfg)
+		out, st, err := contract(l, r, cfg)
 		if err != nil {
 			t.Fatalf("%v/%v: %v", c.rep, c.acc, err)
 		}
@@ -118,7 +118,7 @@ func TestHashKernelProbeCounters(t *testing.T) {
 	r := randomMatrix(rng, 180, 40, 1300)
 	for _, acc := range []model.AccumKind{model.AccumDense, model.AccumSparse} {
 		var ctr metrics.Counters
-		out, st, err := Contract(l, r, Config{
+		out, st, err := contract(l, r, Config{
 			Threads: 2, TileL: 32, TileR: 32, Accum: acc, Platform: tinyLLC, Counters: &ctr,
 		})
 		if err != nil {
@@ -141,7 +141,7 @@ func TestHashKernelProbeCounters(t *testing.T) {
 	}
 	// Sorted kernels probe nothing: the batch counters must stay zero.
 	var ctr metrics.Counters
-	out, _, err := Contract(l, r, Config{
+	out, _, err := contract(l, r, Config{
 		Threads: 2, TileL: 32, TileR: 32, Rep: RepSorted, Accum: model.AccumSparse,
 		Platform: tinyLLC, Counters: &ctr,
 	})

@@ -24,7 +24,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -38,17 +37,17 @@ const tenantMaxLen = 128
 // ValidTenant checks the tenant-ID grammar shared by WithTenant,
 // SetTenantQuota, DropTenant and the server's tenant header: 1–128 bytes of
 // printable ASCII with no spaces, so an ID travels unmangled through
-// headers, logs and URLs.
+// headers, logs and URLs. A bad ID is an ErrBadOption.
 func ValidTenant(id string) error {
 	if id == "" {
-		return errors.New("tenant ID is empty")
+		return fmt.Errorf("%w: tenant ID is empty", ErrBadOption)
 	}
 	if len(id) > tenantMaxLen {
-		return fmt.Errorf("tenant ID exceeds %d bytes", tenantMaxLen)
+		return fmt.Errorf("%w: tenant ID exceeds %d bytes", ErrBadOption, tenantMaxLen)
 	}
 	for i := 0; i < len(id); i++ {
 		if c := id[i]; c <= 0x20 || c >= 0x7f {
-			return fmt.Errorf("tenant ID byte %d (0x%02x) is not printable ASCII", i, c)
+			return fmt.Errorf("%w: tenant ID byte %d (0x%02x) is not printable ASCII", ErrBadOption, i, c)
 		}
 	}
 	return nil

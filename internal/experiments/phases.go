@@ -24,22 +24,22 @@ func RunPhases(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		total := stats.Total.Seconds()
+		total := stats.TotalTime.Seconds()
 		if total <= 0 {
 			continue
 		}
 		pct := func(s float64) float64 { return 100 * s / total }
-		build := stats.Build.Seconds()
+		build := stats.BuildTime.Seconds()
 		note := ""
-		if build > stats.Contract.Seconds() {
+		if build > stats.ContractTime.Seconds() {
 			note = "build-bound"
 		}
 		t.addf("%s|%s|%.0f%%|%.0f%%|%.0f%%|%.0f%%|%s",
-			cs.ID, secs(stats.Total),
-			pct(stats.Linearize.Seconds()),
+			cs.ID, secs(stats.TotalTime),
+			pct(stats.LinearizeTime.Seconds()),
 			pct(build),
-			pct(stats.Contract.Seconds()),
-			pct(stats.Concat.Seconds()+stats.Delinearize.Seconds()),
+			pct(stats.ContractTime.Seconds()),
+			pct(stats.ConcatTime.Seconds()+stats.DelinearizeTime.Seconds()),
 			note)
 	}
 	cfg.print(t)

@@ -245,6 +245,23 @@ func (c *Counters) Snapshot() Snapshot {
 	return s
 }
 
+// Add returns the field-wise sum of two snapshots, except WorkspaceWords,
+// a high-water mark, which takes the larger of the two.
+func (s Snapshot) Add(o Snapshot) Snapshot {
+	s.Queries += o.Queries
+	s.Volume += o.Volume
+	s.Updates += o.Updates
+	s.WorkspaceWords = max(s.WorkspaceWords, o.WorkspaceWords)
+	s.Output += o.Output
+	s.ProbeBatches += o.ProbeBatches
+	s.ProbeHits += o.ProbeHits
+	s.ProbeMisses += o.ProbeMisses
+	for i := range s.KernelTasks {
+		s.KernelTasks[i] += o.KernelTasks[i]
+	}
+	return s
+}
+
 // String renders the snapshot compactly for logs and experiment tables.
 func (s Snapshot) String() string {
 	return fmt.Sprintf("queries=%d volume=%d updates=%d ws_words=%d out=%d probe_batches=%d probe_hits=%d probe_misses=%d",

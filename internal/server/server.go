@@ -295,10 +295,7 @@ func validTenantID(id string) error {
 	if id == "" {
 		return fmt.Errorf("%w: missing %s header", fastcc.ErrBadOption, TenantHeader)
 	}
-	if err := core.ValidTenant(id); err != nil {
-		return fmt.Errorf("%w: %v", fastcc.ErrBadOption, err)
-	}
-	return nil
+	return core.ValidTenant(id)
 }
 
 // tenanted wraps a handler with tenant-header extraction/validation and
@@ -435,9 +432,9 @@ func (s *Server) handleContract(w http.ResponseWriter, r *http.Request, tenant s
 	writeJSON(w, &ContractResponse{
 		ResultID:    id,
 		OutputNNZ:   out.NNZ(),
-		BuildNS:     stats.Build.Nanoseconds(),
-		ContractNS:  stats.Contract.Nanoseconds(),
-		TotalNS:     stats.Total.Nanoseconds(),
+		BuildNS:     stats.BuildTime.Nanoseconds(),
+		ContractNS:  stats.ContractTime.Nanoseconds(),
+		TotalNS:     stats.TotalTime.Nanoseconds(),
 		ShardReused: stats.ShardReused,
 	})
 }

@@ -40,7 +40,7 @@ import (
 // stages and at tile-task boundaries) and between steps, so canceling the
 // context abandons the remaining network promptly with ctx.Err() wrapped.
 func EinsumN(expr string, tensors []*Tensor, opts ...Option) (*Tensor, *Plan, error) {
-	o, err := resolveOptions(opts)
+	cfg, err := config(opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -110,8 +110,8 @@ func EinsumN(expr string, tensors []*Tensor, opts ...Option) (*Tensor, *Plan, er
 
 	plan := &Plan{Expr: expr}
 	for len(ops) > 1 {
-		if o.ctx != nil {
-			if err := o.ctx.Err(); err != nil {
+		if cfg.Context != nil {
+			if err := cfg.Context.Err(); err != nil {
 				return nil, nil, fmt.Errorf("fastcc: network evaluation canceled: %w", err)
 			}
 		}
@@ -134,8 +134,8 @@ func EinsumN(expr string, tensors []*Tensor, opts ...Option) (*Tensor, *Plan, er
 		}
 		// Attribute this step's linearization (zero on a cache hit) the way
 		// Contract would have.
-		stats.Linearize = linA + linB
-		stats.Total += stats.Linearize
+		stats.LinearizeTime = linA + linB
+		stats.TotalTime += stats.LinearizeTime
 		merged := mergedLabels(a.labels, b.labels, spec)
 		plan.Steps = append(plan.Steps, PlanStep{
 			Left:   string(a.labels),
@@ -219,12 +219,12 @@ func (p *Plan) TotalStats() *Stats {
 		if s == nil {
 			continue
 		}
-		agg.Linearize += s.Linearize
-		agg.Build += s.Build
-		agg.Contract += s.Contract
-		agg.Concat += s.Concat
-		agg.Delinearize += s.Delinearize
-		agg.Total += s.Total
+		agg.LinearizeTime += s.LinearizeTime
+		agg.BuildTime += s.BuildTime
+		agg.ContractTime += s.ContractTime
+		agg.ConcatTime += s.ConcatTime
+		agg.DelinearizeTime += s.DelinearizeTime
+		agg.TotalTime += s.TotalTime
 		agg.Tasks += s.Tasks
 		agg.Blocks += s.Blocks
 		if s.Threads > agg.Threads {
@@ -234,13 +234,7 @@ func (p *Plan) TotalStats() *Stats {
 		agg.ShardReusedL = agg.ShardReusedL && s.ShardReusedL
 		agg.ShardReusedR = agg.ShardReusedR && s.ShardReusedR
 		agg.ShardReused = agg.ShardReused && s.ShardReused
-		agg.Counters.Queries += s.Counters.Queries
-		agg.Counters.Volume += s.Counters.Volume
-		agg.Counters.Updates += s.Counters.Updates
-		agg.Counters.Output += s.Counters.Output
-		if s.Counters.WorkspaceWords > agg.Counters.WorkspaceWords {
-			agg.Counters.WorkspaceWords = s.Counters.WorkspaceWords
-		}
+		agg.Counters = agg.Counters.Add(s.Counters)
 	}
 	return agg
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"fastcc/internal/metrics"
 	"fastcc/internal/ref"
 )
 
@@ -199,25 +200,38 @@ func TestPlanTotalStats(t *testing.T) {
 	agg := plan.TotalStats()
 
 	var total, contract int64
-	var tasks, updates int64
+	var tasks int64
+	var sum metrics.Snapshot
 	for _, s := range plan.Steps {
 		if s.Stats == nil {
 			t.Fatal("step carries no Stats")
 		}
-		total += int64(s.Stats.Total)
-		contract += int64(s.Stats.Contract)
+		total += int64(s.Stats.TotalTime)
+		contract += int64(s.Stats.ContractTime)
 		tasks += int64(s.Stats.Tasks)
-		updates += s.Stats.Counters.Updates
+		c := s.Stats.Counters
+		sum.Updates += c.Updates
+		sum.ProbeBatches += c.ProbeBatches
+		sum.ProbeHits += c.ProbeHits
+		sum.ProbeMisses += c.ProbeMisses
+		for k := range c.KernelTasks {
+			sum.KernelTasks[k] += c.KernelTasks[k]
+		}
 	}
-	if int64(agg.Total) != total || int64(agg.Contract) != contract {
+	if int64(agg.TotalTime) != total || int64(agg.ContractTime) != contract {
 		t.Fatalf("TotalStats timings total=%v contract=%v, want sums %v / %v",
-			agg.Total, agg.Contract, time.Duration(total), time.Duration(contract))
+			agg.TotalTime, agg.ContractTime, time.Duration(total), time.Duration(contract))
 	}
 	if int64(agg.Tasks) != tasks {
 		t.Fatalf("TotalStats.Tasks = %d, want %d", agg.Tasks, tasks)
 	}
-	if agg.Counters.Updates != updates {
-		t.Fatalf("TotalStats.Counters.Updates = %d, want %d", agg.Counters.Updates, updates)
+	if sum.ProbeBatches == 0 || sum.KernelTasks == [len(sum.KernelTasks)]int64{} {
+		t.Fatalf("steps recorded no probe batches or kernel tasks: %+v", sum)
+	}
+	got := agg.Counters
+	if got.Updates != sum.Updates || got.ProbeBatches != sum.ProbeBatches || got.ProbeHits != sum.ProbeHits ||
+		got.ProbeMisses != sum.ProbeMisses || got.KernelTasks != sum.KernelTasks {
+		t.Fatalf("TotalStats.Counters = %+v, want step sums %+v", got, sum)
 	}
 	if agg.OutputNNZ != plan.Steps[len(plan.Steps)-1].Stats.OutputNNZ {
 		t.Fatalf("TotalStats.OutputNNZ = %d, want final step's %d",
@@ -226,7 +240,7 @@ func TestPlanTotalStats(t *testing.T) {
 
 	// An empty plan aggregates to zeros without reporting phantom reuse.
 	empty := (&Plan{}).TotalStats()
-	if empty.Total != 0 || empty.ShardReused {
+	if empty.TotalTime != 0 || empty.ShardReused {
 		t.Fatalf("empty plan TotalStats = %+v, want zeros", empty)
 	}
 }

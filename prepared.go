@@ -1,7 +1,6 @@
 package fastcc
 
 import (
-	"context"
 	"time"
 
 	"fastcc/internal/coo"
@@ -17,7 +16,7 @@ import (
 // Repeated contractions that arrive at the same tile grid — a self-
 // contraction, one tensor contracted against many partners of similar
 // shape, or any run with an explicit WithTileSize — skip Linearize and
-// Build entirely and report Stats.Build == 0 with the ShardReused flags
+// Build entirely and report Stats.BuildTime == 0 with the ShardReused flags
 // set.
 //
 // A Sharded is safe for concurrent use by multiple contractions. The
@@ -52,15 +51,6 @@ func Preshard(t *Tensor, modes []int, opts ...Option) (*Sharded, error) {
 // mercy. Safe to call concurrently with contractions and repeatedly.
 func (s *Sharded) Drop() { s.op.Close() }
 
-// Close is Drop under the standard io.Closer spelling, so a *Sharded slots
-// into registries and defer chains that manage Closers uniformly. It never
-// fails (the error is always nil) and, like Drop, leaves the Sharded usable:
-// a later contraction rebuilds what it needs.
-func (s *Sharded) Close() error {
-	s.Drop()
-	return nil
-}
-
 // SizeBytes reports the resident footprint of the tile shards currently
 // cached inside this Sharded — the bytes the shard-cache budget (and, for
 // tenanted runs, the owning tenants' quotas) are charged for it right now.
@@ -73,7 +63,7 @@ func (s *Sharded) SizeBytes() int64 {
 
 // Warm reports whether at least one built tile shard is resident, i.e.
 // whether the next compatible contraction can skip the Build phase
-// entirely (Stats.Build == 0 on a full hit). Like SizeBytes it is a
+// entirely (Stats.BuildTime == 0 on a full hit). Like SizeBytes it is a
 // non-blocking accounting view — an in-flight build counts as cold.
 func (s *Sharded) Warm() bool {
 	_, n := s.op.Resident()
@@ -89,7 +79,7 @@ func (s *Sharded) Warm() bool {
 // eager builds, reuse semantics — matches Preshard exactly; an empty key
 // degrades to the anonymous Preshard behaviour.
 func PreshardKeyed(t *Tensor, modes []int, key string, opts ...Option) (*Sharded, error) {
-	o, err := resolveOptions(opts)
+	cfg, err := config(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -109,9 +99,9 @@ func PreshardKeyed(t *Tensor, modes []int, key string, opts ...Option) (*Sharded
 	// override lands exactly on these keys. Warm builds without keeping a
 	// pin — the prepared operand holds no claim against eviction; a budget
 	// squeeze simply means the first contraction rebuilds.
-	for _, tile := range []uint64{o.tileL, o.tileR} {
+	for _, tile := range []uint64{cfg.TileL, cfg.TileR} {
 		if tile != 0 {
-			s.op.Warm(core.ShardKey{Tile: tile, Rep: o.rep}, o.threads)
+			s.op.Warm(core.ShardKey{Tile: tile, Rep: cfg.Rep}, cfg.Threads)
 		}
 	}
 	return s, nil
@@ -150,15 +140,15 @@ func (s *Sharded) Modes() []int { return append([]int(nil), s.modes...) }
 // the left tensor is summed against mode r.Modes()[k] of the right (the
 // Spec was frozen by the Preshard calls). Either side — or both, including
 // the same *Sharded twice for a self-contraction — reuses its cached tile
-// shard when the run's tile grid matches, reporting Stats.Build == 0 and
-// the ShardReused flags on a full hit.
+// shard when the run's tile grid matches, reporting Stats.BuildTime == 0
+// and the ShardReused flags on a full hit.
 //
 // Options behave exactly as on Contract — WithContext cancels cooperatively
 // between pipeline stages and at tile-task boundaries, WithTenant charges
 // the run's shards to a tenant account — so prepared and one-shot paths are
 // interchangeable call-site by call-site.
 func ContractPrepared(l, r *Sharded, opts ...Option) (*Tensor, *Stats, error) {
-	o, err := resolveOptions(opts)
+	cfg, err := config(opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -166,58 +156,19 @@ func ContractPrepared(l, r *Sharded, opts ...Option) (*Tensor, *Stats, error) {
 	if err := spec.Validate(l.t, r.t); err != nil {
 		return nil, nil, err
 	}
-	return contractSharded(l, r, &o, 0)
-}
-
-// ContractContext is a convenience wrapper for Contract(l, r, spec,
-// append(opts, WithContext(ctx))...) — nothing more. WithContext is the one
-// cancellation path through the package: every entry point (Contract,
-// SelfContract, ContractPrepared, Einsum, EinsumN) accepts it uniformly,
-// checks the context between pipeline stages and at tile-task boundaries,
-// and returns ctx.Err() wrapped (errors.Is(err, context.Canceled) and
-// errors.Is(err, context.DeadlineExceeded) hold). The ctx argument is
-// appended last, so under the package's last-option-wins convention it
-// takes precedence over any WithContext already in opts.
-func ContractContext(ctx context.Context, l, r *Tensor, spec Spec, opts ...Option) (*Tensor, *Stats, error) {
-	withCtx := make([]Option, 0, len(opts)+1)
-	withCtx = append(withCtx, opts...)
-	withCtx = append(withCtx, WithContext(ctx))
-	return Contract(l, r, spec, withCtx...)
+	return contractSharded(l, r, cfg, 0)
 }
 
 // contractSharded runs the shared build/execute pipeline over two prepared
 // operands and de-linearizes the output. linearize is the time the caller
 // spent matrixizing (zero when the operands were prepared earlier — that is
 // the amortization).
-func contractSharded(l, r *Sharded, o *options, linearize time.Duration) (*Tensor, *Stats, error) {
-	st := &Stats{Linearize: linearize}
+func contractSharded(l, r *Sharded, cfg core.Config, linearize time.Duration) (*Tensor, *Stats, error) {
 	tStart := time.Now()
-
-	out, cst, err := core.ContractOperands(l.op, r.op, core.Config{
-		Threads:  o.threads,
-		TileL:    o.tileL,
-		TileR:    o.tileR,
-		Accum:    o.accum,
-		Platform: o.platform,
-		Counters: o.counters,
-		Rep:      o.rep,
-		Context:  o.ctx,
-		Tenant:   o.tenant,
-	})
+	out, st, err := core.ContractOperands(l.op, r.op, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	st.Decision = cst.Decision
-	st.TileL, st.TileR = cst.TileL, cst.TileR
-	st.NL, st.NR, st.Tasks = cst.NL, cst.NR, cst.Tasks
-	st.BlockL, st.BlockR, st.Blocks = cst.BlockL, cst.BlockR, cst.Blocks
-	st.Threads = cst.Threads
-	st.OutputNNZ = cst.OutputNNZ
-	st.Build = cst.BuildTime
-	st.Contract = cst.ContractTime
-	st.Concat = cst.ConcatTime
-	st.ShardReusedL, st.ShardReusedR = cst.ShardReusedL, cst.ShardReusedR
-	st.ShardReused = cst.ShardReusedL && cst.ShardReusedR
 
 	// Post-processing: de-linearize the output chunks straight into the
 	// result tensor (timed).
@@ -237,8 +188,8 @@ func contractSharded(l, r *Sharded, o *options, linearize time.Duration) (*Tenso
 	if ferr != nil {
 		return nil, nil, ferr
 	}
-	st.Delinearize = time.Since(t0)
-	st.Total = linearize + time.Since(tStart)
-	st.Counters = o.counters.Snapshot()
+	st.LinearizeTime = linearize
+	st.DelinearizeTime = time.Since(t0)
+	st.TotalTime = linearize + time.Since(tStart)
 	return result, st, nil
 }

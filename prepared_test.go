@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"fastcc/internal/core"
+	"fastcc/internal/metrics"
+	"fastcc/internal/model"
 	"fastcc/internal/ref"
 	"fastcc/internal/testutil"
 )
@@ -53,11 +55,11 @@ func TestContractPreparedMatchesContract(t *testing.T) {
 	if !warmSt.ShardReusedL || !warmSt.ShardReusedR || !warmSt.ShardReused {
 		t.Fatalf("warm run should reuse both shards: %+v", warmSt)
 	}
-	if warmSt.Build != 0 {
-		t.Fatalf("warm run reports Build=%v, want 0", warmSt.Build)
+	if warmSt.BuildTime != 0 {
+		t.Fatalf("warm run reports BuildTime=%v, want 0", warmSt.BuildTime)
 	}
-	if warmSt.Linearize != 0 {
-		t.Fatalf("warm run reports Linearize=%v, want 0", warmSt.Linearize)
+	if warmSt.LinearizeTime != 0 {
+		t.Fatalf("warm run reports LinearizeTime=%v, want 0", warmSt.LinearizeTime)
 	}
 }
 
@@ -123,7 +125,7 @@ func TestShardedReusedAcrossPartners(t *testing.T) {
 		}
 		// Preshard with WithTileSize builds eagerly, so even the first
 		// contraction is a full shard hit.
-		if !st.ShardReused || st.Build != 0 {
+		if !st.ShardReused || st.BuildTime != 0 {
 			t.Fatalf("partner %d: want eager-shard hit, got %+v", i, st)
 		}
 		if err := VerifySample(shared, p, spec, got, 48, uint64(i), 1e-9); err != nil {
@@ -173,9 +175,10 @@ func TestShardedConcurrentUse(t *testing.T) {
 	}
 }
 
-// TestContractContextCancel checks cooperative cancellation: a pre-canceled
-// context fails fast with an error matching context.Canceled, and a valid
-// context leaves the result untouched.
+// TestContractContextCancel checks cooperative cancellation through
+// WithContext: a pre-canceled context fails fast with an error matching
+// context.Canceled, a later WithContext overrides an earlier one, and a
+// live context leaves the result untouched.
 func TestContractContextCancel(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	l := randomTensor(rng, []uint64{30, 30}, 300)
@@ -184,14 +187,14 @@ func TestContractContextCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := ContractContext(ctx, l, r, spec); !errors.Is(err, context.Canceled) {
+	if _, _, err := Contract(l, r, spec, WithContext(ctx)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if _, _, err := Contract(l, r, spec, WithContext(ctx)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("WithContext: want context.Canceled, got %v", err)
+	if _, _, err := Contract(l, r, spec, WithContext(context.Background()), WithContext(ctx)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("last WithContext: want context.Canceled, got %v", err)
 	}
 
-	out, _, err := ContractContext(context.Background(), l, r, spec)
+	out, _, err := Contract(l, r, spec, WithContext(ctx), WithContext(context.Background()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,29 +203,72 @@ func TestContractContextCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !Equal(out, want) {
-		t.Fatal("uncanceled ContractContext mismatch")
+		t.Fatal("uncanceled contraction mismatch")
 	}
 }
 
-// TestOptionValidation checks the eager ErrBadOption rejections.
-func TestOptionValidation(t *testing.T) {
+// badOptions are option sets every entry point rejects with ErrBadOption
+// on optionInput. The eager ones are knowable from the options alone, so
+// Preshard rejects them too; the others conflict with the model's decision
+// and so need both operands.
+var badOptions = []struct {
+	name  string
+	opts  []Option
+	eager bool
+}{
+	{"negative threads", []Option{WithThreads(-1)}, true},
+	{"huge tile", []Option{WithTileSize(1<<40, 64)}, true},
+	{"dense non-pow2 tr", []Option{WithAccumulator(AccumDense), WithTileSize(64, 100)}, true},
+	{"dense oversized tile", []Option{WithAccumulator(AccumDense), WithTileSize(1<<20, 1<<20)}, true},
+	{"unknown accumulator", []Option{WithAccumulator(AccumKind(99))}, true},
+	{"unknown representation", []Option{WithInputRep(InputRep(99))}, true},
+	{"platform without cores", []Option{WithPlatform(Platform{Name: "bad", Cores: 0, L3Bytes: 1 << 20, WordBytes: 8})}, true},
+	{"model-dense non-pow2 tr", []Option{WithTileSize(16, 12)}, false},
+}
+
+// optionInput is a 64×64 operand dense enough that the model picks the
+// dense accumulator for its product with itself over mode 1.
+func optionInput() (*Tensor, Spec) {
 	rng := rand.New(rand.NewSource(26))
-	a := randomTensor(rng, []uint64{10, 10}, 50)
-	spec := Spec{CtrLeft: []int{1}, CtrRight: []int{0}}
-	cases := []struct {
-		name string
-		opts []Option
-	}{
-		{"negative threads", []Option{WithThreads(-1)}},
-		{"huge tile", []Option{WithTileSize(1<<40, 64)}},
-		{"dense non-pow2 tr", []Option{WithAccumulator(AccumDense), WithTileSize(64, 100)}},
-		{"dense oversized tile", []Option{WithAccumulator(AccumDense), WithTileSize(1<<20, 1<<20)}},
-		{"unknown accumulator", []Option{WithAccumulator(AccumKind(99))}},
-		{"unknown representation", []Option{WithInputRep(InputRep(99))}},
+	return randomTensor(rng, []uint64{64, 64}, 400), Spec{CtrLeft: []int{1}, CtrRight: []int{0}}
+}
+
+// TestOptionValidation checks that every entry point rejects each of
+// badOptions with ErrBadOption, Preshard the eager ones.
+func TestOptionValidation(t *testing.T) {
+	a, spec := optionInput()
+	_, st, err := Contract(a, a, spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
+	if st.Decision.Kind != AccumDense {
+		t.Fatalf("model picked %v on the option input, want dense", st.Decision.Kind)
+	}
+	ls, err := Preshard(a, spec.CtrLeft)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Drop()
+	rs, err := Preshard(a, spec.CtrRight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Drop()
+	for _, tc := range badOptions {
 		if _, _, err := Contract(a, a, spec, tc.opts...); !errors.Is(err, ErrBadOption) {
 			t.Errorf("%s: Contract err = %v, want ErrBadOption", tc.name, err)
+		}
+		if _, _, err := ContractPrepared(ls, rs, tc.opts...); !errors.Is(err, ErrBadOption) {
+			t.Errorf("%s: ContractPrepared err = %v, want ErrBadOption", tc.name, err)
+		}
+		if _, _, err := Einsum("ij,jk->ik", a, a, tc.opts...); !errors.Is(err, ErrBadOption) {
+			t.Errorf("%s: Einsum err = %v, want ErrBadOption", tc.name, err)
+		}
+		if _, _, err := EinsumN("ij,jk->ik", []*Tensor{a, a}, tc.opts...); !errors.Is(err, ErrBadOption) {
+			t.Errorf("%s: EinsumN err = %v, want ErrBadOption", tc.name, err)
+		}
+		if !tc.eager {
+			continue
 		}
 		if _, err := Preshard(a, []int{1}, tc.opts...); !errors.Is(err, ErrBadOption) {
 			t.Errorf("%s: Preshard err = %v, want ErrBadOption", tc.name, err)
@@ -231,6 +277,94 @@ func TestOptionValidation(t *testing.T) {
 	// Valid combinations must still pass.
 	if _, _, err := Contract(a, a, spec, WithAccumulator(AccumDense), WithTileSize(64, 64)); err != nil {
 		t.Fatalf("valid dense override rejected: %v", err)
+	}
+	if _, _, err := Contract(a, a, spec, WithTileSize(16, 16)); err != nil {
+		t.Fatalf("valid tile override on a model-dense run rejected: %v", err)
+	}
+	if _, _, err := Contract(a, a, spec, WithPlatform(Platform{})); err != nil {
+		t.Fatalf("zero platform (Auto) rejected: %v", err)
+	}
+}
+
+// TestEntryPointsAgree checks that every way into the engine gives one
+// answer: Contract, ContractPrepared, Einsum and core.ContractOperands
+// report the same decision, geometry, work and counters on one input, and
+// core.ContractOperands rejects every bad option set with ErrBadOption.
+func TestEntryPointsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	l := randomTensor(rng, []uint64{50, 40}, 600)
+	r := randomTensor(rng, []uint64{40, 70}, 700)
+	spec := Spec{CtrLeft: []int{1}, CtrRight: []int{0}}
+	opts := []Option{WithThreads(2), WithPlatform(Desktop8), WithMetrics()}
+	ls, err := Preshard(l, spec.CtrLeft)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Drop()
+	rs, err := Preshard(r, spec.CtrRight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Drop()
+
+	// answer is the part of Stats that does not depend on timing or on
+	// which shards were already cached.
+	type answer struct {
+		Decision              model.Decision
+		TileL, TileR          uint64
+		NL, NR, Tasks, Blocks int
+		OutputNNZ             int
+		Counters              metrics.Snapshot
+	}
+	of := func(st *Stats) answer {
+		return answer{st.Decision, st.TileL, st.TileR, st.NL, st.NR, st.Tasks, st.Blocks, st.OutputNNZ, st.Counters}
+	}
+	paths := []struct {
+		name string
+		run  func() (*Stats, error)
+	}{
+		{"Contract", func() (*Stats, error) { _, st, err := Contract(l, r, spec, opts...); return st, err }},
+		{"ContractPrepared", func() (*Stats, error) { _, st, err := ContractPrepared(ls, rs, opts...); return st, err }},
+		{"Einsum", func() (*Stats, error) { _, st, err := Einsum("ij,jk->ik", l, r, opts...); return st, err }},
+		{"core.ContractOperands", func() (*Stats, error) {
+			out, st, err := core.ContractOperands(ls.op, rs.op, core.Config{Threads: 2, Platform: Desktop8, Counters: &metrics.Counters{}})
+			if err == nil {
+				core.RecycleOutput(out)
+			}
+			return st, err
+		}},
+	}
+	var want answer
+	for i, p := range paths {
+		st, err := p.run()
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		got := of(st)
+		if got.Counters.Updates == 0 || got.Tasks == 0 {
+			t.Fatalf("%s: no work recorded: %+v", p.name, got)
+		}
+		if i == 0 {
+			want = got
+		} else if got != want {
+			t.Errorf("%s reports %+v, want Contract's %+v", p.name, got, want)
+		}
+	}
+
+	a, aspec := optionInput()
+	lo, err := Preshard(a, aspec.CtrLeft)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lo.Drop()
+	for _, tc := range badOptions {
+		var cfg core.Config
+		for _, o := range tc.opts {
+			o(&cfg)
+		}
+		if _, _, err := core.ContractOperands(lo.op, lo.op, cfg); !errors.Is(err, ErrBadOption) {
+			t.Errorf("%s: core.ContractOperands err = %v, want ErrBadOption", tc.name, err)
+		}
 	}
 }
 
@@ -368,26 +502,23 @@ func TestShardedLifecycleSurface(t *testing.T) {
 		t.Fatalf("SizeBytes() = %d after a contraction, want > 0", got)
 	}
 
-	// Close is Drop under the io.Closer spelling: never fails, releases the
-	// resident shards, and leaves the operand usable.
-	var c interface{ Close() error } = lsh
-	if err := c.Close(); err != nil {
-		t.Fatalf("Close() = %v, want nil", err)
-	}
+	// Drop releases the resident shards and leaves the operand usable.
+	lsh.Drop()
 	if lsh.Warm() {
-		t.Fatal("Warm() = true after Close")
+		t.Fatal("Warm() = true after Drop")
 	}
 	if got := lsh.SizeBytes(); got != 0 {
-		t.Fatalf("SizeBytes() = %d after Close, want 0", got)
+		t.Fatalf("SizeBytes() = %d after Drop, want 0", got)
 	}
 	if _, _, err := ContractPrepared(lsh, rsh); err != nil {
-		t.Fatalf("contraction after Close: %v", err)
+		t.Fatalf("contraction after Drop: %v", err)
 	}
 	if !lsh.Warm() {
-		t.Fatal("operand did not rewarm after Close")
+		t.Fatal("operand did not rewarm after Drop")
 	}
-	if err := lsh.Close(); err != nil {
-		t.Fatalf("second Close() = %v, want nil", err)
+	lsh.Drop()
+	if lsh.Warm() {
+		t.Fatal("Warm() = true after a second Drop")
 	}
 }
 
@@ -454,7 +585,7 @@ func TestPreparedSpillRepin(t *testing.T) {
 			t.Fatalf("%s: re-pin: %v", c.name, err)
 		}
 		after := ShardCacheStats()
-		if !st.ShardReused || st.Build != 0 {
+		if !st.ShardReused || st.BuildTime != 0 {
 			t.Fatalf("%s: re-pin run rebuilt instead of reading the spill files: %+v", c.name, st)
 		}
 		if n := after.SpillReads - before.SpillReads; n != c.shards {

@@ -41,7 +41,7 @@ func BenchmarkContractReuse(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if !st.ShardReused || st.Build != 0 {
+			if !st.ShardReused || st.BuildTime != 0 {
 				b.Fatalf("warm iteration missed the shard cache: %+v", st)
 			}
 		}
