@@ -1,4 +1,5 @@
-# Make targets mirror the CI gates in .github/workflows/ci.yml one-to-one,
+# Make targets mirror the CI gates in .github/workflows/ci.yml one-to-one:
+# every CI step after setup runs one target, in the order `ci` lists them,
 # so a green `make ci` locally means a green pipeline.
 
 GO ?= go
@@ -14,8 +15,9 @@ test:
 
 # Sanitizer build: mempool poisons recycled storage and tracks chunk
 # provenance, Sealed/Shard validate generation stamps on every access, and
-# internal/lockcheck checks every ranked Lock against the lock hierarchy, so
-# lifetime and lock-order bugs become deterministic panics at runtime (see
+# internal/lockcheck checks every ranked Lock against the lock hierarchy
+# (a re-entrant acquisition of the shard-cache lock included), so lifetime
+# and lock-order bugs become deterministic panics at runtime (see
 # DESIGN.md).
 test-checked:
 	$(GO) test -tags fastcc_checked ./...

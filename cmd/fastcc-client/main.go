@@ -150,9 +150,7 @@ func cmdStats(ctx context.Context, c *server.Client, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "admission: in_flight=%d queued=%d\n", st.InFlight, st.Queued)
 	fmt.Fprintf(stdout, "registry: operands=%d bytes=%d results=%d uploaded_bytes=%d\n",
 		st.Operands, st.OperandBytes, st.Results, st.UploadedBytes)
-	for _, ts := range st.Tenants {
-		fmt.Fprintf(stdout, "%s\n", ts.String())
-	}
+	fmt.Fprintf(stdout, "%s\n", st.Tenant.String())
 	return nil
 }
 

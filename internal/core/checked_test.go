@@ -110,26 +110,34 @@ func TestBuiltShardPassesGenerationCheck(t *testing.T) {
 	}
 }
 
-// TestLockRankTwinCatchesInversion nests the two locks the lifecycle
-// contract forbids ever holding together — shardLRU.mu (rank 1 exclusive)
-// and Operand.mu (rank 2 exclusive) — and requires the fastcc_checked build
-// to panic at the second acquisition (internal/lockcheck, the lock-order
-// gate), while the normal build stays silent. The gate catches whatever
-// path actually ran, so every test that drives the lifecycle under
-// fastcc_checked also checks the lock order on its paths.
+// probeRank is a ranked lock declared only for
+// TestLockRankTwinCatchesInversion: an ordinary rank above shardLRU.mu's,
+// which the exclusive rank still forbids nesting under it.
+type probeRank struct{}
+
+func (probeRank) LockRank() (int, bool) { return 2, false }
+func (probeRank) RankLabel() string     { return "probe.mu" }
+
+// TestLockRankTwinCatchesInversion takes a ranked lock while holding the
+// exclusive shardLRU.mu — the nesting the one-lock lifecycle forbids, and
+// the shape of its one remaining lock bug, a re-entrant acquisition — and
+// requires the fastcc_checked build to panic at the second acquisition
+// (internal/lockcheck, the lock-order gate), while the normal build stays
+// silent. The gate catches whatever path actually ran, so every test that
+// drives the lifecycle under fastcc_checked also checks it on its paths.
 func TestLockRankTwinCatchesInversion(t *testing.T) {
-	op := &Operand{}
+	var probe lockcheck.Mutex[probeRank]
 	shardLRU.mu.Lock()
 	defer shardLRU.mu.Unlock()
 	defer func() {
 		r := recover()
 		if lockcheck.Checked && r == nil {
-			t.Fatal("fastcc_checked build did not panic on Operand.mu acquired under shardLRU.mu")
+			t.Fatal("fastcc_checked build did not panic on a ranked lock acquired under shardLRU.mu")
 		}
 		if !lockcheck.Checked && r != nil {
 			t.Fatalf("normal build panicked: %v", r)
 		}
 	}()
-	op.mu.Lock()
-	op.mu.Unlock()
+	probe.Lock()
+	probe.Unlock()
 }

@@ -238,8 +238,8 @@ func ContractOperands(l, r *Operand, cfg Config) (*mempool.List[Triple], *Stats,
 	// on a full cache hit — the amortization the prepared-operand API
 	// exists to deliver. Both shards come back pinned; the run-level pins
 	// are released when the run ends (a self-contraction holds one pin on
-	// its single shard), keeping eviction away from the tables until every
-	// worker has also released its own guard pins.
+	// its single shard), after execute's pool has joined every worker, so
+	// eviction never reaches tables a tile kernel is reading.
 	ls, rs, builtL, builtR := buildShards(l, r, ShardKey{Tile: tl, Rep: cfg.Rep}, ShardKey{Tile: tr, Rep: cfg.Rep}, threads, st)
 	st.ShardReusedL, st.ShardReusedR = !builtL, !builtR
 	st.ShardReused = !builtL && !builtR
@@ -380,18 +380,7 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 	kern := kernelTable[dec.Kernel]
 	probeBatch := cfg.Platform.ProbeBatch()
 	ctx := cfg.ctx()
-	// Per-worker shard pins: each pool worker pins both shards before its
-	// first claim and releases on exit (deferred inside the scheduler, so
-	// cancellation and panics cannot leak a pin). The run-level pins in
-	// ContractOperands already keep the shards alive; the guard makes the
-	// reader set explicit — PinnedBytes reflects active workers, and the
-	// refcount, not the caller's discipline, is what stands between a
-	// concurrent Drop and the tables the tile kernels are reading.
-	guard := scheduler.Guard{
-		Acquire: func(int) { ls.mustPin(); rs.mustPin() },
-		Release: func(int) { rs.Unpin(); ls.Unpin() },
-	}
-	err := scheduler.PoolCtxBatchGuarded(ctx, threads, blocksTotal, scheduler.ClaimBatch(blocksTotal, threads), guard, func(w, b int) {
+	err := scheduler.PoolCtxBatch(ctx, threads, blocksTotal, scheduler.ClaimBatch(blocksTotal, threads), func(w, b int) {
 		wk := workers[w]
 		if wk == nil {
 			if parked, ok := workerFree.Get(wkey); ok {

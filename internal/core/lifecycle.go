@@ -4,50 +4,37 @@
 //
 // The ownership protocol, in one place:
 //
-//   - A Shard's lifetime state is a single atomic word: bit 0 retired,
-//     bit 1 doomed, bits 2+ the pin refcount. Pinning fails only on a
-//     retired shard; retiring succeeds only at refcount zero. Every
-//     transition is a CAS, so pin vs evict races resolve atomically with
-//     no shard-level lock.
+//   - One mutex, shardLRU.mu, guards every piece of lifecycle state: the
+//     LRU and the tenant ledger, every Operand's shard map, and each
+//     Shard's pin count, doomed/retired flags, claims and spill handle.
+//     Retiring happens only at pin count zero, and a retired shard is
+//     never pinned again: Operand.Shard replaces it.
 //   - Operand.Shard returns the shard pinned (+1); the engine holds that
-//     pin across the run and additionally pins per worker through the
-//     scheduler Guard, releasing at each worker's exit. Eviction can
-//     therefore never reclaim tables a tile kernel is reading.
+//     pin until execute returns, after the pool has joined every worker.
+//     Eviction can therefore never reclaim tables a tile kernel is reading.
 //   - Every built shard is charged to one process-wide LRU (shardLRU).
 //     When the resident footprint exceeds the budget, the coldest
-//     unpinned shards are retired, unmapped from their owning Operand,
-//     and their sealed arenas recycled through mempool — unless a spill
-//     directory is configured, in which case the tables are serialized to
-//     the disk tier first (spill.go) and the next pin reloads them instead
-//     of rebuilding: RAM → disk → rebuild instead of RAM → rebuild.
-//   - Operand.Close / the prepared API's Drop mark every cached shard
-//     doomed: unpinned shards are reclaimed immediately, pinned ones at
-//     their last Unpin. The Operand itself stays usable — the next Shard
-//     call simply rebuilds.
+//     unpinned shards are retired and their sealed arenas recycled through
+//     mempool — unless a spill directory is configured, in which case the
+//     tables are serialized to the disk tier first (spill.go) and the next
+//     pin reloads them instead of rebuilding: RAM → disk → rebuild instead
+//     of RAM → rebuild.
+//   - Operand.Close / the prepared API's Drop unmap every cached shard and
+//     mark the pinned ones doomed: unpinned shards are reclaimed before
+//     Close returns, pinned ones at their last Unpin. The Operand itself
+//     stays usable — the next Shard call simply rebuilds.
 //
-// Lock ordering: shardLRU.mu and Operand.mu are never held together.
-// Retirement happens under shardLRU.mu (or lock-free via doom/Unpin);
-// unmapping and recycling always run after shardLRU.mu is released.
+// Builds, spill IO and recycling never run under the lock: the mutex
+// decides who owns a shard's storage, and the owner does the work after
+// unlocking. lockcheck ranks the mutex exclusive, so a re-entrant
+// acquisition panics under fastcc_checked instead of deadlocking.
 package core
 
 import (
-	"sync/atomic"
-
 	"fastcc/internal/lockcheck"
 	"fastcc/internal/metrics"
 	"fastcc/internal/model"
 	"fastcc/internal/spill"
-)
-
-// Shard lifetime state word layout (Shard.state). A spilled shard carries
-// retired|spilled: the retired bit is what keeps tryPin failing (its RAM
-// tables are gone), the spilled bit records that a disk image exists —
-// Operand.Shard turns that stub into a reload instead of a rebuild.
-const (
-	shardRetired = uint64(1) << 0 // storage reclaimed or queued for it; pins must fail
-	shardDoomed  = uint64(1) << 1 // Close/Drop called; retire at refcount zero
-	shardSpilled = uint64(1) << 2 // RAM tables reclaimed, image lives on the disk tier
-	shardPinInc  = uint64(1) << 3 // one pin reference
 )
 
 // DefaultBudgetLLCMultiple sizes the default shard-cache budget as a
@@ -57,85 +44,32 @@ const (
 // many operands.
 const DefaultBudgetLLCMultiple = 64
 
-// tryPin takes one pin reference, failing only when the shard is already
-// retired (its tables are gone or going). Safe from any goroutine.
-//
-//fastcc:hotpath
-func (s *Shard) tryPin() bool {
-	for {
-		st := s.state.Load()
-		if st&shardRetired != 0 {
-			return false
-		}
-		if s.state.CompareAndSwap(st, st+shardPinInc) {
-			return true
-		}
-	}
-}
-
-// mustPin is tryPin for callers that already hold another pin on s (the
-// scheduler guard, pinning per-worker under the engine's run-level pin):
-// retirement is impossible while any pin is held, so failure is a lifecycle
-// protocol violation, not a recoverable miss.
-func (s *Shard) mustPin() {
-	if !s.tryPin() {
-		panic("core: mustPin on a retired shard: a pin was released while the engine still held the shard")
-	}
-}
-
 // Unpin releases one pin reference. When the last pin leaves a doomed shard,
 // the releaser reclaims it — Close/Drop returned long ago; this is the
 // deferred half of that drop.
 func (s *Shard) Unpin() {
-	st := s.state.Add(^(shardPinInc) + 1) // state -= shardPinInc
-	if st>>3 > uint64(1)<<40 {
+	c := &shardLRU
+	c.mu.Lock()
+	if s.pins <= 0 {
+		c.mu.Unlock()
 		panic("core: Shard.Unpin without a matching pin")
 	}
-	if st&shardDoomed != 0 && st&shardRetired == 0 && st>>3 == 0 {
-		if s.tryRetire() {
-			shardLRU.finishRetire(s, &shardLRU.counters.Drops)
-		}
+	s.pins--
+	reclaim := s.pins == 0 && s.doomed && !s.retired
+	if reclaim {
+		c.retireLocked(s)
+	}
+	c.mu.Unlock()
+	if reclaim {
+		c.counters.Drops.Add(1)
+		s.recycle()
 	}
 }
-
-// tryRetire moves the shard to the retired state, succeeding only at
-// refcount zero. Exactly one caller wins; the winner owns reclamation.
-func (s *Shard) tryRetire() bool {
-	for {
-		st := s.state.Load()
-		if st&shardRetired != 0 || st>>3 != 0 {
-			return false
-		}
-		if s.state.CompareAndSwap(st, st|shardRetired) {
-			return true
-		}
-	}
-}
-
-// doom marks the shard for reclamation at its next idle moment: immediately
-// when unpinned, at the last Unpin otherwise.
-func (s *Shard) doom() {
-	for {
-		st := s.state.Load()
-		if st&(shardDoomed|shardRetired) != 0 {
-			break
-		}
-		if s.state.CompareAndSwap(st, st|shardDoomed) {
-			break
-		}
-	}
-	if s.tryRetire() {
-		shardLRU.finishRetire(s, &shardLRU.counters.Drops)
-	}
-}
-
-// pinned reports whether any pin is currently held (a racy gauge, used only
-// for stats).
-func (s *Shard) pinnedNow() bool { return s.state.Load()>>3 != 0 }
 
 // lruRank places shardCache.mu in the lock-rank hierarchy
-// (internal/lockcheck): rank 1, exclusive, so it never nests with
-// Operand.mu in either order. fastcc_checked builds enforce it at runtime.
+// (internal/lockcheck): rank 1, exclusive, so nothing ranked — itself
+// included — is acquired while it is held. fastcc_checked builds enforce it
+// at runtime.
 type lruRank struct{}
 
 func (lruRank) LockRank() (int, bool) { return 1, true }
@@ -147,7 +81,7 @@ func (lruRank) RankLabel() string     { return "shardCache.mu" }
 // completed build. The budget is process state: SetShardBudget is its only
 // writer, and engine runs only enforce it.
 type shardCache struct {
-	mu     lockcheck.Mutex[lruRank] // never nested with Operand.mu, in either order
+	mu     lockcheck.Mutex[lruRank] // the one lifecycle lock; see the top of this file
 	budget int64                    // bytes; <= 0 means unlimited
 	bytes  int64                    // resident footprint of listed shards
 	head   *Shard
@@ -219,11 +153,13 @@ func (c *shardCache) settle(tenant string) {
 	c.reap(victims)
 }
 
-// insert charges a freshly built shard to the cache and applies the budget.
-// The shard arrives pinned by its builder, so it can never be its own
-// victim.
-func (c *shardCache) insert(s *Shard) {
+// insert charges a freshly built or reloaded shard to the cache and applies
+// the budget; readers, the tenants that had a reloaded shard warm when it
+// spilled, are credited with the spill read. The shard arrives pinned by
+// its builder, so it can never be its own victim.
+func (c *shardCache) insert(s *Shard, readers []string) {
 	c.mu.Lock()
+	c.creditTenantSpillLocked(readers, 0, false)
 	c.pushFrontLocked(s)
 	c.bytes += s.bytes
 	c.n++
@@ -232,34 +168,21 @@ func (c *shardCache) insert(s *Shard) {
 	c.reap(victims)
 }
 
-// touch marks s most recently used. A shard already reclaimed (not in the
-// list) is left alone.
-func (c *shardCache) touch(s *Shard) {
-	c.mu.Lock()
-	if s.inLRU {
-		c.unlinkLocked(s)
-		c.pushFrontLocked(s)
-	}
-	c.mu.Unlock()
-}
-
-// finishRetire uncharges an already-retired shard and reclaims its storage;
-// the caller must have won tryRetire. cause is the counter this reclamation
-// charges (Drops for Close/Drop, Evictions via enforce's own path).
-func (c *shardCache) finishRetire(s *Shard, cause *atomic.Int64) {
-	c.mu.Lock()
+// retireLocked takes an unpinned shard out of the cache: it is never pinned
+// again (Operand.Shard replaces a retired entry), it leaves the LRU, and
+// every claimant is uncharged. The caller holds c.mu and reclaims the
+// storage after unlocking.
+func (c *shardCache) retireLocked(s *Shard) {
+	s.retired = true
 	c.removeLocked(s)
 	c.unclaimAllLocked(s)
-	c.mu.Unlock()
-	cause.Add(1)
-	s.owner.unmap(s)
-	s.recycle()
 }
 
 // enforceLocked retires cold unpinned shards until the resident footprint
-// fits the budget, unlinking them from the list; the caller recycles the
-// returned victims after releasing the lock. Pinned shards are skipped —
-// a fully pinned cache may legitimately sit over budget.
+// fits the budget; the caller reaps the returned victims after releasing
+// the lock. Pinned shards are skipped — a fully pinned cache may
+// legitimately sit over budget. Victims stay mapped, so reap can turn them
+// into spilled stubs.
 //
 // Victim order is two passes over the LRU: first the cold shards claimed by
 // an over-quota tenant (so one tenant blowing its quota is squeezed before
@@ -269,42 +192,44 @@ func (c *shardCache) enforceLocked() []*Shard {
 		return nil
 	}
 	var victims []*Shard
-	take := func(s *Shard) {
-		c.removeLocked(s)
-		c.unclaimAllLocked(s)
-		victims = append(victims, s)
-	}
-	for s := c.tail; s != nil && c.bytes > c.budget; {
-		prev := s.lruPrev
-		if c.overQuotaClaimLocked(s) && s.tryRetire() {
-			take(s)
+	for _, overQuotaOnly := range []bool{true, false} {
+		for s := c.tail; s != nil && c.bytes > c.budget; {
+			prev := s.lruPrev
+			if s.pins == 0 && (!overQuotaOnly || c.overQuotaClaimLocked(s)) {
+				c.retireLocked(s)
+				victims = append(victims, s)
+			}
+			s = prev
 		}
-		s = prev
-	}
-	for s := c.tail; s != nil && c.bytes > c.budget; {
-		prev := s.lruPrev
-		if s.tryRetire() {
-			take(s)
-		}
-		s = prev
 	}
 	return victims
 }
 
-// reap unmaps and recycles eviction victims outside the cache lock. With a
-// spill directory configured, each victim is offered to the disk tier
-// first: a successful spill leaves the shard mapped as a spilled stub
-// (retired, tables recycled, disk handle installed) that the next
-// Operand.Shard reloads instead of rebuilding. Either way the eviction is
-// counted — spilling is what eviction does, not an alternative to it.
+// reap reclaims eviction victims outside the cache lock. With a spill
+// directory configured, each victim is offered to the disk tier first: a
+// successful spill leaves the shard mapped as a spilled stub (retired,
+// tables recycled, disk handle installed) that the next Operand.Shard
+// reloads instead of rebuilding. The rest are unmapped under one lock and
+// recycled. Either way the eviction is counted — spilling is what eviction
+// does, not an alternative to it.
 func (c *shardCache) reap(victims []*Shard) {
+	var dead []*Shard
 	for _, s := range victims {
 		c.counters.Evictions.Add(1)
 		c.counters.EvictedBytes.Add(s.bytes)
-		if trySpill(s) {
-			continue
+		if !trySpill(s) {
+			dead = append(dead, s)
 		}
-		s.owner.unmap(s)
+	}
+	if len(dead) == 0 {
+		return
+	}
+	c.mu.Lock()
+	for _, s := range dead {
+		s.owner.unmapLocked(s)
+	}
+	c.mu.Unlock()
+	for _, s := range dead {
 		s.recycle()
 	}
 }
@@ -315,7 +240,7 @@ func (c *shardCache) stats() metrics.CacheSnapshot {
 	snap.CachedBytes = c.bytes
 	snap.Shards = c.n
 	for s := c.head; s != nil; s = s.lruNext {
-		if s.pinnedNow() {
+		if s.pins > 0 {
 			snap.PinnedBytes += s.bytes
 		}
 	}
@@ -326,7 +251,7 @@ func (c *shardCache) stats() metrics.CacheSnapshot {
 }
 
 // The LRU link fields are lifecycle state owned by this cache and touched
-// only under c.mu, never by the lock-free readers of the shard's tables.
+// only under c.mu, never by the readers of the shard's tables.
 func (c *shardCache) pushFrontLocked(s *Shard) {
 	s.lruPrev = nil
 	s.lruNext = c.head
@@ -355,8 +280,7 @@ func (c *shardCache) unlinkLocked(s *Shard) {
 	s.inLRU = false
 }
 
-// removeLocked uncharges s if it is still listed; safe to call twice (the
-// doom path and the eviction path can both reach a shard's retirement).
+// removeLocked uncharges s if it is still listed.
 func (c *shardCache) removeLocked(s *Shard) {
 	if !s.inLRU {
 		return
@@ -366,40 +290,49 @@ func (c *shardCache) removeLocked(s *Shard) {
 	c.n--
 }
 
-// unmap removes s from its operand's shard map if (and only if) the map
-// still holds this exact shard — a rebuild may already have replaced the
-// key, and that replacement must not be disturbed.
-func (o *Operand) unmap(s *Shard) {
-	o.mu.Lock()
-	if cur, ok := o.shards[s.Key]; ok && cur == s {
+// unmapLocked removes s from its operand's shard map if (and only if) the
+// map still holds this exact shard — a rebuild may already have replaced
+// the key, and that replacement must not be disturbed. Caller holds
+// shardLRU.mu.
+func (o *Operand) unmapLocked(s *Shard) {
+	if o.shards[s.Key] == s {
 		delete(o.shards, s.Key)
 	}
-	o.mu.Unlock()
 }
 
-// Close dooms every cached shard: unpinned ones are reclaimed before Close
-// returns, pinned ones at their last Unpin. The Operand remains usable —
-// a later Shard call rebuilds — so Close is "drop the cache", not "destroy
-// the operand". Callers that wrap transient matrices (the one-shot Contract
-// paths) use it to keep dead operands from pinning the global LRU.
+// Close unmaps every cached shard: unpinned ones are reclaimed before Close
+// returns, pinned ones are doomed and reclaimed at their last Unpin. The
+// Operand remains usable — a later Shard call rebuilds — so Close is "drop
+// the cache", not "destroy the operand". Callers that wrap transient
+// matrices (the one-shot Contract paths) use it to keep dead operands from
+// pinning the global LRU.
 func (o *Operand) Close() {
-	o.mu.Lock()
-	doomed := make([]*Shard, 0, len(o.shards))
+	c := &shardLRU
+	var dead []*Shard
 	var handles []*spill.Handle
+	c.mu.Lock()
 	for k, s := range o.shards {
-		// Spilled stubs have nothing in RAM to doom; what they own is the
-		// disk image, taken here under o.mu (doom's tryRetire would fail on
-		// the already-retired stub and leak the file).
-		if h := s.takeSpillLocked(); h != nil {
-			handles = append(handles, h)
-		} else {
-			doomed = append(doomed, s)
-		}
 		delete(o.shards, k)
+		switch {
+		case s.spill != nil:
+			// A spilled stub has nothing in RAM; what it owns is the disk
+			// image.
+			handles = append(handles, s.spill)
+			s.spill = nil
+		case s.retired:
+			// Mid-eviction: the evictor owns the storage, and its spill
+			// finds the shard unmapped and discards the file.
+		case s.pins == 0:
+			c.retireLocked(s)
+			dead = append(dead, s)
+		default:
+			s.doomed = true
+		}
 	}
-	o.mu.Unlock()
-	for _, s := range doomed {
-		s.doom()
+	c.mu.Unlock()
+	c.counters.Drops.Add(int64(len(dead)))
+	for _, s := range dead {
+		s.recycle()
 	}
 	// Keep-mode directories turn the dropped images into orphans adoptable
 	// by a restarted process; otherwise Release deletes them.
@@ -420,14 +353,14 @@ func (o *Operand) Warm(key ShardKey, threads int) bool {
 
 // Resident reports the operand's cache residency: the summed footprint and
 // count of its built, still-live shards. In-flight builds count zero (their
-// footprint is not final), retired-but-unmapped entries are excluded — this
-// is the non-blocking accounting view the prepared API's SizeBytes/Warm
-// surface, not a synchronization point.
+// footprint is not final), and retired entries are excluded — this is the
+// accounting view the prepared API's SizeBytes/Warm surface, not a
+// synchronization point.
 func (o *Operand) Resident() (bytes int64, shards int) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
+	shardLRU.mu.Lock()
+	defer shardLRU.mu.Unlock()
 	for _, s := range o.shards {
-		if s.state.Load()&shardRetired != 0 {
+		if s.retired {
 			continue
 		}
 		select {

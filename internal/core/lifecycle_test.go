@@ -17,6 +17,14 @@ import (
 // every assertion here is a delta against a captured baseline, never an
 // absolute — other tests in the binary legitimately leave residents behind.
 
+// lifecycleState reads s's pin count and retired flag under the lock that
+// guards them.
+func lifecycleState(s *Shard) (pins int, retired bool) {
+	shardLRU.mu.Lock()
+	defer shardLRU.mu.Unlock()
+	return s.pins, s.retired
+}
+
 // lifecycleOperand builds a fresh operand big enough to have several
 // non-empty tiles under the given key.
 func lifecycleOperand(seed int64) *Operand {
@@ -34,8 +42,8 @@ func TestShardReturnsPinnedAndCountsHits(t *testing.T) {
 	if !built {
 		t.Fatal("first Shard call did not build")
 	}
-	if !s.pinnedNow() {
-		t.Fatal("Shard returned an unpinned shard")
+	if pins, _ := lifecycleState(s); pins != 1 {
+		t.Fatalf("Shard returned a shard with %d pins, want 1", pins)
 	}
 	s2, built2 := op.Shard(key, 2)
 	if built2 || s2 != s {
@@ -135,8 +143,30 @@ func TestCloseWhilePinnedDefersReclaim(t *testing.T) {
 	if after.Drops-before.Drops != 1 {
 		t.Fatalf("Drops delta = %d after last Unpin of a doomed shard, want 1", after.Drops-before.Drops)
 	}
-	if s.tryPin() {
-		t.Fatal("pin succeeded on a reclaimed shard")
+	if pins, retired := lifecycleState(s); pins != 0 || !retired {
+		t.Fatalf("reclaimed shard has %d pins, retired=%v; want 0 and retired", pins, retired)
+	}
+}
+
+// TestShardUnpinWithoutPinPanics: an Unpin with no matching pin is a
+// protocol violation that would let eviction reclaim tables some reader
+// still holds, so it must panic — and leave the lock free for the rest of
+// the binary.
+func TestShardUnpinWithoutPinPanics(t *testing.T) {
+	op := lifecycleOperand(47)
+	defer op.Close()
+	s, _ := op.Shard(ShardKey{Tile: 32, Rep: RepHash}, 2)
+	s.Unpin()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Unpin without a matching pin did not panic")
+			}
+		}()
+		s.Unpin()
+	}()
+	if pins, _ := lifecycleState(s); pins != 0 {
+		t.Fatalf("pin count %d after the rejected Unpin, want 0", pins)
 	}
 }
 
@@ -181,9 +211,9 @@ func (c *countdownCtx) Err() error {
 
 // TestShardPinsReleasedOnCancel cancels ContractOperands at every
 // cancellation check a run makes, one check later each time, until a run
-// completes. Whatever check fires, the run's shard pins (the run-level
-// pins and every worker's guard pins) must all be released by the time it
-// returns: a leaked pin blocks eviction of the shard forever.
+// completes. Whatever check fires, the run's shard pins must all be
+// released by the time it returns: a leaked pin blocks eviction of the
+// shard forever.
 func TestShardPinsReleasedOnCancel(t *testing.T) {
 	l, r := lifecycleOperand(41), lifecycleOperand(43)
 	defer l.Close()

@@ -1,11 +1,10 @@
 package core
 
 import (
-	"sync/atomic"
+	"strconv"
 
 	"fastcc/internal/coo"
 	"fastcc/internal/hashtable"
-	"fastcc/internal/lockcheck"
 	"fastcc/internal/scheduler"
 	"fastcc/internal/spill"
 )
@@ -24,24 +23,14 @@ type Operand struct {
 	// Mat is the matrixized operand; treated as immutable once wrapped.
 	Mat *coo.Matrix
 
-	mu     lockcheck.Mutex[operandRank] // never nested with shardLRU.mu, in either order
-	shards map[ShardKey]*Shard
+	shards map[ShardKey]*Shard // guarded by shardLRU.mu
 
-	// spillKey is the content key naming this operand's spill files (empty
-	// for anonymous operands, set by NewKeyedOperand); spillID is the lazy
-	// process-local name anonymous operands spill under. Guarded by mu.
-	spillKey string
-	spillID  string
+	// spillName prefixes this operand's spill file names: the sanitized
+	// content key of a keyed operand (NewKeyedOperand), else a
+	// process-local anonymous name the next startup scavenges. Fixed at
+	// construction.
+	spillName string
 }
-
-// operandRank places Operand.mu in the lock-rank hierarchy
-// (internal/lockcheck): rank 2, exclusive, so it never nests with
-// shardCache.mu in either order. fastcc_checked builds enforce it at
-// runtime.
-type operandRank struct{}
-
-func (operandRank) LockRank() (int, bool) { return 2, true }
-func (operandRank) RankLabel() string     { return "Operand.mu" }
 
 // NewOperand wraps a matrixized operand for shard caching. The matrix must
 // not be mutated afterwards: cached shards index into it. Under
@@ -50,7 +39,11 @@ func (operandRank) RankLabel() string     { return "Operand.mu" }
 // slices panics at the next build instead of silently poisoning the tables.
 func NewOperand(m *coo.Matrix) *Operand {
 	m.Stamp()
-	return &Operand{Mat: m, shards: make(map[ShardKey]*Shard)}
+	return &Operand{
+		Mat:       m,
+		shards:    make(map[ShardKey]*Shard),
+		spillName: spill.AnonPrefix + strconv.FormatUint(spillAnon.Add(1), 10),
+	}
 }
 
 // NewKeyedOperand is NewOperand for content-addressed operands: key (the
@@ -62,7 +55,7 @@ func NewOperand(m *coo.Matrix) *Operand {
 // concurrent overwrite into a typed ErrStale fallback, never a wrong read.
 func NewKeyedOperand(m *coo.Matrix, key string) *Operand {
 	o := NewOperand(m)
-	o.spillKey = sanitizeSpillKey(key)
+	o.spillName = sanitizeSpillKey(key)
 	return o
 }
 
@@ -79,9 +72,9 @@ type ShardKey struct {
 
 // Shard is one operand's built tile tables for a given ShardKey. The tables
 // are immutable after construction, so concurrent contractions read them
-// without locks; what is mutable is the shard's lifetime state — see
-// lifecycle.go for the pin/doom/retire protocol and the LRU the shard is
-// charged to.
+// without locks; what is mutable is the shard's lifetime state, guarded by
+// shardLRU.mu — see lifecycle.go for the pin/doom/retire protocol and the
+// LRU the shard is charged to.
 type Shard struct {
 	Key ShardKey
 
@@ -93,25 +86,26 @@ type Shard struct {
 
 	built chan struct{} // closed when the build completes
 
-	// Lifecycle state (lifecycle.go): the owning operand (for unmapping at
-	// eviction), the footprint charged to the byte budget, the atomic
-	// pin/doom/retire word, and the intrusive LRU links guarded by
-	// shardLRU.mu.
-	owner            *Operand
-	bytes            int64
-	state            atomic.Uint64
+	// owner (for unmapping) and bytes (the footprint charged to the budget)
+	// are fixed once the shard is built.
+	owner *Operand
+	bytes int64
+
+	// Lifecycle state (lifecycle.go), all guarded by shardLRU.mu: the pin
+	// count, the doomed flag (Close ran while pinned: reclaim at the last
+	// Unpin) and the retired flag (storage reclaimed or being reclaimed:
+	// never pinned again), the intrusive LRU links, the tenant IDs charged for the
+	// shard (tenant.go), and the disk-tier image of a spilled stub
+	// (spill.go), which whoever reloads or drops the stub takes.
+	// spillClaims keeps the claim list from retirement, so spill round
+	// trips credit the tenants that had the shard warm.
+	pins             int
+	doomed, retired  bool
 	lruPrev, lruNext *Shard
 	inLRU            bool
-	claims           []string // tenant IDs charged for this shard (tenant.go), guarded by shardLRU.mu
-
-	// spill is the disk-tier image of a spilled shard (spill.go), installed
-	// by trySpill and taken by whoever reloads or drops the stub; guarded by
-	// the owner's mu. spillClaims captures the claim list at retirement so
-	// spill round trips credit the tenants that had the shard warm; written
-	// under shardLRU.mu before trySpill installs spill, so whoever takes
-	// the handle may read it.
-	spill       *spill.Handle
-	spillClaims []string
+	claims           []string
+	spill            *spill.Handle
+	spillClaims      []string
 
 	ck checkedShard // generation stamp; zero-sized unless built with fastcc_checked
 }
@@ -175,74 +169,73 @@ func (s *Shard) TileBytes() int64 {
 // out another goroutine's in-flight build — returns false, which is what
 // Stats reports as shard reuse).
 //
-// A mapped shard that eviction has retired but not yet unmapped is detected
-// by the pin failing. If the retirement spilled the tables to the disk tier,
-// the successor shard reloads them from the spill file; otherwise (and on
-// any typed read-back failure) it rebuilds from the operand. Content-keyed
-// operands additionally probe the spill directory's orphans on a cold miss,
-// adopting a previous process's image when one matches.
+// A mapped shard that eviction has retired is replaced. If the retirement
+// spilled the tables to the disk tier, the successor shard reloads them from
+// the spill file; otherwise (and on any typed read-back failure) it rebuilds
+// from the operand. Content-keyed operands additionally probe the spill
+// directory's orphans on a cold miss, adopting a previous process's image
+// when one matches.
 func (o *Operand) Shard(key ShardKey, threads int) (*Shard, bool) {
-	o.mu.Lock()
+	c := &shardLRU
+	c.mu.Lock()
 	var (
 		h         *spill.Handle
 		adopted   bool
 		oldClaims []string
 	)
 	if s, ok := o.shards[key]; ok {
-		if s.tryPin() {
-			o.mu.Unlock()
+		if !s.retired {
+			s.pins++
+			if s.inLRU {
+				c.unlinkLocked(s)
+				c.pushFrontLocked(s)
+			}
+			c.mu.Unlock()
 			<-s.built
-			shardLRU.counters.Hits.Add(1)
-			shardLRU.touch(s)
+			c.counters.Hits.Add(1)
 			return s, false
 		}
-		// Retired under us. A spilled stub hands its disk image (and the
-		// tenants it was warm for) to the successor built below; anything
-		// else is a plain stale entry headed for rebuild. Read spillClaims
-		// only with a handle in hand: the evictor writes it before it
-		// installs the handle under o.mu, while a stub without one may
-		// still be mid-eviction.
-		h = s.takeSpillLocked()
-		if h != nil {
-			oldClaims = s.spillClaims
-		}
+		// Retired: a spilled stub hands its disk image (and the tenants it
+		// was warm for) to the successor built below; a shard still
+		// mid-eviction is simply replaced.
+		h, oldClaims = s.spill, s.spillClaims
+		s.spill = nil
 		delete(o.shards, key)
 	} else {
 		h = o.adoptSpillLocked(key)
 		adopted = h != nil
 	}
-	ns := &Shard{Key: key, owner: o, built: make(chan struct{})}
-	ns.state.Store(shardPinInc) // born pinned: the builder's reference is the caller's
+	ns := &Shard{Key: key, owner: o, built: make(chan struct{}), pins: 1} // born pinned: the builder's reference is the caller's
 	o.shards[key] = ns
-	o.mu.Unlock()
+	c.mu.Unlock()
 	// Concurrent fetchers of the same key now wait on ns.built, so the
 	// reload (or rebuild) below runs exactly once — same singleflight as a
 	// plain build.
 	if h != nil && ns.loadSpill(h, o.Mat) {
 		close(ns.built)
-		shardLRU.counters.Hits.Add(1)
+		c.counters.Hits.Add(1)
 		if adopted {
-			shardLRU.counters.SpillAdopts.Add(1)
+			c.counters.SpillAdopts.Add(1)
 		}
-		creditTenantSpill(oldClaims, 0, false)
-		shardLRU.insert(ns)
+		c.insert(ns, oldClaims)
 		return ns, false
 	}
-	shardLRU.counters.Misses.Add(1)
+	c.counters.Misses.Add(1)
 	ns.build(o.Mat, threads)
 	close(ns.built)
-	shardLRU.insert(ns)
+	c.insert(ns, nil)
 	return ns, true
 }
 
 // Cached reports whether a completed, still-live shard for key is available
-// without blocking (an in-flight build and a retired-but-unmapped entry both
-// count as not cached).
+// without blocking (an in-flight build and a retired entry both count as
+// not cached).
 func (o *Operand) Cached(key ShardKey) bool {
-	o.mu.Lock()
+	shardLRU.mu.Lock()
 	s, ok := o.shards[key]
-	o.mu.Unlock()
-	if !ok || s.state.Load()&shardRetired != 0 {
+	live := ok && !s.retired
+	shardLRU.mu.Unlock()
+	if !live {
 		return false
 	}
 	select {
@@ -315,8 +308,8 @@ func (s *Shard) footprint() int64 {
 
 // recycle reclaims a retired shard's storage: every sealed table's arenas
 // flow back through the hashtable pools (hashtable.Sealed.Recycle), every
-// sorted tile's arrays through the sorted pools. Only the single winner of
-// tryRetire may call this, after the shard is uncharged and unmapped. Under
+// sorted tile's arrays through the sorted pools. Only the caller that
+// retired the shard under shardLRU.mu may call this, after unlocking. Under
 // fastcc_checked the shard's generation stamp flips to retired first, so a
 // reader that skipped pinning panics at its next tile access.
 func (s *Shard) recycle() {

@@ -6,14 +6,13 @@
 // spill directory configured, reap hands each victim to trySpill, which
 // serializes the still-live tables into a section-encoded body, writes it
 // through the spill.Dir (envelope: magic, version, generation stamp, CRC
-// trailer), installs the handle on the shard under its operand's lock, and
-// only then recycles the RAM tables. The shard stays mapped as a "spilled"
-// stub — retired (pins fail) but carrying the disk image. When
-// Operand.Shard next finds that stub, it takes the handle, reads the file
-// back, and restores the tables into a fresh born-pinned shard; any typed
-// failure (missing, truncated, checksum, stale generation, malformed body)
-// counts a fallback and degrades to the ordinary rebuild — never a wrong
-// answer.
+// trailer), installs the handle on the shard under shardLRU.mu, and only
+// then recycles the RAM tables. The shard stays mapped as a "spilled" stub —
+// retired (never pinned again) but carrying the disk image. When Operand.Shard next
+// finds that stub, it takes the handle, reads the file back, and restores
+// the tables into a fresh born-pinned shard; any typed failure (missing,
+// truncated, checksum, stale generation, malformed body) counts a fallback
+// and degrades to the ordinary rebuild — never a wrong answer.
 //
 // Content-keyed operands (NewKeyedOperand) name their spill files by key,
 // so a keep-mode directory lets a restarted process adopt the previous
@@ -26,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -49,8 +47,8 @@ var (
 // spill directory (created if needed, scavenged of stale leftovers),
 // budget bounds its bytes (<= 0 unlimited), keep selects warm-restart
 // persistence (released files stay on disk as adoptable orphans). An empty
-// dir disables the disk tier; reconfiguring with the same dir and keep
-// mode just re-applies the budget.
+// dir disables the disk tier and deletes no file; reconfiguring with the
+// same dir and keep mode just re-applies the budget.
 func ConfigureSpill(dir string, budget int64, keep bool) error {
 	if dir == "" {
 		spillDirPtr.Store(nil)
@@ -143,45 +141,25 @@ func sanitizeSpillKey(key string) string {
 	return s
 }
 
-// spillNameLocked derives this operand's spill file name for one ShardKey.
-// Content-keyed operands use the key (stable across processes, so keep-mode
-// files are adoptable); anonymous operands draw a process-local id the next
-// startup scavenges. Caller holds o.mu (the lazy anonymous id is operand
-// state).
-func (o *Operand) spillNameLocked(key ShardKey) string {
-	base := o.spillKey
-	if base == "" {
-		if o.spillID == "" {
-			o.spillID = spill.AnonPrefix + strconv.FormatUint(spillAnon.Add(1), 10)
-		}
-		base = o.spillID
-	}
-	return fmt.Sprintf("%s-t%d-r%d%s", base, key.Tile, key.Rep, spill.Ext)
+// spillFile names this operand's spill file for one ShardKey. Content-keyed
+// operands' names are stable across processes, so keep-mode files are
+// adoptable; anonymous names never become orphans.
+func (o *Operand) spillFile(key ShardKey) string {
+	return fmt.Sprintf("%s-t%d-r%d%s", o.spillName, key.Tile, key.Rep, spill.Ext)
 }
 
 // adoptSpillLocked looks for an orphan spill file of a previous process
-// matching this content-keyed operand and shard key. Caller holds o.mu.
+// matching this operand and shard key. Caller holds shardLRU.mu; TakeOrphan
+// is an in-memory lookup, no IO.
 func (o *Operand) adoptSpillLocked(key ShardKey) *spill.Handle {
-	if o.spillKey == "" {
-		return nil
-	}
 	d := spillDirPtr.Load()
 	if d == nil {
 		return nil
 	}
-	h, ok := d.TakeOrphan(o.spillNameLocked(key))
+	h, ok := d.TakeOrphan(o.spillFile(key))
 	if !ok {
 		return nil
 	}
-	return h
-}
-
-// takeSpillLocked transfers ownership of the shard's disk image to the
-// caller (nil when the shard never spilled). Caller holds the owner's mu;
-// whoever takes the handle owes it a Release or Discard.
-func (s *Shard) takeSpillLocked() *spill.Handle {
-	h := s.spill
-	s.spill = nil
 	return h
 }
 
@@ -197,50 +175,33 @@ func trySpill(s *Shard) bool {
 	if d == nil {
 		return false
 	}
-	body := encodeShard(s)
-	o := s.owner
-	o.mu.Lock()
-	name := o.spillNameLocked(s.Key)
-	o.mu.Unlock()
-	h, err := d.Write(name, spillSeq.Add(1), body)
+	h, err := d.Write(s.owner.spillFile(s.Key), spillSeq.Add(1), encodeShard(s))
 	if err != nil {
 		countSpillFault(err)
 		return false
 	}
-	o.mu.Lock()
-	if cur, ok := o.shards[s.Key]; !ok || cur != s {
+	c := &shardLRU
+	c.mu.Lock()
+	if s.owner.shards[s.Key] != s {
 		// The operand was closed or the key rebuilt while we serialized:
 		// nothing will ever reload this file, so take it back off disk.
-		o.mu.Unlock()
+		c.mu.Unlock()
 		d.Discard(h)
 		return false
 	}
 	s.spill = h
-	o.mu.Unlock()
-	// Mark the spilled state in the lifecycle word (tryPin keeps failing on
-	// the retired bit; the spilled bit records why) and free the RAM tier.
-	for {
-		st := s.state.Load()
-		if s.state.CompareAndSwap(st, st|shardSpilled) {
-			break
-		}
-	}
+	c.creditTenantSpillLocked(s.spillClaims, h.Size(), true)
+	c.mu.Unlock()
 	s.recycle()
 	s.stampSpilled()
-	shardLRU.counters.SpillWrites.Add(1)
-	shardLRU.counters.SpillBytes.Add(h.Size())
-	creditTenantSpill(s.spillClaims, h.Size(), true)
+	c.counters.SpillWrites.Add(1)
+	c.counters.SpillBytes.Add(h.Size())
 	return true
 }
 
-// creditTenantSpill charges one spill write (or read) to every tenant that
-// had claimed the shard when it was evicted.
-func creditTenantSpill(claims []string, bytes int64, write bool) {
-	if len(claims) == 0 {
-		return
-	}
-	c := &shardLRU
-	c.mu.Lock()
+// creditTenantSpillLocked charges one spill write (or read) to every
+// tenant that had claimed the shard when it was evicted. Caller holds c.mu.
+func (c *shardCache) creditTenantSpillLocked(claims []string, bytes int64, write bool) {
 	for _, id := range claims {
 		if a := c.tenants[id]; a != nil {
 			if write {
@@ -251,7 +212,6 @@ func creditTenantSpill(claims []string, bytes int64, write bool) {
 			}
 		}
 	}
-	c.mu.Unlock()
 }
 
 // loadSpill restores a spilled shard image into this freshly created,

@@ -18,9 +18,8 @@
 //     blowing its quota cannot push well-behaved tenants' warm sets out.
 //
 // All account state (the accounts map, each account's gauges, and the
-// claim lists on shards) is guarded by shardLRU.mu, exactly like the LRU
-// links; reclamation of victims always happens after the lock is released
-// (the lock-rank invariant: shardLRU.mu never nests with Operand.mu).
+// claim lists on shards) is guarded by shardLRU.mu, like the rest of the
+// lifecycle; victims are reclaimed after the lock is released.
 package core
 
 import (
@@ -108,8 +107,7 @@ func (c *shardCache) overQuotaClaimLocked(s *Shard) bool {
 }
 
 // unclaimAllLocked uncharges s from every claimant and clears the claim
-// list. Idempotent (the doom path and the eviction path can both reach a
-// shard's retirement); caller holds c.mu.
+// list; caller holds c.mu.
 func (c *shardCache) unclaimAllLocked(s *Shard) {
 	for _, t := range s.claims {
 		if a := c.tenants[t]; a != nil {
@@ -119,7 +117,7 @@ func (c *shardCache) unclaimAllLocked(s *Shard) {
 	}
 	// Keep the claimant list on the shard past the uncharge: if this
 	// retirement spills the tables, the disk-tier round trip is credited to
-	// the tenants that had the shard warm (creditTenantSpill).
+	// the tenants that had the shard warm (creditTenantSpillLocked).
 	s.spillClaims = s.claims
 	s.claims = nil
 }
@@ -163,11 +161,10 @@ func (c *shardCache) enforceTenantLocked(id string) []*Shard {
 	var victims []*Shard
 	for s := c.tail; s != nil && a.overQuota(); {
 		prev := s.lruPrev
-		if s.claimedByLocked(id) && s.tryRetire() {
+		if s.pins == 0 && s.claimedByLocked(id) {
 			a.evictions++
 			a.evictedBytes += s.bytes
-			c.removeLocked(s)
-			c.unclaimAllLocked(s)
+			c.retireLocked(s)
 			victims = append(victims, s)
 		}
 		s = prev
@@ -213,8 +210,7 @@ func AllTenantStats() []metrics.TenantSnapshot {
 }
 
 // tenantSnapshotLocked assembles one tenant's snapshot, deriving the pinned
-// gauge from the LRU walk (racy per shard, like CacheSnapshot's, but
-// consistent with the account gauges under the one lock).
+// gauge from the LRU walk under the same lock as the account gauges.
 func (c *shardCache) tenantSnapshotLocked(id string, a *tenantAccount) metrics.TenantSnapshot {
 	snap := metrics.TenantSnapshot{
 		ID:           id,
@@ -230,7 +226,7 @@ func (c *shardCache) tenantSnapshotLocked(id string, a *tenantAccount) metrics.T
 		SpillBytes:   a.spillBytes,
 	}
 	for s := c.head; s != nil; s = s.lruNext {
-		if s.pinnedNow() && s.claimedByLocked(id) {
+		if s.pins > 0 && s.claimedByLocked(id) {
 			snap.PinnedBytes += s.bytes
 		}
 	}
@@ -250,23 +246,23 @@ func DropTenant(id string) {
 		c.mu.Unlock()
 		return
 	}
-	var victims []*Shard
+	var dead []*Shard
 	for s := c.tail; s != nil; {
 		prev := s.lruPrev
 		if s.claimedByLocked(id) {
 			c.removeClaimLocked(s, id)
-			if len(s.claims) == 0 && s.tryRetire() {
-				c.removeLocked(s)
-				victims = append(victims, s)
+			if len(s.claims) == 0 && s.pins == 0 {
+				c.retireLocked(s)
+				s.owner.unmapLocked(s)
+				dead = append(dead, s)
 			}
 		}
 		s = prev
 	}
 	delete(c.tenants, id)
 	c.mu.Unlock()
-	for _, s := range victims {
-		c.counters.Drops.Add(1)
-		s.owner.unmap(s)
+	c.counters.Drops.Add(int64(len(dead)))
+	for _, s := range dead {
 		s.recycle()
 	}
 }

@@ -19,7 +19,7 @@
 //	func (lruRank) LockRank() (int, bool) { return 1, true } // rank 1, exclusive
 //	func (lruRank) RankLabel() string     { return "shardCache.mu" }
 //
-//	mu lockcheck.Mutex[lruRank] // never nested with Operand.mu
+//	mu lockcheck.Mutex[lruRank] // the one lifecycle lock: nothing ranked, itself included, nests under it
 //
 // Carrying the rank in the type parameter keeps the zero value ready to use
 // (no SetRank call to forget, no per-instance state) and keeps the normal

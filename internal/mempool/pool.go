@@ -240,7 +240,7 @@ func (c *ChunkCache[T]) Release(l *List[T]) {
 // here between runs, keyed by their shape, so repeated contractions stop
 // reallocating tile-sized buffers.
 type Freelist[K comparable, V any] struct {
-	mu     lockcheck.Mutex[freelistRank] // leaf below the core lifecycle locks; park/vend only
+	mu     lockcheck.Mutex[freelistRank] // leaf below the core lifecycle lock; park/vend only
 	perKey int
 	items  map[K][]V
 	ck     checkedFreelist[K, V] // zero-sized unless built with fastcc_checked
@@ -248,7 +248,7 @@ type Freelist[K comparable, V any] struct {
 
 // freelistRank places Freelist.mu in the lock-rank hierarchy
 // (internal/lockcheck): rank 3, not exclusive, below the core lifecycle
-// locks. fastcc_checked builds enforce it at runtime.
+// lock. fastcc_checked builds enforce it at runtime.
 type freelistRank struct{}
 
 func (freelistRank) LockRank() (int, bool) { return 3, false }

@@ -3,7 +3,7 @@
 //
 //   - Static: a fixed team of workers that partition an index range among
 //     themselves (the cyclic tile ownership of the shard build);
-//   - PoolCtxBatchGuarded (and its Pool shorthand): a dynamic task queue
+//   - PoolCtxBatch (and its Pool shorthand): a dynamic task queue
 //     over an index range, the Go substitute for Taskflow — tasks are
 //     claimed with an atomic ticket so load imbalance between tile-tile
 //     contractions is absorbed at run time.
@@ -35,10 +35,10 @@ func Workers(n int) int {
 func Pool(workers, tasks int, fn func(worker, task int)) {
 	// context.Background() is never canceled, so the per-task Err() check
 	// reduces to a nil comparison.
-	_ = PoolCtxBatchGuarded(context.Background(), workers, tasks, 1, Guard{}, fn)
+	_ = PoolCtxBatch(context.Background(), workers, tasks, 1, fn)
 }
 
-// ClaimBatch picks a per-claim batch size for PoolCtxBatchGuarded: 1 while
+// ClaimBatch picks a per-claim batch size for PoolCtxBatch: 1 while
 // tasks are scarce relative to workers (dynamic balancing matters most),
 // growing once tasks >> workers so the atomic ticket stops being a
 // contention point, and capped so the tail imbalance stays below
@@ -64,34 +64,8 @@ const (
 	maxClaimBatch = 64
 )
 
-// Guard brackets each worker's participation in a pool run: Acquire runs on
-// the worker's own goroutine before its first claim, Release runs (deferred,
-// so panics and cancellation cannot skip it) after its last task. The engine
-// uses this to pin shard-cache entries for the duration of a worker's
-// involvement — readers hold their pins across every task they claim, and
-// eviction waits for Release, not for individual tile boundaries. Either
-// func may be nil. Workers that never start (tasks exhausted before launch)
-// still run the pair: Acquire/Release are balanced exactly once per worker
-// goroutine that PoolCtxBatchGuarded spawns.
-type Guard struct {
-	Acquire func(worker int)
-	Release func(worker int)
-}
-
-func (g Guard) acquire(w int) {
-	if g.Acquire != nil {
-		g.Acquire(w)
-	}
-}
-
-func (g Guard) release(w int) {
-	if g.Release != nil {
-		g.Release(w)
-	}
-}
-
-// PoolCtxBatchGuarded is Pool with cooperative cancellation, batched ticket
-// claiming and a per-worker Guard (see Guard for the bracket contract).
+// PoolCtxBatch is Pool with cooperative cancellation and batched ticket
+// claiming.
 //
 // Workers stop claiming new tasks once ctx is done, and the call returns
 // ctx.Err(); it returns nil when every task ran. Tasks already in flight
@@ -104,7 +78,7 @@ func (g Guard) release(w int) {
 // boundary — a canceled context stops a worker mid-batch, leaving the rest
 // of its claimed range unexecuted — so the latency to stop is one task, not
 // one batch.
-func PoolCtxBatchGuarded(ctx context.Context, workers, tasks, batch int, g Guard, fn func(worker, task int)) error {
+func PoolCtxBatch(ctx context.Context, workers, tasks, batch int, fn func(worker, task int)) error {
 	workers = Workers(workers)
 	if tasks <= 0 {
 		return ctx.Err()
@@ -116,8 +90,6 @@ func PoolCtxBatchGuarded(ctx context.Context, workers, tasks, batch int, g Guard
 		workers = tasks
 	}
 	if workers == 1 {
-		g.acquire(0)
-		defer g.release(0)
 		for t := 0; t < tasks; t++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -132,8 +104,6 @@ func PoolCtxBatchGuarded(ctx context.Context, workers, tasks, batch int, g Guard
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			g.acquire(w)
-			defer g.release(w)
 			for ctx.Err() == nil {
 				hi := next.Add(int64(batch))
 				lo := hi - int64(batch)

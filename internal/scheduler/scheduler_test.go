@@ -11,11 +11,11 @@ import (
 func TestPoolCtxCompletesUncanceled(t *testing.T) {
 	const tasks = 200
 	var hits [tasks]atomic.Int32
-	err := PoolCtxBatchGuarded(context.Background(), 4, tasks, 1, Guard{}, func(_, task int) {
+	err := PoolCtxBatch(context.Background(), 4, tasks, 1, func(_, task int) {
 		hits[task].Add(1)
 	})
 	if err != nil {
-		t.Fatalf("PoolCtxBatchGuarded: %v", err)
+		t.Fatalf("PoolCtxBatch: %v", err)
 	}
 	for i := range hits {
 		if hits[i].Load() != 1 {
@@ -28,7 +28,7 @@ func TestPoolCtxStopsAtTaskBoundary(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int64
-		err := PoolCtxBatchGuarded(ctx, workers, 100000, 1, Guard{}, func(_, task int) {
+		err := PoolCtxBatch(ctx, workers, 100000, 1, func(_, task int) {
 			if ran.Add(1) == 3 {
 				cancel()
 			}
@@ -49,7 +49,7 @@ func TestPoolCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
-	err := PoolCtxBatchGuarded(ctx, 2, 10, 1, Guard{}, func(_, task int) { ran.Add(1) })
+	err := PoolCtxBatch(ctx, 2, 10, 1, func(_, task int) { ran.Add(1) })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err=%v", err)
 	}

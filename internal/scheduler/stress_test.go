@@ -80,7 +80,7 @@ func TestPoolBatchRaceStress(t *testing.T) {
 	)
 	for _, batch := range []int{1, 7, 64, tasks + 1} {
 		var sink [workers]sinkSlot // worker-id-indexed, intentionally non-atomic
-		err := PoolCtxBatchGuarded(context.Background(), workers, tasks, batch, Guard{}, func(w, task int) {
+		err := PoolCtxBatch(context.Background(), workers, tasks, batch, func(w, task int) {
 			if w < 0 || w >= workers {
 				t.Errorf("worker id %d out of range", w)
 				return
@@ -120,7 +120,7 @@ func TestPoolBatchCancellationAtTaskBoundaries(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var executed atomic.Int64
-	err := PoolCtxBatchGuarded(ctx, workers, tasks, batch, Guard{}, func(w, task int) {
+	err := PoolCtxBatch(ctx, workers, tasks, batch, func(w, task int) {
 		if executed.Add(1) == stopAt {
 			cancel()
 		}
@@ -144,7 +144,7 @@ func TestPoolBatchSerialCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ran := 0
-	err := PoolCtxBatchGuarded(ctx, 1, 1000, 16, Guard{}, func(w, task int) {
+	err := PoolCtxBatch(ctx, 1, 1000, 16, func(w, task int) {
 		ran++
 		if ran == 10 {
 			cancel()

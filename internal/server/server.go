@@ -31,7 +31,7 @@ type Config struct {
 	// process (fastcc.SetShardBudget), and Close restores the default.
 	CacheBudget int64
 	// TenantQuota is the per-tenant shard-cache quota in bytes, set the
-	// first time a tenant touches the server (0 = no per-tenant quota).
+	// first time a tenant registers an operand (0 = no per-tenant quota).
 	TenantQuota int64
 	// UploadQuota bounds each tenant's referenced-operand bytes in the
 	// registry (0 = unlimited).
@@ -44,7 +44,8 @@ type Config struct {
 	Timeout time.Duration
 	// SpillDir enables the shard cache's disk tier: shards evicted by the
 	// cache budget or a tenant quota are serialized there and read back on
-	// the next request that needs them. Empty disables spilling.
+	// the next request that needs them; Close switches the tier off again.
+	// Empty disables spilling.
 	SpillDir string
 	// SpillBudget bounds the spill directory's on-disk bytes (0 = unbounded).
 	SpillBudget int64
@@ -87,7 +88,7 @@ type Server struct {
 
 	mu      sync.Mutex
 	results map[string]*resultEntry
-	tenants map[string]bool // every tenant ever seen; quota set + dropped at Close
+	tenants map[string]bool // every tenant that registered an operand; quota set + dropped at Close
 	nextID  atomic.Int64
 
 	// Shard-cache baseline captured at New; Close checks the deltas are
@@ -136,10 +137,15 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // and tenant account, then verifies the shard-cache and output-chunk gauges
 // returned to their New-time baseline. A nonzero delta is returned as an
 // error — the daemon exits nonzero on it, which is what make serve-smoke
-// asserts. Last, the budget New set goes back to the host default, so
-// library runs later in the process do not inherit the server's budget.
+// asserts. Last, the spill tier New switched on goes off (deleting no file,
+// so a persist-mode restart still adopts them) and the budget New set goes
+// back to the host default, so library runs later in the process neither
+// spill into the server's directory nor inherit its budget.
 func (s *Server) Close() error {
 	defer fastcc.SetShardBudget(0)
+	if s.cfg.SpillDir != "" {
+		defer fastcc.ConfigureSpill("", 0, false) // switching the tier off cannot fail
+	}
 	s.adm.Drain()
 	s.mu.Lock()
 	s.results = map[string]*resultEntry{}
@@ -223,16 +229,18 @@ type ContractResponse struct {
 	ShardReused bool `json:"shard_reused"`
 }
 
-// StatsResponse is the observability snapshot GET /v1/stats returns.
+// StatsResponse is the observability snapshot GET /v1/stats returns. The
+// per-tenant parts are the calling tenant's own: no caller reads another
+// tenant's ID or counters.
 type StatsResponse struct {
-	Cache         fastcc.CacheStats    `json:"cache"`
-	Tenants       []fastcc.TenantStats `json:"tenants"`
-	InFlight      int                  `json:"in_flight"`
-	Queued        int                  `json:"queued"`
-	Operands      int                  `json:"operands"`
-	OperandBytes  int64                `json:"operand_bytes"`
-	Results       int                  `json:"results"`
-	UploadedBytes int64                `json:"uploaded_bytes"` // calling tenant's registry charge
+	Cache         fastcc.CacheStats  `json:"cache"`
+	Tenant        fastcc.TenantStats `json:"tenant"` // calling tenant's shard-cache account
+	InFlight      int                `json:"in_flight"`
+	Queued        int                `json:"queued"`
+	Operands      int                `json:"operands"`
+	OperandBytes  int64              `json:"operand_bytes"`
+	Results       int                `json:"results"`
+	UploadedBytes int64              `json:"uploaded_bytes"` // calling tenant's registry charge
 }
 
 // --- error mapping ------------------------------------------------------
@@ -298,8 +306,8 @@ func validTenantID(id string) error {
 	return core.ValidTenant(id)
 }
 
-// tenanted wraps a handler with tenant-header extraction/validation and
-// first-touch account setup (per-tenant shard quota).
+// tenanted wraps a handler with tenant-header extraction and validation.
+// It creates no tenant state: that waits for a registered operand.
 func (s *Server) tenanted(h func(w http.ResponseWriter, r *http.Request, tenant string)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tenant := r.Header.Get(TenantHeader)
@@ -307,18 +315,23 @@ func (s *Server) tenanted(h func(w http.ResponseWriter, r *http.Request, tenant 
 			writeError(w, err)
 			return
 		}
-		s.mu.Lock()
-		first := !s.tenants[tenant]
-		s.tenants[tenant] = true
-		s.mu.Unlock()
-		if first && s.cfg.TenantQuota > 0 {
-			if err := fastcc.SetTenantQuota(tenant, s.cfg.TenantQuota); err != nil {
-				writeError(w, err)
-				return
-			}
-		}
 		h(w, r, tenant)
 	}
+}
+
+// noteTenant records a tenant that registered an operand, so Close drops
+// its cache account, and on first sight opens that account with the
+// configured quota. Uploads are the only caller: every tenanted run
+// contracts operands its tenant registered.
+func (s *Server) noteTenant(tenant string) error {
+	s.mu.Lock()
+	first := !s.tenants[tenant]
+	s.tenants[tenant] = true
+	s.mu.Unlock()
+	if first && s.cfg.TenantQuota > 0 {
+		return fastcc.SetTenantQuota(tenant, s.cfg.TenantQuota)
+	}
+	return nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -337,6 +350,9 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request, tenant str
 		return
 	}
 	hash, err := s.reg.Register(tenant, t)
+	if err == nil {
+		err = s.noteTenant(tenant)
+	}
 	if err != nil {
 		writeError(w, err)
 		return
@@ -478,9 +494,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request, tenant stri
 	s.mu.Lock()
 	nresults := len(s.results)
 	s.mu.Unlock()
+	own, _ := fastcc.TenantCacheStats(tenant)
 	writeJSON(w, &StatsResponse{
 		Cache:         fastcc.ShardCacheStats(),
-		Tenants:       fastcc.AllTenantCacheStats(),
+		Tenant:        own,
 		InFlight:      s.adm.InFlight(),
 		Queued:        s.adm.Queued(),
 		Operands:      operands,

@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -211,6 +214,113 @@ func TestServerCloseRestoresDefaultBudget(t *testing.T) {
 	defer rs.Drop()
 	if !ls.Warm() || !rs.Warm() {
 		t.Fatalf("after Close: warm left=%v right=%v, want both resident under the default budget", ls.Warm(), rs.Warm())
+	}
+}
+
+// TestServerCloseSwitchesSpillOff pins the spill-tier hand-back: New
+// switches the disk tier on for Config.SpillDir and Close switches it off,
+// so library work later in the process evicts to nowhere instead of into a
+// closed server's directory. The 1-byte budget evicts the first eagerly
+// built shard as soon as the second is inserted.
+func TestServerCloseSwitchesSpillOff(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := New(Config{Threads: 2, SpillDir: dir})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	fastcc.SetShardBudget(1)
+	defer fastcc.SetShardBudget(0)
+	rng := rand.New(rand.NewSource(137))
+	for _, x := range []*fastcc.Tensor{randTensor(rng, []uint64{30, 25}, 240), randTensor(rng, []uint64{30, 20}, 220)} {
+		sh, err := fastcc.Preshard(x, []int{0}, fastcc.WithTileSize(8, 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sh.Drop()
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 0 {
+		t.Fatalf("library eviction after Close wrote %d file(s) into the closed server's spill dir", len(files))
+	}
+}
+
+// TestServerStatsCreatesNoTenantState: only a registered operand makes a
+// tenant known to the server. Requests that register nothing — here 200
+// stats reads under fresh tenant IDs, with a tenant quota configured so a
+// known tenant would also open a cache account — leave the server's tenant
+// set and the process's tenant ledger as they were.
+func TestServerStatsCreatesNoTenantState(t *testing.T) {
+	srv, _, client := newTestServer(t, Config{Threads: 1, TenantQuota: 1 << 20})
+	ctx := context.Background()
+	before := len(fastcc.AllTenantCacheStats())
+	for i := 0; i < 200; i++ {
+		if _, err := client(fmt.Sprintf("stats-probe-%d", i)).Stats(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := len(fastcc.AllTenantCacheStats()); after != before {
+		t.Fatalf("200 stats requests took the tenant ledger from %d to %d accounts", before, after)
+	}
+	srv.mu.Lock()
+	known := len(srv.tenants)
+	srv.mu.Unlock()
+	if known != 0 {
+		t.Fatalf("server records %d tenants after requests that registered nothing", known)
+	}
+}
+
+// TestServerStatsShowsOnlyOwnTenant: GET /v1/stats reports the calling
+// tenant's own cache account and never names another tenant, just as the
+// registry refuses to let content hashes be discovered across tenants.
+func TestServerStatsShowsOnlyOwnTenant(t *testing.T) {
+	_, _, client := newTestServer(t, Config{Threads: 1, TenantQuota: 1 << 20})
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(139))
+	l := randTensor(rng, []uint64{12, 10}, 60)
+	r := randTensor(rng, []uint64{10, 8}, 50)
+	tenants := []string{"stats-alpha", "stats-beta"}
+	for _, id := range tenants {
+		c := client(id)
+		lh, err := c.Upload(ctx, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rh, err := c.Upload(ctx, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Contract(ctx, &ContractRequest{Left: lh, Right: rh, Expr: "ik,kl->il"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, id := range tenants {
+		other := tenants[1-i]
+		st, err := client(id).Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Tenant.ID != id || st.Tenant.QuotaBytes != 1<<20 || st.Tenant.Hits+st.Tenant.Misses == 0 {
+			t.Fatalf("%s: stats report tenant %+v, want its own account with quota and fetches", id, st.Tenant)
+		}
+		body, err := client(id).do(ctx, http.MethodGet, "/v1/stats", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(body)
+		body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(raw), other) {
+			t.Fatalf("%s's stats name tenant %s: %s", id, other, raw)
+		}
 	}
 }
 
