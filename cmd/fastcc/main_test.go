@@ -64,7 +64,7 @@ func TestRunSelfContractionToStdout(t *testing.T) {
 		tn.Append([]uint64{2, 1}, 3)
 	})
 	var stdout, stderr strings.Builder
-	if err := run([]string{"-left", lp, "-ctr-left", "1", "-accum", "sparse", "-platform", "desktop8"}, &stdout, &stderr); err != nil {
+	if err := run([]string{"-left", lp, "-ctr-left", "1", "-accum", "sparse", "-platform", "desktop8", "-stats"}, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
 	got, err := fastcc.ReadTNS(strings.NewReader(stdout.String()))
@@ -72,8 +72,13 @@ func TestRunSelfContractionToStdout(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Self-contraction over mode 1: O[i,i'] = Σ_j T[i,j]·T[i',j].
-	if got.At([]uint64{0, 2}) != 6 || got.At([]uint64{0, 0}) != 4 {
+	if got.At([]uint64{0, 2}) != 6 || got.At([]uint64{2, 0}) != 6 || got.At([]uint64{0, 0}) != 4 {
 		t.Fatalf("unexpected output:\n%s", stdout.String())
+	}
+	// One tensor on both sides runs the symmetric schedule, and the stats
+	// say so.
+	if !strings.Contains(stderr.String(), " sym ") {
+		t.Fatalf("stats do not mark the symmetric schedule:\n%s", stderr.String())
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"fastcc/internal/coo"
@@ -140,9 +141,14 @@ type Stats struct {
 	TileL, TileR uint64
 	NL, NR       int
 	Threads      int
-	// Tasks is the number of tile-tile contractions executed (pairs of
-	// nonempty input tiles).
+	// Tasks is the number of tile-pair contractions run: every pair of
+	// nonempty input tiles, or on the symmetric schedule (Symmetric) the
+	// nT·(nT+1)/2 pairs of the grid's upper triangle, diagonal included.
 	Tasks int
+	// Symmetric reports that the run took the self-contraction schedule:
+	// one shard on both sides, so only the upper triangle of the tile grid
+	// ran and each off-diagonal pair also wrote its transpose.
+	Symmetric bool
 	// BlockL, BlockR are the LLC super-block sides (in non-empty tiles) the
 	// contract schedule used; Blocks is the resulting block-task count. A
 	// worker claims whole blocks and walks them L-outer/R-inner, so each
@@ -181,10 +187,14 @@ func (s *Stats) String() string {
 	case s.ShardReusedR:
 		reuse = " shards=reusedR"
 	}
+	sym := ""
+	if s.Symmetric {
+		sym = " sym"
+	}
 	return fmt.Sprintf(
-		"fastcc: accumulator=%s tile=%dx%d grid=%dx%d tasks=%d block=%dx%d threads=%d out_nnz=%d%s\n"+
+		"fastcc: accumulator=%s tile=%dx%d grid=%dx%d tasks=%d%s block=%dx%d threads=%d out_nnz=%d%s\n"+
 			"fastcc: total=%v (linearize=%v build=%v contract=%v concat=%v delinearize=%v)",
-		s.Decision.Kind, s.TileL, s.TileR, s.NL, s.NR, s.Tasks, s.BlockL, s.BlockR, s.Threads, s.OutputNNZ, reuse,
+		s.Decision.Kind, s.TileL, s.TileR, s.NL, s.NR, s.Tasks, sym, s.BlockL, s.BlockR, s.Threads, s.OutputNNZ, reuse,
 		s.TotalTime, s.LinearizeTime, s.BuildTime, s.ContractTime, s.ConcatTime, s.DelinearizeTime)
 }
 
@@ -345,12 +355,23 @@ func buildShards(l, r *Operand, keyL, keyR ShardKey, threads int, st *Stats) (ls
 // execute runs the tile-task contraction over two built shards: steps 2-4
 // of the paper's pipeline (contract, accumulate, drain) plus the final
 // concatenation by reference.
+//
+// One shard on both sides (ls == rs, a self-contraction sharded once) takes
+// the symmetric schedule: O = A·Aᵀ, so tile pair (j, i) is the transpose of
+// (i, j). Only the pairs with jj >= ii run; an off-diagonal pair drains each
+// triple twice, as (l, r) and as (r, l), and a diagonal pair, whose two
+// sides are one table, matches each key with itself instead of probing.
 func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Stats) (*mempool.List[Triple], *Stats, error) {
 	tl, tr := dec.TileL, dec.TileR
 	nonEmptyL := ls.NonEmpty()
 	nonEmptyR := rs.NonEmpty()
 	nL, nR := len(nonEmptyL), len(nonEmptyR)
+	sym := ls == rs
+	st.Symmetric = sym
 	st.Tasks = nL * nR
+	if sym {
+		st.Tasks = nL * (nL + 1) / 2
+	}
 
 	t0 := time.Now()
 	pools := make([]*mempool.Pool[Triple], threads)
@@ -367,12 +388,25 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 	// replaces walked the grid i-major, re-streaming the entire R shard
 	// through the LLC for every L tile.
 	bl, br := model.BlockShape(cfg.Platform, ls.TileBytes(), rs.TileBytes(), nL, nR, threads)
-	nbR := 0
-	blocksTotal := 0
+	nbL, nbR := 0, 0
 	if nL > 0 && nR > 0 {
-		nbR = (nR + br - 1) / br
-		blocksTotal = (nL + bl - 1) / bl * nbR
+		nbL, nbR = (nL+bl-1)/bl, (nR+br-1)/br
 	}
+	// Block row bi starts at block column firstBJ(bi). The symmetric
+	// schedule skips the blocks that lie wholly below the diagonal: the
+	// first block column holding a task with jj >= bi*bl is bi*bl/br.
+	// rowStart[bi] numbers the blocks claimed before block row bi.
+	firstBJ := func(bi int) int {
+		if sym {
+			return bi * bl / br
+		}
+		return 0
+	}
+	rowStart := make([]int, nbL+1)
+	for bi := 0; bi < nbL; bi++ {
+		rowStart[bi+1] = rowStart[bi] + nbR - firstBJ(bi)
+	}
+	blocksTotal := rowStart[nbL]
 	st.BlockL, st.BlockR, st.Blocks = bl, br, blocksTotal
 	// Kernel dispatch is resolved HERE, once per run: every tile task below
 	// calls the same direct function value out of kernelTable. The platform's
@@ -395,19 +429,18 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 			workers[w] = wk
 			pools[w] = outputChunks.NewPool()
 		}
-		bi, bj := b/nbR, b%nbR
-		iEnd, jEnd := (bi+1)*bl, (bj+1)*br
-		if iEnd > nL {
-			iEnd = nL
-		}
-		if jEnd > nR {
-			jEnd = nR
-		}
+		bi := sort.Search(nbL, func(k int) bool { return rowStart[k+1] > b })
+		bj := firstBJ(bi) + b - rowStart[bi]
+		iEnd, jEnd := min((bi+1)*bl, nL), min((bj+1)*br, nR)
 		var tasksDone int64
 		for ii := bi * bl; ii < iEnd; ii++ {
 			i := nonEmptyL[ii]
 			baseL := uint64(i) * tl
-			for jj := bj * br; jj < jEnd; jj++ {
+			jj := bj * br
+			if sym && jj < ii {
+				jj = ii
+			}
+			for ; jj < jEnd; jj++ {
 				// Cancellation is observed at tile-task boundaries even
 				// inside a block, matching the batched claim's latency of
 				// one task, not one block.
@@ -416,17 +449,27 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 					return
 				}
 				j := nonEmptyR[jj]
-				kern(ls, rs, i, j, baseL, uint64(j)*tr, wk, pools[w], cfg.Counters, probeBatch)
+				diag := sym && jj == ii
+				if diag {
+					scatterDiagonal(ls.runsAt(i), wk, cfg.Counters)
+				} else {
+					kern(ls, rs, i, j, wk, cfg.Counters, probeBatch)
+				}
+				wk.drain(pools[w], baseL, uint64(j)*tr, sym && !diag)
 				tasksDone++
 			}
 		}
 		cfg.Counters.AddKernelTasks(int(dec.Kernel), tasksDone)
 	})
 	// Accumulators drain at the end of every task, so canceled or not they
-	// are empty and safe to park for the next run.
+	// are empty and safe to park for the next run. The pool hands out no
+	// more workers than blocks, so only the workers that claimed a block
+	// hold an accumulator.
+	claimed := 0
 	for _, wk := range workers {
 		if wk != nil {
 			workerFree.Put(wkey, wk)
+			claimed++
 		}
 	}
 	if err != nil {
@@ -443,7 +486,7 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 	st.OutputNNZ = out.Len()
 	cfg.Counters.AddOutput(int64(out.Len()))
 	if dec.Kind == model.AccumDense {
-		cfg.Counters.MaxWorkspace(int64(tl) * int64(tr) * int64(threads))
+		cfg.Counters.MaxWorkspace(int64(tl) * int64(tr) * int64(claimed))
 	}
 	st.Counters = cfg.Counters.Snapshot()
 	return out, st, nil

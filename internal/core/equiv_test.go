@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -16,19 +17,57 @@ import (
 // exactly. Values are small integers, so float64 accumulation is exact and
 // "equal" means identical bits regardless of accumulation order.
 
-// collectSorted contracts and returns the output as a sorted tensor.
-func collectSorted(t *testing.T, l, r *coo.Matrix, cfg Config) *coo.Tensor {
+// collectSorted contracts and returns the output as a sorted tensor, with
+// the run's stats. Passing the same matrix on both sides shares one Operand,
+// so the run takes the symmetric schedule when the tile sides agree.
+func collectSorted(t *testing.T, l, r *coo.Matrix, cfg Config) (*coo.Tensor, *Stats) {
 	t.Helper()
-	out, _, err := contract(l, r, cfg)
+	out, st, err := contract(l, r, cfg)
 	if err != nil {
 		t.Fatalf("contract(%+v): %v", cfg, err)
 	}
 	var ls, rs []uint64
 	var vs []float64
 	out.ForEach(func(tr Triple) { ls = append(ls, tr.L); rs = append(rs, tr.R); vs = append(vs, tr.V) })
+	RecycleOutput(out)
 	tn := ref.TriplesToMatrixTensor(ls, rs, vs, l.ExtDim, r.ExtDim)
 	tn.Sort()
-	return tn
+	return tn, st
+}
+
+// twin returns a second matrix over m's storage. Contracting m with its twin
+// shards each side separately, so the run takes the full tile grid: the
+// reference schedule the symmetric one must reproduce.
+func twin(m *coo.Matrix) *coo.Matrix {
+	c := *m
+	return &c
+}
+
+// referenceSorted is internal/ref's contraction of l and r as a sorted
+// tensor.
+func referenceSorted(l, r *coo.Matrix) *coo.Tensor {
+	want := ref.MapToMatrixTensor(ref.ContractMatrix(l, r), l.ExtDim, r.ExtDim)
+	want.Sort()
+	return want
+}
+
+// checkSelfLeg contracts l with itself under cfg, whose tile sides must
+// agree, once on one shared Operand (the symmetric schedule) and once
+// against its twin (the full grid). The symmetric output must equal the
+// reference want exactly and the full-grid output bit for bit, explicit
+// zeros included. It returns the symmetric run's stats.
+func checkSelfLeg(t *testing.T, what string, l *coo.Matrix, cfg Config, want *coo.Tensor) *Stats {
+	t.Helper()
+	self, st := collectSorted(t, l, l, cfg)
+	full, fst := collectSorted(t, l, twin(l), cfg)
+	if !st.Symmetric || fst.Symmetric {
+		t.Fatalf("%s: Symmetric = %v on one operand, %v on two; want true, false", what, st.Symmetric, fst.Symmetric)
+	}
+	if !coo.Equal(self, want) {
+		t.Fatalf("%s: symmetric output differs from reference", what)
+	}
+	assertBitIdentical(t, what+" symmetric vs full grid", full, self)
+	return st
 }
 
 // tinyLLC forces small super-blocks so the blocked schedule has interior
@@ -42,8 +81,7 @@ func TestEquivalenceAcrossRepAndAccum(t *testing.T) {
 	// counts do not divide the block sides chosen from tinyLLC.
 	l := randomMatrix(rng, 300, 40, 2500)
 	r := randomMatrix(rng, 260, 40, 2000)
-	want := ref.MapToMatrixTensor(ref.ContractMatrix(l, r), l.ExtDim, r.ExtDim)
-	want.Sort()
+	want := referenceSorted(l, r)
 
 	type combo struct {
 		name string
@@ -58,7 +96,7 @@ func TestEquivalenceAcrossRepAndAccum(t *testing.T) {
 	}
 	outs := make([]*coo.Tensor, len(combos))
 	for k, c := range combos {
-		outs[k] = collectSorted(t, l, r, Config{
+		outs[k], _ = collectSorted(t, l, r, Config{
 			Threads: 4, TileL: 17, TileR: 32, Accum: c.acc, Rep: c.rep,
 			Platform: tinyLLC,
 		})
@@ -77,6 +115,17 @@ func TestEquivalenceAcrossRepAndAccum(t *testing.T) {
 			}
 		}
 	}
+	// Self leg: one Operand on both sides runs the symmetric schedule. With
+	// 16-wide tiles a tinyLLC panel holds two tiles, so blocks straddle the
+	// diagonal: one block runs diagonal, mirrored and skipped pairs.
+	wantSelf := referenceSorted(l, l)
+	for _, c := range combos {
+		cfg := Config{Threads: 4, TileL: 16, TileR: 16, Accum: c.acc, Rep: c.rep, Platform: tinyLLC}
+		st := checkSelfLeg(t, "self "+c.name, l, cfg, wantSelf)
+		if st.BlockL < 2 || st.BlockR < 2 {
+			t.Fatalf("self %s: block %dx%d cannot straddle the diagonal", c.name, st.BlockL, st.BlockR)
+		}
+	}
 }
 
 func TestBlockedScheduleMatchesAcrossThreadsAndPlatforms(t *testing.T) {
@@ -86,10 +135,10 @@ func TestBlockedScheduleMatchesAcrossThreadsAndPlatforms(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	l := randomMatrix(rng, 500, 60, 4000)
 	r := randomMatrix(rng, 470, 60, 3500)
-	base := collectSorted(t, l, r, Config{Threads: 1, TileL: 32, TileR: 32})
+	base, _ := collectSorted(t, l, r, Config{Threads: 1, TileL: 32, TileR: 32})
 	for _, threads := range []int{2, 5, 8} {
 		for _, p := range []model.Platform{tinyLLC, model.Desktop8} {
-			got := collectSorted(t, l, r, Config{Threads: threads, TileL: 32, TileR: 32, Platform: p})
+			got, _ := collectSorted(t, l, r, Config{Threads: threads, TileL: 32, TileR: 32, Platform: p})
 			if !coo.Equal(base, got) {
 				t.Fatalf("threads=%d platform=%s: blocked schedule changed the result", threads, p.Name)
 			}
@@ -98,6 +147,16 @@ func TestBlockedScheduleMatchesAcrossThreadsAndPlatforms(t *testing.T) {
 					t.Fatalf("threads=%d platform=%s: value bits differ at %d", threads, p.Name, i)
 				}
 			}
+		}
+	}
+	// Self leg: the symmetric schedule's upper-triangle block enumeration
+	// changes with the block shape, which the worker count and platform
+	// set; the output must not.
+	wantSelf := referenceSorted(l, l)
+	for _, threads := range []int{1, 2, 5, 8} {
+		for _, p := range []model.Platform{tinyLLC, model.Desktop8} {
+			cfg := Config{Threads: threads, TileL: 32, TileR: 32, Platform: p}
+			checkSelfLeg(t, fmt.Sprintf("self threads=%d platform=%s", threads, p.Name), l, cfg, wantSelf)
 		}
 	}
 }
@@ -322,6 +381,16 @@ func FuzzContractTiling(f *testing.F) {
 					}
 				}
 			}
+		}
+		// Self leg: l against itself with square tiles takes the symmetric
+		// schedule, in both representations.
+		wantSelf := referenceSorted(l, l)
+		for _, rep := range []InputRep{RepHash, RepSorted} {
+			cfg := Config{
+				Threads: 3, TileL: tileL, TileR: tileL,
+				Accum: model.AccumSparse, Rep: rep, Platform: tinyLLC,
+			}
+			checkSelfLeg(t, fmt.Sprintf("self rep=%v tile=%d", rep, tileL), l, cfg, wantSelf)
 		}
 	})
 }

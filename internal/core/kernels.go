@@ -3,7 +3,6 @@ package core
 import (
 	"fastcc/internal/accum"
 	"fastcc/internal/hashtable"
-	"fastcc/internal/mempool"
 	"fastcc/internal/metrics"
 	"fastcc/internal/model"
 )
@@ -25,14 +24,17 @@ import (
 // overlap in the load queue instead of serializing hash → load → compare
 // chains (paper Section 4.3's probe-bound regime).
 //
+// A kernel only accumulates; execute then drains the worker with the one
+// shared worker.drain. A self-contraction's diagonal pairs skip the kernels
+// for scatterDiagonal.
+//
 // All four kernels agree bit for bit with internal/ref on every input the
 // equivalence suite and the contraction fuzzer generate.
 
-// tileKernel runs one tile-pair contraction. i/j are tile indices into the
-// shards; baseL/baseR the tiles' global coordinate bases; probeBatch the
+// tileKernel accumulates one tile-pair contraction into the worker's
+// accumulator. i/j are tile indices into the shards; probeBatch the
 // platform probe depth (hash kernels only).
-type tileKernel func(ls, rs *Shard, i, j int, baseL, baseR uint64,
-	wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters, probeBatch int)
+type tileKernel func(ls, rs *Shard, i, j int, wk *worker, ctr *metrics.Counters, probeBatch int)
 
 // kernelTable maps a model.KernelID to its tile-pair kernel. The KernelAuto
 // slot is nil on purpose: plan() sets Decision.Kernel before execute()
@@ -58,33 +60,62 @@ func chooseSides(hl, hr *hashtable.Sealed) (iter, probeInto *hashtable.Sealed, s
 	return hl, hr, false
 }
 
-func runHashDense(ls, rs *Shard, i, j int, baseL, baseR uint64,
-	wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters, probeBatch int) {
-	contractHashDense(ls.sealedAt(i), rs.sealedAt(j), baseL, baseR, wk, pool, ctr, probeBatch)
+func runHashDense(ls, rs *Shard, i, j int, wk *worker, ctr *metrics.Counters, probeBatch int) {
+	contractHashDense(ls.sealedAt(i), rs.sealedAt(j), wk, ctr, probeBatch)
 }
 
-func runHashSparse(ls, rs *Shard, i, j int, baseL, baseR uint64,
-	wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters, probeBatch int) {
-	contractHashSparse(ls.sealedAt(i), rs.sealedAt(j), baseL, baseR, wk, pool, ctr, probeBatch)
+func runHashSparse(ls, rs *Shard, i, j int, wk *worker, ctr *metrics.Counters, probeBatch int) {
+	contractHashSparse(ls.sealedAt(i), rs.sealedAt(j), wk, ctr, probeBatch)
 }
 
-func runSortedDense(ls, rs *Shard, i, j int, baseL, baseR uint64,
-	wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters, _ int) {
-	contractSortedDense(ls.sortedAt(i), rs.sortedAt(j), baseL, baseR, wk, pool, ctr)
+func runSortedDense(ls, rs *Shard, i, j int, wk *worker, ctr *metrics.Counters, _ int) {
+	contractSortedDense(ls.sortedAt(i), rs.sortedAt(j), wk, ctr)
 }
 
-func runSortedSparse(ls, rs *Shard, i, j int, baseL, baseR uint64,
-	wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters, _ int) {
-	contractSortedSparse(ls.sortedAt(i), rs.sortedAt(j), baseL, baseR, wk, pool, ctr)
+func runSortedSparse(ls, rs *Shard, i, j int, wk *worker, ctr *metrics.Counters, _ int) {
+	contractSortedSparse(ls.sortedAt(i), rs.sortedAt(j), wk, ctr)
+}
+
+// keyRuns is a built input tile seen as its distinct keys' pair runs, in
+// the order the kernels co-iterate them: a sealed hash table or a sorted
+// tile.
+type keyRuns interface {
+	Len() int
+	PairsAt(k int) []hashtable.Pair
+}
+
+// scatterDiagonal accumulates a diagonal tile pair of a self-contraction:
+// both sides are the same table t, so key k matches itself and no probe or
+// merge step runs. Matches go in key order, the order in which the kernels
+// visit them when t is on both sides, so the output bits are unchanged.
+// Queries count the keys, as the kernels would; no probe batches, hits or
+// misses are recorded.
+//
+//fastcc:hotpath
+func scatterDiagonal(t keyRuns, wk *worker, ctr *metrics.Counters) {
+	var ms [hashtable.LookupBatchMax]accum.Match
+	var volume, updates int64
+	n := t.Len()
+	for base := 0; base < n; base += len(ms) {
+		m := min(n-base, len(ms))
+		for k := range m {
+			ps := t.PairsAt(base + k)
+			volume += 2 * int64(len(ps))
+			updates += int64(len(ps)) * int64(len(ps))
+			ms[k] = accum.Match{L: ps, R: ps}
+		}
+		wk.scatter(ms[:m])
+	}
+	ctr.AddQueries(int64(n))
+	ctr.AddVolume(volume)
+	ctr.AddUpdates(updates)
 }
 
 // contractHashDense is the RepHash × AccumDense microkernel: batched probes
 // over the iterated side's flat key array, dense-grid scatter per match.
 //
 //fastcc:hotpath
-func contractHashDense(hl, hr *hashtable.Sealed, baseL, baseR uint64,
-	wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters, probeBatch int) {
-
+func contractHashDense(hl, hr *hashtable.Sealed, wk *worker, ctr *metrics.Counters, probeBatch int) {
 	iter, probeInto, swapped := chooseSides(hl, hr)
 	keys := iter.Keys()
 	d := wk.dense
@@ -129,9 +160,6 @@ func contractHashDense(hl, hr *hashtable.Sealed, baseL, baseR uint64,
 	ctr.AddVolume(volume)
 	ctr.AddUpdates(updates)
 	ctr.AddProbeBatches(batches, hits, queries-hits)
-	d.Drain(func(l, r uint32, v float64) { //fastcc:allow hotalloc -- one closure per tile task, outside the per-update loops
-		pool.Append(Triple{L: baseL + uint64(l), R: baseR + uint64(r), V: v})
-	})
 }
 
 // contractHashSparse is the RepHash × AccumSparse microkernel: batched
@@ -139,9 +167,7 @@ func contractHashDense(hl, hr *hashtable.Sealed, baseL, baseR uint64,
 // open-addressing table.
 //
 //fastcc:hotpath
-func contractHashSparse(hl, hr *hashtable.Sealed, baseL, baseR uint64,
-	wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters, probeBatch int) {
-
+func contractHashSparse(hl, hr *hashtable.Sealed, wk *worker, ctr *metrics.Counters, probeBatch int) {
 	iter, probeInto, swapped := chooseSides(hl, hr)
 	keys := iter.Keys()
 	s := wk.sparse
@@ -183,9 +209,6 @@ func contractHashSparse(hl, hr *hashtable.Sealed, baseL, baseR uint64,
 	ctr.AddVolume(volume)
 	ctr.AddUpdates(updates)
 	ctr.AddProbeBatches(batches, hits, queries-hits)
-	s.Drain(func(l, r uint32, v float64) { //fastcc:allow hotalloc -- one closure per tile task, outside the per-update loops
-		pool.Append(Triple{L: baseL + uint64(l), R: baseR + uint64(r), V: v})
-	})
 }
 
 // contractSortedDense is the RepSorted × AccumDense microkernel: the sorted
@@ -193,9 +216,7 @@ func contractHashSparse(hl, hr *hashtable.Sealed, baseL, baseR uint64,
 // no batch counters; queries count merge-loop iterations.
 //
 //fastcc:hotpath
-func contractSortedDense(sl, sr *sortedTile, baseL, baseR uint64,
-	wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters) {
-
+func contractSortedDense(sl, sr *sortedTile, wk *worker, ctr *metrics.Counters) {
 	d := wk.dense
 	var ms [hashtable.LookupBatchMax]accum.Match
 	nm := 0
@@ -209,8 +230,8 @@ func contractSortedDense(sl, sr *sortedTile, baseL, baseR uint64,
 		case sl.keys[i] > sr.keys[j]:
 			j++
 		default:
-			lps := sl.pairs[sl.offs[i]:sl.offs[i+1]]
-			rps := sr.pairs[sr.offs[j]:sr.offs[j+1]]
+			lps := sl.PairsAt(i)
+			rps := sr.PairsAt(j)
 			volume += int64(len(lps)) + int64(len(rps))
 			updates += int64(len(lps)) * int64(len(rps))
 			ms[nm] = accum.Match{L: lps, R: rps}
@@ -226,17 +247,12 @@ func contractSortedDense(sl, sr *sortedTile, baseL, baseR uint64,
 	ctr.AddQueries(queries)
 	ctr.AddVolume(volume)
 	ctr.AddUpdates(updates)
-	d.Drain(func(l, r uint32, v float64) { //fastcc:allow hotalloc -- one closure per tile task, outside the per-update loops
-		pool.Append(Triple{L: baseL + uint64(l), R: baseR + uint64(r), V: v})
-	})
 }
 
 // contractSortedSparse is the RepSorted × AccumSparse microkernel.
 //
 //fastcc:hotpath
-func contractSortedSparse(sl, sr *sortedTile, baseL, baseR uint64,
-	wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters) {
-
+func contractSortedSparse(sl, sr *sortedTile, wk *worker, ctr *metrics.Counters) {
 	s := wk.sparse
 	var ms [hashtable.LookupBatchMax]accum.Match
 	nm := 0
@@ -250,8 +266,8 @@ func contractSortedSparse(sl, sr *sortedTile, baseL, baseR uint64,
 		case sl.keys[i] > sr.keys[j]:
 			j++
 		default:
-			lps := sl.pairs[sl.offs[i]:sl.offs[i+1]]
-			rps := sr.pairs[sr.offs[j]:sr.offs[j+1]]
+			lps := sl.PairsAt(i)
+			rps := sr.PairsAt(j)
 			volume += int64(len(lps)) + int64(len(rps))
 			updates += int64(len(lps)) * int64(len(rps))
 			ms[nm] = accum.Match{L: lps, R: rps}
@@ -267,7 +283,4 @@ func contractSortedSparse(sl, sr *sortedTile, baseL, baseR uint64,
 	ctr.AddQueries(queries)
 	ctr.AddVolume(volume)
 	ctr.AddUpdates(updates)
-	s.Drain(func(l, r uint32, v float64) { //fastcc:allow hotalloc -- one closure per tile task, outside the per-update loops
-		pool.Append(Triple{L: baseL + uint64(l), R: baseR + uint64(r), V: v})
-	})
 }

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"fastcc/internal/coo"
 	"fastcc/internal/hashtable"
 	"fastcc/internal/mempool"
 	"fastcc/internal/metrics"
@@ -88,19 +91,20 @@ func TestIterateSmallerSideByDistinctKeys(t *testing.T) {
 		for _, kern := range []struct {
 			name string
 			kind model.AccumKind
-			run  func(wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters)
+			run  func(wk *worker, ctr *metrics.Counters)
 		}{
-			{"hash-dense", model.AccumDense, func(wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters) {
-				contractHashDense(dir.hl, dir.hr, 0, 0, wk, pool, ctr, hashtable.LookupBatchMax)
+			{"hash-dense", model.AccumDense, func(wk *worker, ctr *metrics.Counters) {
+				contractHashDense(dir.hl, dir.hr, wk, ctr, hashtable.LookupBatchMax)
 			}},
-			{"hash-sparse", model.AccumSparse, func(wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters) {
-				contractHashSparse(dir.hl, dir.hr, 0, 0, wk, pool, ctr, hashtable.LookupBatchMax)
+			{"hash-sparse", model.AccumSparse, func(wk *worker, ctr *metrics.Counters) {
+				contractHashSparse(dir.hl, dir.hr, wk, ctr, hashtable.LookupBatchMax)
 			}},
 		} {
 			var ctr metrics.Counters
 			wk := newWorker(kern.kind, 128, 32, 64)
 			pool := outputChunks.NewPool()
-			kern.run(wk, pool, &ctr)
+			kern.run(wk, &ctr)
+			wk.drain(pool, 0, 0, false)
 			outputChunks.Release(mempool.Concat(pool))
 			if q := ctr.Snapshot().Queries; q != fewKeys {
 				t.Fatalf("%s/%s: %d queries, want %d (cheaper side not iterated)",
@@ -151,6 +155,129 @@ func TestHashKernelProbeCounters(t *testing.T) {
 	RecycleOutput(out)
 	if s := ctr.Snapshot(); s.ProbeBatches != 0 || s.ProbeHits != 0 || s.ProbeMisses != 0 {
 		t.Fatalf("sorted rep recorded probe batches: %+v", s)
+	}
+}
+
+// diagonalCounts is what the diagonal pairs of a self-contraction of m with
+// square tiles of side tile add up to: one query per distinct key of each
+// tile, each key run counted twice in the volume, and its length squared
+// in the updates.
+func diagonalCounts(m *coo.Matrix, tile uint64) (queries, volume, updates int64) {
+	runs := map[[2]uint64]int64{}
+	for k := range m.Ext {
+		runs[[2]uint64{m.Ext[k] / tile, m.Ctr[k]}]++
+	}
+	for _, n := range runs {
+		queries++
+		volume += 2 * n
+		updates += n * n
+	}
+	return queries, volume, updates
+}
+
+// TestSymmetricScheduleCounters pins the symmetric schedule's accounting
+// against the full grid over the same matrix, for all four kernels. It
+// runs nT·(nT+1)/2 tasks, each counted in KernelTasks. Diagonal pairs add
+// queries, volume and updates but no probe batches, hits or misses. Each
+// off-diagonal pair counts once for the two pairs (i, j) and (j, i) the
+// full grid runs.
+func TestSymmetricScheduleCounters(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	m := randomMatrix(rng, 200, 40, 1500)
+	combos := []struct {
+		rep InputRep
+		acc model.AccumKind
+	}{
+		{RepHash, model.AccumDense},
+		{RepHash, model.AccumSparse},
+		{RepSorted, model.AccumDense},
+		{RepSorted, model.AccumSparse},
+	}
+	for _, tile := range []uint64{32, 256} {
+		nT := int((m.ExtDim + tile - 1) / tile)
+		dq, dv, du := diagonalCounts(m, tile)
+		for _, c := range combos {
+			name := fmt.Sprintf("tile=%d %v/%v", tile, c.rep, c.acc)
+			run := func(r *coo.Matrix) (*Stats, metrics.Snapshot) {
+				var ctr metrics.Counters
+				out, st, err := contract(m, r, Config{
+					Threads: 2, TileL: tile, TileR: tile, Accum: c.acc, Rep: c.rep,
+					Platform: tinyLLC, Counters: &ctr,
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				RecycleOutput(out)
+				return st, ctr.Snapshot()
+			}
+			st, s := run(m)
+			fst, f := run(twin(m))
+			if !st.Symmetric || st.Tasks != nT*(nT+1)/2 || fst.Symmetric || fst.Tasks != nT*nT {
+				t.Fatalf("%s: tasks %d (symmetric %v) and %d (symmetric %v), want %d and %d",
+					name, st.Tasks, st.Symmetric, fst.Tasks, fst.Symmetric, nT*(nT+1)/2, nT*nT)
+			}
+			k := int(st.Decision.Kernel)
+			if s.KernelTasks[k] != int64(st.Tasks) || f.KernelTasks[k] != int64(fst.Tasks) {
+				t.Fatalf("%s: kernel tasks %d and %d, stats say %d and %d",
+					name, s.KernelTasks[k], f.KernelTasks[k], st.Tasks, fst.Tasks)
+			}
+			if !strings.Contains(st.String(), " sym ") || strings.Contains(fst.String(), " sym") {
+				t.Fatalf("%s: sym marker wrong:\n%s\n%s", name, st.String(), fst.String())
+			}
+			if s.Output != f.Output {
+				t.Fatalf("%s: %d output triples, full grid %d", name, s.Output, f.Output)
+			}
+			for _, q := range []struct {
+				what             string
+				self, full, diag int64
+			}{
+				{"queries", s.Queries, f.Queries, dq},
+				{"volume", s.Volume, f.Volume, dv},
+				{"updates", s.Updates, f.Updates, du},
+			} {
+				if q.full-q.diag != 2*(q.self-q.diag) {
+					t.Fatalf("%s: %s %d on the symmetric schedule, %d on the full grid, diagonal %d",
+						name, q.what, q.self, q.full, q.diag)
+				}
+			}
+			if c.rep == RepSorted {
+				continue
+			}
+			// Only off-diagonal pairs probe. On the full grid every
+			// diagonal key hits its twin table.
+			if s.ProbeHits+s.ProbeMisses != s.Queries-dq ||
+				f.ProbeHits != dq+2*s.ProbeHits || f.ProbeMisses != 2*s.ProbeMisses {
+				t.Fatalf("%s: symmetric hits %d misses %d queries %d, full grid hits %d misses %d, diagonal keys %d",
+					name, s.ProbeHits, s.ProbeMisses, s.Queries, f.ProbeHits, f.ProbeMisses, dq)
+			}
+			if nT == 1 && s.ProbeBatches != 0 {
+				t.Fatalf("%s: a lone diagonal pair made %d probe batches", name, s.ProbeBatches)
+			}
+		}
+	}
+}
+
+// TestWorkspaceCountsClaimedWorkers checks the dense workspace against the
+// accumulators that exist: one tile per worker that claimed a block. The
+// pool starts no more workers than there are blocks, so a one-block run at
+// four threads holds one 64×64 accumulator, not four.
+func TestWorkspaceCountsClaimedWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	l := randomMatrix(rng, 50, 20, 300)
+	r := randomMatrix(rng, 60, 20, 300)
+	var ctr metrics.Counters
+	out, st, err := contract(l, r, Config{
+		Threads: 4, TileL: 64, TileR: 64, Accum: model.AccumDense, Counters: &ctr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	RecycleOutput(out)
+	if st.Blocks != 1 {
+		t.Fatalf("%d blocks, want 1", st.Blocks)
+	}
+	if got := ctr.Snapshot().WorkspaceWords; got != 64*64 {
+		t.Fatalf("workspace %d words, want %d: one worker claimed the one block", got, 64*64)
 	}
 }
 
@@ -223,27 +350,28 @@ func newBenchTilePair(nKeysL, nKeysR, pairsPerKey int) *benchTilePairData {
 func BenchmarkTilePair(b *testing.B) {
 	const tl, tr = 64, 32
 	d := newBenchTilePair(1024, 512, 8)
-	run := func(name string, kind model.AccumKind, fn func(wk *worker, pool *mempool.Pool[Triple])) {
+	run := func(name string, kind model.AccumKind, fn func(wk *worker)) {
 		b.Run(name, func(b *testing.B) {
 			wk := newWorker(kind, tl, tr, 1<<12)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				pool := outputChunks.NewPool()
-				fn(wk, pool)
+				fn(wk)
+				wk.drain(pool, 0, 0, false)
 				outputChunks.Release(mempool.Concat(pool))
 			}
 		})
 	}
-	run("hash/dense", model.AccumDense, func(wk *worker, pool *mempool.Pool[Triple]) {
-		contractHashDense(d.hl, d.hr, 0, 0, wk, pool, nil, hashtable.LookupBatchMax)
+	run("hash/dense", model.AccumDense, func(wk *worker) {
+		contractHashDense(d.hl, d.hr, wk, nil, hashtable.LookupBatchMax)
 	})
-	run("hash/sparse", model.AccumSparse, func(wk *worker, pool *mempool.Pool[Triple]) {
-		contractHashSparse(d.hl, d.hr, 0, 0, wk, pool, nil, hashtable.LookupBatchMax)
+	run("hash/sparse", model.AccumSparse, func(wk *worker) {
+		contractHashSparse(d.hl, d.hr, wk, nil, hashtable.LookupBatchMax)
 	})
-	run("sorted/dense", model.AccumDense, func(wk *worker, pool *mempool.Pool[Triple]) {
-		contractSortedDense(d.sl, d.sr, 0, 0, wk, pool, nil)
+	run("sorted/dense", model.AccumDense, func(wk *worker) {
+		contractSortedDense(d.sl, d.sr, wk, nil)
 	})
-	run("sorted/sparse", model.AccumSparse, func(wk *worker, pool *mempool.Pool[Triple]) {
-		contractSortedSparse(d.sl, d.sr, 0, 0, wk, pool, nil)
+	run("sorted/sparse", model.AccumSparse, func(wk *worker) {
+		contractSortedSparse(d.sl, d.sr, wk, nil)
 	})
 }

@@ -127,6 +127,15 @@ func (s *Shard) sortedAt(i int) *sortedTile {
 	return s.sorted[i]
 }
 
+// runsAt returns non-empty tile i in the shard's representation, for the
+// diagonal pairs of a self-contraction.
+func (s *Shard) runsAt(i int) keyRuns {
+	if s.Key.Rep == RepSorted {
+		return s.sortedAt(i)
+	}
+	return s.sealedAt(i)
+}
+
 // Tiles returns the tile-grid size (number of tiles along the operand's
 // external dimension).
 func (s *Shard) Tiles() int {

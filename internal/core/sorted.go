@@ -50,6 +50,12 @@ var (
 	sortedPermPool mempool.SlicePool[uint32]
 )
 
+// Len returns the tile's distinct key count.
+func (st *sortedTile) Len() int { return len(st.keys) }
+
+// PairsAt returns the pair run of the tile's k-th key.
+func (st *sortedTile) PairsAt(k int) []hashtable.Pair { return st.pairs[st.offs[k]:st.offs[k+1]] }
+
 // memBytes reports the tile's in-memory footprint for eviction accounting.
 func (st *sortedTile) memBytes() int64 {
 	return int64(cap(st.keys))*8 + int64(cap(st.offs))*4 + int64(cap(st.pairs))*16

@@ -4,6 +4,7 @@ import (
 	"fastcc/internal/accum"
 	"fastcc/internal/coo"
 	"fastcc/internal/hashtable"
+	"fastcc/internal/mempool"
 	"fastcc/internal/model"
 )
 
@@ -21,6 +22,40 @@ func newWorker(kind model.AccumKind, tl, tr uint64, sparseHint int) *worker {
 		return &worker{sparse: accum.NewSparse(sparseHint)}
 	default:
 		return &worker{dense: accum.NewDense(uint32(tl), uint32(tr))}
+	}
+}
+
+// scatter accumulates a batch of matches into the worker's accumulator.
+// Only the diagonal pairs of a self-contraction come through here; the
+// kernels call their accumulator's ScatterMatches directly.
+func (wk *worker) scatter(ms []accum.Match) {
+	if wk.dense != nil {
+		wk.dense.ScatterMatches(ms)
+		return
+	}
+	wk.sparse.ScatterMatches(ms)
+}
+
+// drain empties the worker's accumulator into pool after a tile task,
+// offsetting the intra-tile coordinates by the tile bases. With mirror set
+// every triple is also appended transposed, as (r, l): in a
+// self-contraction O = A·Aᵀ is symmetric, so that is the value of the
+// lower-triangle tile pair the schedule skipped.
+func (wk *worker) drain(pool *mempool.Pool[Triple], baseL, baseR uint64, mirror bool) {
+	emit := func(l, r uint32, v float64) {
+		pool.Append(Triple{L: baseL + uint64(l), R: baseR + uint64(r), V: v})
+	}
+	if mirror {
+		emit = func(l, r uint32, v float64) {
+			gl, gr := baseL+uint64(l), baseR+uint64(r)
+			pool.Append(Triple{L: gl, R: gr, V: v})
+			pool.Append(Triple{L: gr, R: gl, V: v})
+		}
+	}
+	if wk.dense != nil {
+		wk.dense.Drain(emit)
+	} else {
+		wk.sparse.Drain(emit)
 	}
 }
 
