@@ -79,8 +79,10 @@ fuzz-smoke:
 # One-iteration run of the prepared-operand reuse benchmark: exercises the
 # Preshard/ContractPrepared path end to end (the warm iterations assert
 # Stats.BuildTime == 0 and ShardReused) without paying full benchmark time.
+# The BTNS codec benchmarks run once too, so they keep compiling.
 bench-smoke:
 	$(GO) test -bench=Reuse -benchtime=1x -run=^$$ .
+	$(GO) test -bench=BTNS -benchtime=1x -benchmem -run=^$$ ./internal/tnsbin
 
 # The benchmark module's own tests (tiny preset, a few seconds). The root
 # `go test ./...` does not reach the separate bench module, and its

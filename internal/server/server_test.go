@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"net/http"
@@ -607,5 +609,74 @@ func TestServerClientCancelMidQueue(t *testing.T) {
 			t.Fatalf("queue did not drain: %d still queued", srv.adm.Queued())
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestContentHashGolden pins the content hash of a fixed tensor: unsorted,
+// with a duplicate coordinate, a first key of zero and multi-byte key
+// deltas. Keep-mode spill files are named by content hash, so an encoding
+// that changed these bytes would orphan a previous daemon's spill images.
+func TestContentHashGolden(t *testing.T) {
+	x := fastcc.NewTensor([]uint64{300, 7, 40}, 6)
+	for _, e := range []struct {
+		c []uint64
+		v float64
+	}{
+		{[]uint64{299, 6, 39}, 0.1},
+		{[]uint64{0, 0, 0}, -2.5},
+		{[]uint64{17, 3, 21}, 1e-3},
+		{[]uint64{299, 6, 39}, 0.2},
+		{[]uint64{150, 0, 1}, 7},
+		{[]uint64{16, 6, 39}, -1.0 / 3},
+	} {
+		x.Append(e.c, e.v)
+	}
+	h, err := ContentHash(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "b588a4031b147cd2309e46bed365553a49ca40b6302d0bc53715f41011fb21ab"; h != want {
+		t.Fatalf("ContentHash = %s, want %s", h, want)
+	}
+}
+
+// TestServerRejectsOverstatedCount posts 26 bytes that declare 2^36
+// elements of a 2^31 × 2^31 tensor behind a valid CRC trailer. The decoder
+// must refuse the count before allocating for it, and the server must go
+// on serving.
+func TestServerRejectsOverstatedCount(t *testing.T) {
+	_, _, client := newTestServer(t, Config{Threads: 1})
+	c := client("count-tenant")
+	ctx := context.Background()
+
+	body := append([]byte("BTNS"), 1, 2)
+	body = binary.AppendUvarint(body, 1<<31)
+	body = binary.AppendUvarint(body, 1<<31)
+	body = binary.AppendUvarint(body, 1<<36)
+	body = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+	rc, err := c.do(ctx, http.MethodPost, "/v1/operands", "application/octet-stream", bytes.NewReader(body))
+	if err == nil {
+		rc.Close()
+		t.Fatal("overstated count accepted")
+	}
+	if s, code := apiErrorCode(t, err); s != 400 || code != "bad_spec" {
+		t.Fatalf("got %d %s, want 400 bad_spec", s, code)
+	}
+
+	rng := rand.New(rand.NewSource(113))
+	lh, err := c.Upload(ctx, randTensor(rng, []uint64{10, 8}, 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rh, err := c.Upload(ctx, randTensor(rng, []uint64{8, 6}, 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.Contract(ctx, &ContractRequest{Left: lh, Right: rh, Expr: "ik,kl->il"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Fetch(ctx, resp.ResultID); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,7 +1,13 @@
 package tnsbin
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -150,6 +156,167 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
+// referenceWrite is the encoder Write replaced: canonicalize a clone with
+// Dedup, linearize it again and emit field by field through a
+// bufio.Writer. Write must put exactly its bytes on the wire.
+func referenceWrite(w io.Writer, t *coo.Tensor) error {
+	if _, err := coo.LinearSize(t.Dims); err != nil {
+		return fmt.Errorf("tnsbin: %w", err)
+	}
+	c := t.Clone()
+	c.Dedup()
+	modes := make([]int, c.Order())
+	for m := range modes {
+		modes[m] = m
+	}
+	keys, err := c.LinearizeModes(modes)
+	if err != nil {
+		return fmt.Errorf("tnsbin: %w", err)
+	}
+	crc := crc32.NewIEEE()
+	// A bufio.Writer keeps its first error and Flush returns it.
+	bw := bufio.NewWriter(io.MultiWriter(w, crc))
+	var buf [binary.MaxVarintLen64]byte
+	putUvarint := func(v uint64) {
+		n := binary.PutUvarint(buf[:], v)
+		bw.Write(buf[:n])
+	}
+	bw.Write(magic[:])
+	putUvarint(version)
+	putUvarint(uint64(c.Order()))
+	for _, d := range c.Dims {
+		putUvarint(d)
+	}
+	putUvarint(uint64(c.NNZ()))
+	prev := uint64(0)
+	for i, k := range keys {
+		delta := k + 1
+		if i > 0 {
+			delta = k - prev
+			if delta == 0 {
+				return fmt.Errorf("tnsbin: duplicate coordinate after dedup (key %d)", k)
+			}
+		}
+		putUvarint(delta)
+		prev = k
+	}
+	for _, v := range c.Vals {
+		binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(v))
+		bw.Write(buf[:8])
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint32(buf[:4], crc.Sum32())
+	_, err = w.Write(buf[:4])
+	return err
+}
+
+func TestWriteMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	sorted := randomTensor(rng, []uint64{40, 7, 19}, 500)
+	sorted.Dedup()
+	sortedDups := randomTensor(rng, []uint64{6, 5}, 200) // ~7 per coordinate
+	sortedDups.Sort()
+	negZero := coo.New([]uint64{4, 4}, 3)
+	negZero.Append([]uint64{3, 1}, math.Copysign(0, -1))
+	negZero.Append([]uint64{0, 2}, 1.5)
+	negZero.Append([]uint64{3, 1}, math.Copysign(0, -1))
+	firstZero := coo.New([]uint64{9, 9}, 2)
+	firstZero.Append([]uint64{4, 4}, 1)
+	firstZero.Append([]uint64{0, 0}, 2)
+	cases := map[string]*coo.Tensor{
+		"unsorted":           randomTensor(rng, []uint64{40, 7, 19}, 500),
+		"sorted":             sorted,
+		"duplicates":         randomTensor(rng, []uint64{6, 5}, 200),
+		"sorted duplicates":  sortedDups,
+		"negative zero sums": negZero,
+		"empty":              coo.New([]uint64{5, 5}, 0),
+		"order 1":            randomTensor(rng, []uint64{1000}, 300),
+		"order 4":            randomTensor(rng, []uint64{13, 2, 31, 7}, 900),
+		"first key 0":        firstZero,
+		"multi-byte deltas":  randomTensor(rng, []uint64{1 << 20, 1 << 20, 1 << 20}, 300),
+		"single element":     randomTensor(rng, []uint64{3, 3}, 1),
+		"all one coordinate": randomTensor(rng, []uint64{1, 1}, 50),
+	}
+	for name, x := range cases {
+		before := x.Clone()
+		var got, want bytes.Buffer
+		if err := Write(&got, x); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := referenceWrite(&want, x); err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: Write gives %d bytes, the reference %d; they differ", name, got.Len(), want.Len())
+		}
+		if !coo.Equal(before, x) || !equalOrder(before, x) {
+			t.Errorf("%s: Write modified its input", name)
+		}
+	}
+}
+
+// equalOrder reports whether a and b hold the same elements in the same
+// order, comparing value bits.
+func equalOrder(a, b *coo.Tensor) bool {
+	if a.NNZ() != b.NNZ() {
+		return false
+	}
+	for i := range a.Vals {
+		if math.Float64bits(a.Vals[i]) != math.Float64bits(b.Vals[i]) {
+			return false
+		}
+		for m := range a.Coords {
+			if a.Coords[m][i] != b.Coords[m][i] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// seal appends body's CRC-32 trailer.
+func seal(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+}
+
+// overstatedCount is a 26-byte stream with a valid trailer that declares
+// 2^36 elements of a 2^31 × 2^31 tensor and carries none of them.
+func overstatedCount() []byte {
+	body := append([]byte("BTNS"), version, 2)
+	body = binary.AppendUvarint(body, 1<<31)
+	body = binary.AppendUvarint(body, 1<<31)
+	body = binary.AppendUvarint(body, 1<<36)
+	return seal(body)
+}
+
+// nanValue is a one-element stream whose value is NaN.
+func nanValue() []byte {
+	body := append([]byte("BTNS"), version, 1, 3, 1, 1)
+	return seal(binary.LittleEndian.AppendUint64(body, math.Float64bits(math.NaN())))
+}
+
+func TestReadRejectsCountBeyondPayload(t *testing.T) {
+	data := overstatedCount()
+	if len(data) != 26 {
+		t.Fatalf("stream is %d bytes, want 26", len(data))
+	}
+	if _, err := Read(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "does not fit") {
+		t.Fatalf("overstated count: err=%v", err)
+	}
+}
+
+func TestReadRejectsNaN(t *testing.T) {
+	if _, err := Read(bytes.NewReader(nanValue())); err == nil || !strings.Contains(err.Error(), "NaN") {
+		t.Fatalf("NaN value: err=%v", err)
+	}
+}
+
+// FuzzRead decodes each input twice: as given, where almost any mutation
+// fails the checksum, and with the trailer recomputed over the mutated
+// body, which reaches the parser. Accepted input must pass Validate and
+// survive Write then Read with its coordinates and value bits.
 func FuzzRead(f *testing.F) {
 	rng := rand.New(rand.NewSource(4))
 	a := randomTensor(rng, []uint64{9, 9}, 20)
@@ -158,14 +325,36 @@ func FuzzRead(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	f.Add(overstatedCount())
+	f.Add(nanValue())
 	f.Add([]byte("BTNS"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tn, err := Read(bytes.NewReader(data)) // must never panic
-		if err == nil {
-			if verr := tn.Validate(); verr != nil {
-				t.Fatalf("accepted invalid tensor: %v", verr)
-			}
+		checkAccepted(t, data)
+		if len(data) >= crc32.Size {
+			checkAccepted(t, seal(append([]byte(nil), data[:len(data)-crc32.Size]...)))
 		}
 	})
+}
+
+func checkAccepted(t *testing.T, data []byte) {
+	t.Helper()
+	tn, err := Read(bytes.NewReader(data)) // must never panic
+	if err != nil {
+		return
+	}
+	if verr := tn.Validate(); verr != nil {
+		t.Fatalf("accepted invalid tensor: %v", verr)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, tn); err != nil {
+		t.Fatalf("re-encoding an accepted tensor: %v", err)
+	}
+	back, err := Read(&buf)
+	if err != nil {
+		t.Fatalf("decoding a re-encoded tensor: %v", err)
+	}
+	if !equalOrder(tn, back) {
+		t.Fatal("Write then Read changed an accepted tensor")
+	}
 }
