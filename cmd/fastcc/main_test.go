@@ -82,6 +82,41 @@ func TestRunSelfContractionToStdout(t *testing.T) {
 	}
 }
 
+func TestRunStatsMarkDenseLayout(t *testing.T) {
+	// The left operand's one key has a run of 64 pairs and the right's a run
+	// of 2, so the 64×64 dense tile is laid out R-major and scattered along
+	// the long run, and the stats say so.
+	dir := t.TempDir()
+	l := fastcc.NewTensor([]uint64{64, 1}, 64)
+	for i := uint64(0); i < 64; i++ {
+		l.Append([]uint64{i, 0}, float64(i+1))
+	}
+	r := fastcc.NewTensor([]uint64{1, 2}, 2)
+	r.Append([]uint64{0, 0}, 2)
+	r.Append([]uint64{0, 1}, 3)
+	lp, rp := filepath.Join(dir, "l.tns"), filepath.Join(dir, "r.tns")
+	for path, tn := range map[string]*fastcc.Tensor{lp: l, rp: r} {
+		if err := fastcc.SaveTNS(path, tn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stdout, stderr strings.Builder
+	if err := run([]string{"-left", lp, "-right", rp, "-ctr-left", "1", "-ctr-right", "0",
+		"-accum", "dense", "-tile", "64", "-threads", "1", "-stats"}, &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	got, err := fastcc.ReadTNS(strings.NewReader(stdout.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NNZ() != 128 || got.At([]uint64{9, 0}) != 20 || got.At([]uint64{63, 1}) != 192 {
+		t.Fatalf("unexpected output (%d nonzeros):\n%s", got.NNZ(), stdout.String())
+	}
+	if !strings.Contains(stderr.String(), " rmajor runs ") {
+		t.Fatalf("stats do not mark the R-major run scatter:\n%s", stderr.String())
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	dir := t.TempDir()
 	lp := writeTensor(t, dir, "l.tns", func(tn *fastcc.Tensor) {
