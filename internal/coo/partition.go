@@ -76,7 +76,8 @@ func partitionWorkers(workers, tiles, nnz int) int {
 // once, and the scatter preserves the operand's nonzero order within every
 // tile (workers own ascending chunks and cursors are laid out worker-major
 // inside each tile's segment), so downstream table builds see the same
-// insertion order regardless of worker count.
+// insertion order regardless of worker count. A one-tile grid skips both
+// passes: its one segment is the operand, copied in order.
 func PartitionByTile(m *Matrix, tile uint64, workers int) *TilePartition {
 	nnz := m.NNZ()
 	tiles := int((m.ExtDim + tile - 1) / tile)
@@ -91,6 +92,18 @@ func PartitionByTile(m *Matrix, tile uint64, workers int) *TilePartition {
 		Ctr:   partU64.Get(nnz)[:nnz],           //fastcc:owned
 		Intra: partU32.Get(nnz)[:nnz],           //fastcc:owned
 		Val:   partF64.Get(nnz)[:nnz],           //fastcc:owned
+	}
+	if tiles == 1 {
+		// One tile holds every nonzero in its original order: the partition
+		// is a copy, with the external index as the intra-tile index.
+		p.Offs[0], p.Offs[1] = 0, nnz
+		copy(p.Ctr, m.Ctr)
+		copy(p.Val, m.Val)
+		for k, ext := range m.Ext[:nnz] {
+			p.Intra[k] = uint32(ext)
+		}
+		p.nonEmpty = nonEmptyTiles(p.Offs)
+		return p
 	}
 	pw := partitionWorkers(workers, tiles, nnz)
 
@@ -160,13 +173,20 @@ func PartitionByTile(m *Matrix, tile uint64, workers int) *TilePartition {
 	})
 	partInt.Put(counts)
 
-	p.nonEmpty = make([]int, 0, tiles)
-	for t := 0; t < tiles; t++ {
-		if p.Offs[t+1] > p.Offs[t] {
-			p.nonEmpty = append(p.nonEmpty, t)
+	p.nonEmpty = nonEmptyTiles(p.Offs)
+	return p
+}
+
+// nonEmptyTiles lists, in ascending order, the tiles whose segment in offs
+// holds at least one nonzero.
+func nonEmptyTiles(offs []int) []int {
+	ne := make([]int, 0, len(offs)-1)
+	for t := 0; t+1 < len(offs); t++ {
+		if offs[t+1] > offs[t] {
+			ne = append(ne, t)
 		}
 	}
-	return p
+	return ne
 }
 
 // NonEmpty returns the indices of tiles holding at least one nonzero, in

@@ -315,6 +315,14 @@ func pow2Ceil(x uint64) uint64 { return 1 << bits.Len64(x-1) }
 // row-major; its TileR of 8 is narrower than accum.RunCols, so ScatterRuns
 // hands every match to the per-update loop. Seeds 3, 5 and 8 (TileR 64 or
 // 128) send their short matches there one batch at a time.
+//
+// The self leg runs l against itself with square tiles, with the sparse
+// accumulator and, over TileL rounded up to a power of two, the dense one.
+// When ctr16's top bit is set it draws its own operand with a key extent
+// 1000 times wider, so most of a tile's keys live in no other tile and the
+// hash runs iterate partial shared-key lists: seeds 14–17 cut 16 to 102
+// tiles of few nonzeros each, and nearly every tile lists a strict subset
+// of its keys, most tiles of seeds 14 and 16 none at all.
 func FuzzContractTiling(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint16(90), uint16(30), uint16(7), uint16(13), uint16(600), uint16(0), uint16(0))
 	f.Add(int64(2), uint16(257), uint16(129), uint16(17), uint16(16), uint16(16), uint16(900), uint16(0), uint16(0)) // pow2 tiles, odd extents
@@ -339,10 +347,16 @@ func FuzzContractTiling(f *testing.F) {
 	f.Add(int64(11), uint16(100), uint16(999), uint16(1), uint16(32899), uint16(3), uint16(1500), uint16(0), uint16(0))
 	f.Add(int64(12), uint16(999), uint16(100), uint16(1), uint16(3), uint16(99), uint16(1500), uint16(0), uint16(0))
 	f.Add(int64(13), uint16(100), uint16(999), uint16(99), uint16(32899), uint16(7), uint16(800), uint16(0), uint16(0))
+	// Shared-key list seeds (see above): ctr16 0x8000|c widens the self
+	// leg's key extent to 1000·(c+1).
+	f.Add(int64(14), uint16(999), uint16(500), uint16(0x8000|99), uint16(11), uint16(16), uint16(600), uint16(0), uint16(0))
+	f.Add(int64(15), uint16(999), uint16(500), uint16(0x8000|49), uint16(20), uint16(16), uint16(1500), uint16(0), uint16(0))
+	f.Add(int64(16), uint16(800), uint16(300), uint16(0x8000|99), uint16(6), uint16(16), uint16(250), uint16(0), uint16(0))
+	f.Add(int64(17), uint16(999), uint16(500), uint16(0x8000|9), uint16(40), uint16(16), uint16(1999), uint16(0), uint16(0))
 	f.Fuzz(func(t *testing.T, seed int64, extL16, extR16, ctr16, tl16, tr16, nnz16, budget16, spill16 uint16) {
 		extL := uint64(extL16%1000) + 1
 		extR := uint64(extR16%1000) + 1
-		ctr := uint64(ctr16%100) + 1
+		ctr := uint64(ctr16&0x7fff%100) + 1
 		tileL := uint64(tl16%200) + 1
 		tileR := uint64(tr16%200) + 1
 		nnz := int(nnz16 % 2000)
@@ -410,15 +424,25 @@ func FuzzContractTiling(f *testing.F) {
 					rep, denseL, denseR, st.RMajor, st.RunScatter)
 			}
 		}
-		// Self leg: l against itself with square tiles takes the symmetric
-		// schedule, in both representations.
-		wantSelf := referenceSorted(l, l)
+		// Self leg: an operand against itself with square tiles takes the
+		// symmetric schedule, in both representations and with both
+		// accumulators.
+		self := l
+		if ctr16&0x8000 != 0 {
+			self = randomMatrix(rng, extL, 1000*ctr, nnz)
+		}
+		wantSelf := referenceSorted(self, self)
 		for _, rep := range []InputRep{RepHash, RepSorted} {
-			cfg := Config{
-				Threads: 3, TileL: tileL, TileR: tileL,
-				Accum: model.AccumSparse, Rep: rep, Platform: tinyLLC,
+			for _, leg := range []struct {
+				acc  model.AccumKind
+				tile uint64
+			}{{model.AccumSparse, tileL}, {model.AccumDense, pow2Ceil(tileL)}} {
+				cfg := Config{
+					Threads: 3, TileL: leg.tile, TileR: leg.tile,
+					Accum: leg.acc, Rep: rep, Platform: tinyLLC,
+				}
+				checkSelfLeg(t, fmt.Sprintf("self rep=%v %v tile=%d", rep, leg.acc, leg.tile), self, cfg, wantSelf)
 			}
-			checkSelfLeg(t, fmt.Sprintf("self rep=%v tile=%d", rep, tileL), l, cfg, wantSelf)
 		}
 	})
 }

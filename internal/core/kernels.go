@@ -28,7 +28,8 @@ import (
 //
 // A kernel only accumulates; execute then drains the worker with the one
 // shared worker.drain. A self-contraction's diagonal pairs skip the kernels
-// for scatterDiagonal.
+// for scatterDiagonal, and its off-diagonal pairs hand the hash kernels
+// the tiles' shared-key lists (sharedLists).
 //
 // All four kernels agree bit for bit with internal/ref on every input the
 // equivalence suite and the contraction fuzzer generate.
@@ -62,12 +63,37 @@ func chooseSides(hl, hr *hashtable.Sealed) (iter, probeInto *hashtable.Sealed, s
 	return hl, hr, false
 }
 
+// sharedLists returns the shared-key lists of tile pair (i, j) for the hash
+// kernels. On the symmetric schedule (one shard on both sides) the pair is
+// off-diagonal, so a key that no other tile holds matches nothing in it;
+// the iterated side visits only its listed keys (Shard.sharedAt). A
+// two-shard run iterates every key: nil, nil.
+func sharedLists(ls, rs *Shard, i, j int) (listL, listR []int32) {
+	if ls != rs {
+		return nil, nil
+	}
+	return ls.sharedAt(i), rs.sharedAt(j)
+}
+
 func runHashDense(ls, rs *Shard, i, j int, wk *worker, ctr *metrics.Counters, probeBatch int) {
-	contractHashDense(ls.sealedAt(i), rs.sealedAt(j), wk, ctr, probeBatch)
+	listL, listR := sharedLists(ls, rs, i, j)
+	contractHashDense(ls.sealedAt(i), rs.sealedAt(j), listL, listR, wk, ctr, probeBatch)
 }
 
 func runHashSparse(ls, rs *Shard, i, j int, wk *worker, ctr *metrics.Counters, probeBatch int) {
-	contractHashSparse(ls.sealedAt(i), rs.sealedAt(j), wk, ctr, probeBatch)
+	listL, listR := sharedLists(ls, rs, i, j)
+	contractHashSparse(ls.sealedAt(i), rs.sealedAt(j), listL, listR, wk, ctr, probeBatch)
+}
+
+// keyIndex returns the dense index of position k of the iterated side's key
+// sequence: k itself, or list[k] when list is non-nil.
+//
+//fastcc:hotpath
+func keyIndex(list []int32, k int) int {
+	if list == nil {
+		return k
+	}
+	return int(list[k])
 }
 
 func runSortedDense(ls, rs *Shard, i, j int, wk *worker, ctr *metrics.Counters, _ int) {
@@ -89,25 +115,33 @@ type keyRuns interface {
 // scatterDiagonal accumulates a diagonal tile pair of a self-contraction:
 // both sides are the same table t, so key k matches itself and no probe or
 // merge step runs. Matches go in key order, the order in which the kernels
-// visit them when t is on both sides, so the output bits are unchanged.
-// Queries count the keys, as the kernels would; no probe batches, hits or
-// misses are recorded.
+// visit them when t is on both sides, so the output bits are unchanged. A
+// key holding one pair (a, v), met when no match is pending, adds v·v at
+// (a, a) with one Upsert: the same product into the same cell in the same
+// order, with no batch to fill. Queries count the keys, as the kernels
+// would; no probe batches, hits or misses are recorded.
 //
 //fastcc:hotpath
 func scatterDiagonal(t keyRuns, wk *worker, ctr *metrics.Counters) {
 	var ms [hashtable.LookupBatchMax]accum.Match
 	var volume, updates int64
+	nm := 0
 	n := t.Len()
-	for base := 0; base < n; base += len(ms) {
-		m := min(n-base, len(ms))
-		for k := range m {
-			ps := t.PairsAt(base + k)
-			volume += 2 * int64(len(ps))
-			updates += int64(len(ps)) * int64(len(ps))
-			ms[k] = accum.Match{L: ps, R: ps}
+	for k := range n {
+		ps := t.PairsAt(k)
+		volume += 2 * int64(len(ps))
+		updates += int64(len(ps)) * int64(len(ps))
+		if len(ps) == 1 && nm == 0 {
+			wk.upsert(ps[0].Idx, ps[0].Idx, ps[0].Val*ps[0].Val)
+			continue
 		}
-		wk.scatter(ms[:m])
+		ms[nm] = accum.Match{L: ps, R: ps}
+		if nm++; nm == len(ms) {
+			wk.scatter(ms[:nm])
+			nm = 0
+		}
 	}
+	wk.scatter(ms[:nm])
 	ctr.AddQueries(int64(n))
 	ctr.AddVolume(volume)
 	ctr.AddUpdates(updates)
@@ -115,22 +149,33 @@ func scatterDiagonal(t keyRuns, wk *worker, ctr *metrics.Counters) {
 
 // contractHashDense is the RepHash × AccumDense microkernel: batched probes
 // over the iterated side's flat key array, dense-grid scatter per match.
+// listL and listR are the tiles' shared-key lists (nil: every key); the
+// iterated side visits only the keys its list names, in list order.
 //
 //fastcc:hotpath
-func contractHashDense(hl, hr *hashtable.Sealed, wk *worker, ctr *metrics.Counters, probeBatch int) {
+func contractHashDense(hl, hr *hashtable.Sealed, listL, listR []int32, wk *worker, ctr *metrics.Counters, probeBatch int) {
 	iter, probeInto, swapped := chooseSides(hl, hr)
+	list := listL
+	if swapped {
+		list = listR
+	}
 	// An R-major tile takes each match with the right run as its rows.
 	swapped = swapped != wk.rmajor
 	keys := iter.Keys()
+	nk := len(keys)
+	if list != nil {
+		nk = len(list)
+	}
+	var kb [hashtable.LookupBatchMax]uint64
 	var out [hashtable.LookupBatchMax]int32
 	var ms [hashtable.LookupBatchMax]accum.Match
 	var volume, updates, batches, hits int64
-	for base := 0; base < len(keys); base += probeBatch {
-		n := len(keys) - base
-		if n > probeBatch {
-			n = probeBatch
+	for base := 0; base < nk; base += probeBatch {
+		n := min(nk-base, probeBatch)
+		for bi := range n {
+			kb[bi] = keys[keyIndex(list, base+bi)]
 		}
-		h := probeInto.LookupBatch(keys[base:base+n], out[:n])
+		h := probeInto.LookupBatch(kb[:n], out[:n])
 		batches++
 		if h == 0 {
 			continue
@@ -145,7 +190,7 @@ func contractHashDense(hl, hr *hashtable.Sealed, wk *worker, ctr *metrics.Counte
 			if li < 0 {
 				continue
 			}
-			ips := iter.PairsAt(base + bi)
+			ips := iter.PairsAt(keyIndex(list, base+bi))
 			pps := probeInto.PairsAt(int(li))
 			volume += int64(len(ips)) + int64(len(pps))
 			updates += int64(len(ips)) * int64(len(pps))
@@ -158,7 +203,7 @@ func contractHashDense(hl, hr *hashtable.Sealed, wk *worker, ctr *metrics.Counte
 		}
 		wk.scatter(ms[:nm])
 	}
-	queries := int64(len(keys))
+	queries := int64(nk)
 	ctr.AddQueries(queries)
 	ctr.AddVolume(volume)
 	ctr.AddUpdates(updates)
@@ -167,22 +212,31 @@ func contractHashDense(hl, hr *hashtable.Sealed, wk *worker, ctr *metrics.Counte
 
 // contractHashSparse is the RepHash × AccumSparse microkernel: batched
 // probes feeding the amortized key-merge of the sparse accumulator's
-// open-addressing table.
+// open-addressing table. The lists are contractHashDense's.
 //
 //fastcc:hotpath
-func contractHashSparse(hl, hr *hashtable.Sealed, wk *worker, ctr *metrics.Counters, probeBatch int) {
+func contractHashSparse(hl, hr *hashtable.Sealed, listL, listR []int32, wk *worker, ctr *metrics.Counters, probeBatch int) {
 	iter, probeInto, swapped := chooseSides(hl, hr)
+	list := listL
+	if swapped {
+		list = listR
+	}
 	keys := iter.Keys()
+	nk := len(keys)
+	if list != nil {
+		nk = len(list)
+	}
 	s := wk.sparse
+	var kb [hashtable.LookupBatchMax]uint64
 	var out [hashtable.LookupBatchMax]int32
 	var ms [hashtable.LookupBatchMax]accum.Match
 	var volume, updates, batches, hits int64
-	for base := 0; base < len(keys); base += probeBatch {
-		n := len(keys) - base
-		if n > probeBatch {
-			n = probeBatch
+	for base := 0; base < nk; base += probeBatch {
+		n := min(nk-base, probeBatch)
+		for bi := range n {
+			kb[bi] = keys[keyIndex(list, base+bi)]
 		}
-		h := probeInto.LookupBatch(keys[base:base+n], out[:n])
+		h := probeInto.LookupBatch(kb[:n], out[:n])
 		batches++
 		if h == 0 {
 			continue
@@ -194,7 +248,7 @@ func contractHashSparse(hl, hr *hashtable.Sealed, wk *worker, ctr *metrics.Count
 			if li < 0 {
 				continue
 			}
-			ips := iter.PairsAt(base + bi)
+			ips := iter.PairsAt(keyIndex(list, base+bi))
 			pps := probeInto.PairsAt(int(li))
 			volume += int64(len(ips)) + int64(len(pps))
 			updates += int64(len(ips)) * int64(len(pps))
@@ -207,7 +261,7 @@ func contractHashSparse(hl, hr *hashtable.Sealed, wk *worker, ctr *metrics.Count
 		}
 		s.ScatterMatches(ms[:nm])
 	}
-	queries := int64(len(keys))
+	queries := int64(nk)
 	ctr.AddQueries(queries)
 	ctr.AddVolume(volume)
 	ctr.AddUpdates(updates)

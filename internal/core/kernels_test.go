@@ -94,10 +94,10 @@ func TestIterateSmallerSideByDistinctKeys(t *testing.T) {
 			run  func(wk *worker, ctr *metrics.Counters)
 		}{
 			{"hash-dense", model.AccumDense, func(wk *worker, ctr *metrics.Counters) {
-				contractHashDense(dir.hl, dir.hr, wk, ctr, hashtable.LookupBatchMax)
+				contractHashDense(dir.hl, dir.hr, nil, nil, wk, ctr, hashtable.LookupBatchMax)
 			}},
 			{"hash-sparse", model.AccumSparse, func(wk *worker, ctr *metrics.Counters) {
-				contractHashSparse(dir.hl, dir.hr, wk, ctr, hashtable.LookupBatchMax)
+				contractHashSparse(dir.hl, dir.hr, nil, nil, wk, ctr, hashtable.LookupBatchMax)
 			}},
 		} {
 			var ctr metrics.Counters
@@ -175,15 +175,50 @@ func diagonalCounts(m *coo.Matrix, tile uint64) (queries, volume, updates int64)
 	return queries, volume, updates
 }
 
+// offDiagonalQueries is what the off-diagonal pairs of a symmetric hash
+// run over m with square tiles of side tile add to Queries: per pair of
+// non-empty tiles, the length of the iterated side's shared-key list, or
+// its key count when it keeps none. The iterated side is the tile with
+// fewer keys, the left one on a tie (chooseSides). lists reports whether
+// the shard keeps any list.
+func offDiagonalQueries(m *coo.Matrix, tile uint64) (queries int64, lists bool) {
+	o := NewOperand(m)
+	defer o.Close()
+	s, _ := o.Shard(ShardKey{Tile: tile, Rep: RepHash}, 1)
+	defer s.Unpin()
+	ne := s.NonEmpty()
+	for a, i := range ne {
+		for _, j := range ne[a+1:] {
+			it := i
+			if s.sealed[j].Len() < s.sealed[i].Len() {
+				it = j
+			}
+			if l := s.sharedAt(it); l != nil {
+				queries += int64(len(l))
+			} else {
+				queries += int64(s.sealed[it].Len())
+			}
+		}
+	}
+	return queries, s.shared != nil
+}
+
 // TestSymmetricScheduleCounters pins the symmetric schedule's accounting
 // against the full grid over the same matrix, for all four kernels. It
 // runs nT·(nT+1)/2 tasks, each counted in KernelTasks. Diagonal pairs add
 // queries, volume and updates but no probe batches, hits or misses. Each
 // off-diagonal pair counts once for the two pairs (i, j) and (j, i) the
-// full grid runs.
+// full grid runs, except for the hash kernels' queries and misses: there
+// an off-diagonal pair iterates only its shared-key list. The second
+// matrix's contraction extent is 13 times its nonzero count, so most of
+// its tiles' keys live in no other tile and its multi-tile shards keep
+// lists; every key of the first is shared, so its shards keep none.
 func TestSymmetricScheduleCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	m := randomMatrix(rng, 200, 40, 1500)
+	mats := []*coo.Matrix{
+		randomMatrix(rng, 200, 40, 1500),
+		randomMatrix(rng, 200, 20000, 1500),
+	}
 	combos := []struct {
 		rep InputRep
 		acc model.AccumKind
@@ -193,67 +228,117 @@ func TestSymmetricScheduleCounters(t *testing.T) {
 		{RepSorted, model.AccumDense},
 		{RepSorted, model.AccumSparse},
 	}
-	for _, tile := range []uint64{32, 256} {
-		nT := int((m.ExtDim + tile - 1) / tile)
-		dq, dv, du := diagonalCounts(m, tile)
-		for _, c := range combos {
-			name := fmt.Sprintf("tile=%d %v/%v", tile, c.rep, c.acc)
-			run := func(r *coo.Matrix) (*Stats, metrics.Snapshot) {
-				var ctr metrics.Counters
-				out, st, err := contract(m, r, Config{
-					Threads: 2, TileL: tile, TileR: tile, Accum: c.acc, Rep: c.rep,
-					Platform: tinyLLC, Counters: &ctr,
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+	for mi, m := range mats {
+		for _, tile := range []uint64{32, 256} {
+			nT := int((m.ExtDim + tile - 1) / tile)
+			dq, dv, du := diagonalCounts(m, tile)
+			oq, lists := offDiagonalQueries(m, tile)
+			if lists != (mi == 1 && nT > 1) {
+				t.Fatalf("matrix %d tile=%d: shard keeps lists = %v", mi, tile, lists)
+			}
+			for _, c := range combos {
+				name := fmt.Sprintf("matrix %d tile=%d %v/%v", mi, tile, c.rep, c.acc)
+				run := func(r *coo.Matrix) (*Stats, metrics.Snapshot) {
+					var ctr metrics.Counters
+					out, st, err := contract(m, r, Config{
+						Threads: 2, TileL: tile, TileR: tile, Accum: c.acc, Rep: c.rep,
+						Platform: tinyLLC, Counters: &ctr,
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					RecycleOutput(out)
+					return st, ctr.Snapshot()
 				}
-				RecycleOutput(out)
-				return st, ctr.Snapshot()
-			}
-			st, s := run(m)
-			fst, f := run(twin(m))
-			if !st.Symmetric || st.Tasks != nT*(nT+1)/2 || fst.Symmetric || fst.Tasks != nT*nT {
-				t.Fatalf("%s: tasks %d (symmetric %v) and %d (symmetric %v), want %d and %d",
-					name, st.Tasks, st.Symmetric, fst.Tasks, fst.Symmetric, nT*(nT+1)/2, nT*nT)
-			}
-			k := int(st.Decision.Kernel)
-			if s.KernelTasks[k] != int64(st.Tasks) || f.KernelTasks[k] != int64(fst.Tasks) {
-				t.Fatalf("%s: kernel tasks %d and %d, stats say %d and %d",
-					name, s.KernelTasks[k], f.KernelTasks[k], st.Tasks, fst.Tasks)
-			}
-			if !strings.Contains(st.String(), " sym ") || strings.Contains(fst.String(), " sym") {
-				t.Fatalf("%s: sym marker wrong:\n%s\n%s", name, st.String(), fst.String())
-			}
-			if s.Output != f.Output {
-				t.Fatalf("%s: %d output triples, full grid %d", name, s.Output, f.Output)
-			}
-			for _, q := range []struct {
-				what             string
-				self, full, diag int64
-			}{
-				{"queries", s.Queries, f.Queries, dq},
-				{"volume", s.Volume, f.Volume, dv},
-				{"updates", s.Updates, f.Updates, du},
-			} {
-				if q.full-q.diag != 2*(q.self-q.diag) {
-					t.Fatalf("%s: %s %d on the symmetric schedule, %d on the full grid, diagonal %d",
-						name, q.what, q.self, q.full, q.diag)
+				st, s := run(m)
+				fst, f := run(twin(m))
+				if !st.Symmetric || st.Tasks != nT*(nT+1)/2 || fst.Symmetric || fst.Tasks != nT*nT {
+					t.Fatalf("%s: tasks %d (symmetric %v) and %d (symmetric %v), want %d and %d",
+						name, st.Tasks, st.Symmetric, fst.Tasks, fst.Symmetric, nT*(nT+1)/2, nT*nT)
 				}
-			}
-			if c.rep == RepSorted {
-				continue
-			}
-			// Only off-diagonal pairs probe. On the full grid every
-			// diagonal key hits its twin table.
-			if s.ProbeHits+s.ProbeMisses != s.Queries-dq ||
-				f.ProbeHits != dq+2*s.ProbeHits || f.ProbeMisses != 2*s.ProbeMisses {
-				t.Fatalf("%s: symmetric hits %d misses %d queries %d, full grid hits %d misses %d, diagonal keys %d",
-					name, s.ProbeHits, s.ProbeMisses, s.Queries, f.ProbeHits, f.ProbeMisses, dq)
-			}
-			if nT == 1 && s.ProbeBatches != 0 {
-				t.Fatalf("%s: a lone diagonal pair made %d probe batches", name, s.ProbeBatches)
+				k := int(st.Decision.Kernel)
+				if s.KernelTasks[k] != int64(st.Tasks) || f.KernelTasks[k] != int64(fst.Tasks) {
+					t.Fatalf("%s: kernel tasks %d and %d, stats say %d and %d",
+						name, s.KernelTasks[k], f.KernelTasks[k], st.Tasks, fst.Tasks)
+				}
+				if !strings.Contains(st.String(), " sym ") || strings.Contains(fst.String(), " sym") {
+					t.Fatalf("%s: sym marker wrong:\n%s\n%s", name, st.String(), fst.String())
+				}
+				if s.Output != f.Output {
+					t.Fatalf("%s: %d output triples, full grid %d", name, s.Output, f.Output)
+				}
+				for _, q := range []struct {
+					what             string
+					self, full, diag int64
+				}{
+					{"volume", s.Volume, f.Volume, dv},
+					{"updates", s.Updates, f.Updates, du},
+				} {
+					if q.full-q.diag != 2*(q.self-q.diag) {
+						t.Fatalf("%s: %s %d on the symmetric schedule, %d on the full grid, diagonal %d",
+							name, q.what, q.self, q.full, q.diag)
+					}
+				}
+				if c.rep == RepSorted {
+					// The merge walk has no lists: each off-diagonal pair
+					// makes the queries of its two full-grid twins.
+					if f.Queries-dq != 2*(s.Queries-dq) {
+						t.Fatalf("%s: queries %d on the symmetric schedule, %d on the full grid, diagonal %d",
+							name, s.Queries, f.Queries, dq)
+					}
+					continue
+				}
+				// Only off-diagonal pairs probe, and only the listed keys of
+				// the side they iterate. On the full grid every diagonal key
+				// hits its twin table, and the lists drop no hit.
+				if s.Queries != dq+oq {
+					t.Fatalf("%s: %d queries on the symmetric schedule, want %d diagonal keys + %d listed",
+						name, s.Queries, dq, oq)
+				}
+				if s.ProbeHits+s.ProbeMisses != s.Queries-dq || f.ProbeHits != dq+2*s.ProbeHits {
+					t.Fatalf("%s: symmetric hits %d misses %d queries %d, full grid hits %d, diagonal keys %d",
+						name, s.ProbeHits, s.ProbeMisses, s.Queries, f.ProbeHits, dq)
+				}
+				if lists && 2*s.ProbeMisses >= f.ProbeMisses || !lists && 2*s.ProbeMisses != f.ProbeMisses {
+					t.Fatalf("%s: symmetric misses %d, full grid %d, lists %v",
+						name, s.ProbeMisses, f.ProbeMisses, lists)
+				}
+				if nT == 1 && s.ProbeBatches != 0 {
+					t.Fatalf("%s: a lone diagonal pair made %d probe batches", name, s.ProbeBatches)
+				}
 			}
 		}
+	}
+
+	// Spill leg: a shard reloaded from the disk tier rebuilds its lists, so
+	// a symmetric run over it probes exactly as over the built shard.
+	enableSpill(t, 0)
+	defer SetShardBudget(0)
+	SetShardBudget(-1)
+	o := NewOperand(mats[1])
+	defer o.Close()
+	cfg := Config{Threads: 2, TileL: 32, TileR: 32, Accum: model.AccumSparse, Platform: tinyLLC}
+	probe := func() metrics.Snapshot {
+		var ctr metrics.Counters
+		cfg.Counters = &ctr
+		out, _, err := ContractOperands(o, o, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		RecycleOutput(out)
+		return ctr.Snapshot()
+	}
+	built := probe()
+	before := CacheStats()
+	SetShardBudget(1)
+	SetShardBudget(-1)
+	reloaded := probe()
+	if now := CacheStats(); now.SpillWrites == before.SpillWrites || now.SpillReads == before.SpillReads {
+		t.Fatalf("the shard did not go through the disk tier: %+v then %+v", before, now)
+	}
+	if reloaded.Queries != built.Queries || reloaded.ProbeMisses != built.ProbeMisses {
+		t.Fatalf("reloaded shard: %d queries, %d misses; built: %d queries, %d misses",
+			reloaded.Queries, reloaded.ProbeMisses, built.Queries, built.ProbeMisses)
 	}
 }
 
@@ -363,10 +448,10 @@ func BenchmarkTilePair(b *testing.B) {
 		})
 	}
 	run("hash/dense", model.AccumDense, func(wk *worker) {
-		contractHashDense(d.hl, d.hr, wk, nil, hashtable.LookupBatchMax)
+		contractHashDense(d.hl, d.hr, nil, nil, wk, nil, hashtable.LookupBatchMax)
 	})
 	run("hash/sparse", model.AccumSparse, func(wk *worker) {
-		contractHashSparse(d.hl, d.hr, wk, nil, hashtable.LookupBatchMax)
+		contractHashSparse(d.hl, d.hr, nil, nil, wk, nil, hashtable.LookupBatchMax)
 	})
 	run("sorted/dense", model.AccumDense, func(wk *worker) {
 		contractSortedDense(d.sl, d.sr, wk, nil)

@@ -83,6 +83,10 @@ type Shard struct {
 	nonEmpty []int               // indices of tiles with at least one nonzero
 	pairs    int                 // total nonzeros across all tiles
 	keys     int                 // total distinct contraction keys across tiles
+	// shared holds the shared-key lists of a hash shard with at least two
+	// non-empty tiles (markShared; nil otherwise): per tile, a slice of
+	// one flat array. Read through sharedAt.
+	shared [][]int32
 
 	built chan struct{} // closed when the build completes
 
@@ -125,6 +129,20 @@ func (s *Shard) sealedAt(i int) *hashtable.Sealed {
 func (s *Shard) sortedAt(i int) *sortedTile {
 	s.checkBuilt("sortedAt")
 	return s.sorted[i]
+}
+
+// sharedAt returns tile i's shared-key list: the ascending dense indices of
+// the keys another tile of the shard may also hold. Nil means every key:
+// a tile whose keys are all listed, and every tile of a shard without
+// lists.
+//
+//fastcc:hotpath
+func (s *Shard) sharedAt(i int) []int32 {
+	s.checkBuilt("sharedAt")
+	if s.shared == nil {
+		return nil
+	}
+	return s.shared[i]
 }
 
 // runsAt returns non-empty tile i in the shard's representation, for the
@@ -287,16 +305,22 @@ func (s *Shard) build(m *coo.Matrix, threads int) {
 		}
 	}
 	part.Release()
+	s.markShared()
 	s.bytes = s.footprint() // one stable number for LRU charge and discharge
 	s.stampBuilt()
 }
 
 // footprint computes the byte figure the eviction budget charges for this
 // shard: the tile tables themselves plus the per-tile pointer and index
-// arrays. Computed once at build completion and cached in s.bytes (the LRU
-// accounting must see one stable number for charge and discharge).
+// arrays and the shared-key lists. Computed once at build completion and
+// cached in s.bytes (the LRU accounting must see one stable number for
+// charge and discharge).
 func (s *Shard) footprint() int64 {
 	b := int64(len(s.nonEmpty)) * 8
+	b += int64(len(s.shared)) * 24 // one slice header per tile
+	for _, l := range s.shared {
+		b += int64(len(l)) * 4
+	}
 	if s.Key.Rep == RepSorted {
 		b += int64(len(s.sorted)) * 8
 		for _, st := range s.sorted {
@@ -335,5 +359,5 @@ func (s *Shard) recycle() {
 			s.sorted[i] = nil
 		}
 	}
-	s.sealed, s.sorted = nil, nil
+	s.sealed, s.sorted, s.shared = nil, nil, nil
 }

@@ -215,12 +215,12 @@ func (c *shardCache) creditTenantSpillLocked(claims []string, bytes int64, write
 }
 
 // loadSpill restores a spilled shard image into this freshly created,
-// born-pinned shard. On success the shard is fully built (tables, bytes,
-// generation stamp) and the file is released (kept as an orphan in a
-// keep-mode directory, deleted otherwise). On any failure the typed cause
-// is counted, the file is discarded, partially decoded tiles are recycled,
-// and the caller rebuilds this same shard from the operand — graceful
-// degradation, never a wrong answer.
+// born-pinned shard. On success the shard is fully built (tables,
+// shared-key lists, bytes, generation stamp) and the file is released
+// (kept as an orphan in a keep-mode directory, deleted otherwise). On any
+// failure the typed cause is counted, the file is discarded, partially
+// decoded tiles are recycled, and the caller rebuilds this same shard from
+// the operand — graceful degradation, never a wrong answer.
 func (s *Shard) loadSpill(h *spill.Handle, m *coo.Matrix) bool {
 	d := h.Dir()
 	r, err := d.Read(h)
@@ -232,6 +232,7 @@ func (s *Shard) loadSpill(h *spill.Handle, m *coo.Matrix) bool {
 		d.Discard(h)
 		return false
 	}
+	s.markShared() // the lists are not in the image
 	s.bytes = s.footprint()
 	s.stampBuilt()
 	shardLRU.counters.SpillReads.Add(1)

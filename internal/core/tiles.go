@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"fastcc/internal/accum"
 	"fastcc/internal/coo"
 	"fastcc/internal/hashtable"
@@ -47,6 +49,16 @@ func (wk *worker) scatter(ms []accum.Match) {
 		wk.dense.ScatterRuns(ms)
 	default:
 		wk.dense.ScatterMatches(ms)
+	}
+}
+
+// upsert adds v at (l, r) in the worker's accumulator, for a
+// self-contraction's diagonal pairs.
+func (wk *worker) upsert(l, r uint32, v float64) {
+	if wk.sparse != nil {
+		wk.sparse.Upsert(l, r, v)
+	} else {
+		wk.dense.Upsert(l, r, v)
 	}
 }
 
@@ -117,4 +129,102 @@ func buildSealedTiles(tables []*hashtable.Sealed, part *coo.TilePartition, ctrDi
 		tables[i] = hashtable.BuildSealed(part.Ctr[lo:hi], part.Intra[lo:hi], part.Val[lo:hi],
 			model.ExpectedDistinctKeys(hi-lo, ctrDim))
 	}
+}
+
+// sharedBitsPerKey sizes markShared's bitsets: the next power of two of at
+// least this many bits per key of the shard. A key that no other tile
+// holds is still listed when another key's bit collides with its own,
+// about one time in eight at this density (1 - e^(-1/8)).
+const sharedBitsPerKey = 8
+
+// sharedBits parks markShared's two bitsets between builds.
+var sharedBits mempool.SlicePool[uint64]
+
+// markShared records the shared-key lists of a hash shard with at least two
+// non-empty tiles (sharedAt): per tile, the dense indices of the keys that
+// another tile may also hold. On the symmetric schedule an off-diagonal
+// pair iterates only those, since a key no other tile holds matches
+// nothing there.
+//
+// Two bitsets over hashtable.Mix(key), seen and shared, find them in one
+// sweep over every tile's keys: a key whose bit is already in seen sets
+// shared. Keys are distinct within a tile, so a key held by two tiles
+// always sets shared; a bit collision only lists a key that matches
+// nothing, it never drops one. A second sweep marks, in a bitmap over the
+// keys in sweep order that reuses seen's words, the keys whose bit is in
+// shared, and counts each tile's. A tile whose every key is marked keeps
+// nil, which reads as all keys, and a shard on which every tile does keeps
+// no lists. The others' lists, in ascending dense order, are cut from one
+// exactly sized array by a last pass over the bitmap; the bitsets go back
+// to their pool.
+func (s *Shard) markShared() {
+	if s.Key.Rep != RepHash || len(s.nonEmpty) < 2 {
+		return
+	}
+	words := max(1, 1<<bits.Len(uint(sharedBitsPerKey*s.keys-1))/64)
+	mask := uint64(64*words - 1)
+	bm := sharedBits.Get(2 * words)[:2*words]
+	clear(bm)
+	seen, shared := bm[:words], bm[words:]
+	for _, i := range s.nonEmpty {
+		for _, key := range s.sealed[i].Keys() {
+			b := hashtable.Mix(key) & mask
+			w, bit := b>>6, uint64(1)<<(b&63)
+			if seen[w]&bit != 0 {
+				shared[w] |= bit
+			}
+			seen[w] |= bit
+		}
+	}
+
+	// seen has at least 8 bits per key, so its words hold the bitmap.
+	marked := seen[:(s.keys+63)/64]
+	clear(marked)
+	counts := make([]int, len(s.nonEmpty)) // listed keys per tile; -1 keeps nil
+	g, total, listed := 0, 0, false
+	for t, i := range s.nonEmpty {
+		keys := s.sealed[i].Keys()
+		n := 0
+		for _, key := range keys {
+			b := hashtable.Mix(key) & mask
+			f := shared[b>>6] >> (b & 63) & 1
+			marked[g>>6] |= f << (g & 63)
+			n += int(f)
+			g++
+		}
+		if n == len(keys) {
+			n = -1
+		} else {
+			total += n
+			listed = true
+		}
+		counts[t] = n
+	}
+	if listed {
+		lists := make([][]int32, len(s.sealed))
+		flat := make([]int32, total)
+		g, off := 0, 0
+		for t, i := range s.nonEmpty {
+			n := s.sealed[i].Len()
+			if c := counts[t]; c >= 0 {
+				l := flat[off : off : off+c] // non-nil even when empty
+				for k := 0; k < n; k++ {
+					// k's bit and those above it in its word.
+					w := marked[(g+k)>>6] >> ((g + k) & 63)
+					if w == 0 {
+						k += 63 - (g+k)&63 // to the last bit of the word
+						continue
+					}
+					if k += bits.TrailingZeros64(w); k < n {
+						l = append(l, int32(k))
+					}
+				}
+				lists[i] = l
+				off += c
+			}
+			g += n
+		}
+		s.shared = lists
+	}
+	sharedBits.Put(bm)
 }

@@ -242,7 +242,7 @@ func RunAblations(cfg Config) error {
 	fmt.Fprintln(w, "A8: self-contraction, symmetric schedule (same tensor) vs full grid (clone)")
 	t8 := newTable("contraction", "total full(s)", "total sym(s)", "contract full(s)", "contract sym(s)",
 		"tasks full", "tasks sym")
-	for _, id := range []string{"nips-013", "vast-014"} {
+	for _, id := range []string{"nips-013", "vast-01", "vast-014"} {
 		cs, err := CaseByID(id)
 		if err != nil {
 			return err

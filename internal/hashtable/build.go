@@ -33,8 +33,9 @@ var denseScratch mempool.SlicePool[int32]
 //  1. Every key is inserted into the open-addressing slot index; dense key
 //     indices are assigned in first-occurrence order, and each nonzero's
 //     dense index is recorded in a pooled scratch.
-//  2. The scratch is counted into per-key run lengths, and a prefix sum over
-//     them gives each key's span offset.
+//  2. The scratch is counted into per-key run lengths, filling the dense
+//     key array as each key first appears, and a prefix sum over the
+//     lengths gives each key's span offset.
 //  3. The pairs are scattered into an arena of exactly len(ctr) entries,
 //     keeping input order within each key's run.
 //
@@ -90,17 +91,20 @@ func BuildSealed(ctr []uint64, intra []uint32, val []float64, keyHint int) *Seal
 		spans:    arenaSpan.Get(nkeys)[:nkeys], //fastcc:owned -- recycled by Sealed.Recycle
 		pairs:    arenaPair.Get(n)[:n],         //fastcc:owned -- recycled by Sealed.Recycle
 	}
-	for slot, li := range slotIdx {
-		if li != sealedEmptySlot {
-			s.keys[li] = slotKeys[slot]
-		}
-	}
 
-	// Pass 2: count, prefix, scatter. During the scatter Off serves as each
-	// key's write cursor; it is rewound to the run start afterwards.
-	spans := s.spans
+	// Pass 2: count, prefix, scatter. Dense indices were assigned in
+	// first-occurrence order, so the first nonzero whose index equals the
+	// number of keys met so far introduces that key: the count fills keys
+	// in order. During the scatter Off serves as each key's write cursor;
+	// it is rewound to the run start afterwards.
+	keys, spans := s.keys, s.spans
 	clear(spans)
-	for _, li := range dense {
+	met := int32(0)
+	for k, li := range dense {
+		if li == met {
+			keys[li] = ctr[k]
+			met++
+		}
 		spans[li].Len++
 	}
 	off := int32(0)
