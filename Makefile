@@ -79,14 +79,15 @@ fuzz-smoke:
 # One-iteration run of the prepared-operand reuse benchmark: exercises the
 # Preshard/ContractPrepared path end to end (the warm iterations assert
 # Stats.BuildTime == 0 and ShardReused) without paying full benchmark time.
-# The BTNS codec benchmarks, the dense-tile scatter benchmark and the cold
-# self-contraction benchmark run once too, so they keep compiling (the last
-# also asserts the grids it stands for).
+# The BTNS codec benchmarks, the dense-tile scatter and tile drain
+# benchmarks, the cold self-contraction benchmark and the output
+# delinearization benchmark run once too, so they keep compiling (the
+# self-contraction one also asserts the grids it stands for).
 bench-smoke:
 	$(GO) test -bench=Reuse -benchtime=1x -run=^$$ .
 	$(GO) test -bench=BTNS -benchtime=1x -benchmem -run=^$$ ./internal/tnsbin
-	$(GO) test -bench=DenseScatter -benchtime=1x -run=^$$ ./internal/accum
-	$(GO) test -bench=SelfContractCold -benchtime=1x -run=^$$ ./internal/core
+	$(GO) test -bench='DenseScatter|TileDrain' -benchtime=1x -run=^$$ ./internal/accum
+	$(GO) test -bench='SelfContractCold|DelinearizeOutput' -benchtime=1x -run=^$$ ./internal/core
 
 # The benchmark module's own tests (tiny preset, a few seconds). The root
 # `go test ./...` does not reach the separate bench module, and its

@@ -10,13 +10,15 @@ import (
 // TL × TR positions is stored as:
 //
 //	vals — TL*TR float64 buffer of accumulated values ("nnz" in the paper)
-//	apos — append-only list of active (first-touched) positions
 //	bm   — bitmask with one bit per position
+//	sum  — summary bitmask with one bit per bm word
 //
-// An update tests-and-sets bit p; first touches append p to apos. The drain
-// iterates apos only — O(nnz of the tile), not O(TL*TR) — and clears the
-// touched state so the tile is immediately reusable (constant-time updates,
-// three random accesses into dense arrays, exactly as the paper describes).
+// An update tests-and-sets bit p; a first touch also sets the bit of p's bm
+// word in sum. The paper walks a list of active positions in first-touch
+// order instead; the two-level bitmap drains the same cells in ascending
+// position, O(touched words + TL*TR/4096), and clears the touched state as
+// it goes, so the tile is immediately reusable (constant-time updates,
+// random accesses into dense arrays only).
 //
 // TR must be a power of two so the packed position p = l<<log2(TR) | r can
 // be split back with shifts during the drain (the paper rounds tile sizes to
@@ -29,8 +31,9 @@ type Dense struct {
 	logTR    uint
 	maskR    uint32
 	vals     []float64
-	apos     []uint32
 	bm       []uint64
+	sum      []uint64
+	next     int // the sum word DrainBatch resumes at
 	run      []uint64
 	runWords []int
 }
@@ -45,12 +48,13 @@ func NewDense(tl, tr uint32) *Dense {
 	if size > 1<<32 {
 		panic("accum: dense tile too large")
 	}
+	words := (size + 63) / 64
 	d := &Dense{
 		logTR: uint(bits.TrailingZeros32(tr)),
 		maskR: tr - 1,
 		vals:  make([]float64, size),
-		apos:  make([]uint32, 0, 1024),
-		bm:    make([]uint64, (size+63)/64),
+		bm:    make([]uint64, words),
+		sum:   make([]uint64, (words+63)/64),
 	}
 	if tr >= RunCols {
 		d.run = make([]uint64, tr/64)
@@ -59,8 +63,8 @@ func NewDense(tl, tr uint32) *Dense {
 	return d
 }
 
-// Upsert adds v at (l, r): test-and-set bm[p]; append p to apos when newly
-// set; accumulate into vals[p].
+// Upsert adds v at (l, r): test-and-set bm[p], setting the sum bit of p's
+// word when newly set; accumulate into vals[p].
 //
 //fastcc:hotpath
 func (d *Dense) Upsert(l, r uint32, v float64) {
@@ -68,7 +72,7 @@ func (d *Dense) Upsert(l, r uint32, v float64) {
 	w, b := p>>6, uint64(1)<<(p&63)
 	if d.bm[w]&b == 0 {
 		d.bm[w] |= b
-		d.apos = append(d.apos, p) //fastcc:allow hotalloc -- amortized: apos tops out at tile nnz and is reused across tasks
+		d.sum[w>>6] |= 1 << (w & 63)
 	}
 	d.vals[p] += v
 }
@@ -94,8 +98,7 @@ type Match struct {
 //
 //fastcc:hotpath
 func (d *Dense) ScatterMatches(ms []Match) {
-	vals, bm, logTR := d.vals, d.bm, d.logTR
-	apos := d.apos
+	vals, bm, sum, logTR := d.vals, d.bm, d.sum, d.logTR
 	for _, m := range ms {
 		for _, lp := range m.L {
 			lv := lp.Val
@@ -105,13 +108,12 @@ func (d *Dense) ScatterMatches(ms []Match) {
 				w, b := p>>6, uint64(1)<<(p&63)
 				if bm[w]&b == 0 {
 					bm[w] |= b
-					apos = append(apos, p) //fastcc:allow hotalloc -- amortized: apos tops out at tile nnz and is reused across tasks
+					sum[w>>6] |= 1 << (w & 63)
 				}
 				vals[p] += lv * rp.Val
 			}
 		}
 	}
-	d.apos = apos
 }
 
 // RunMin is the shortest inner run ScatterRuns sends through its run mask;
@@ -125,11 +127,10 @@ const RunMin = 16
 const RunCols = 64
 
 // ScatterRuns accumulates the same products into the same cells, in the
-// same order, as ScatterMatches, so every cell's bits agree; only the order
-// of first touches in apos, and so the drain order, differs. A match whose
-// inner run (R) is shorter than RunMin, and every match of a tile narrower
-// than RunCols, goes to ScatterMatches' per-update loop; consecutive short
-// matches go in one call. A longer one takes scatterRun.
+// same order, as ScatterMatches, so every cell's bits, and the drain, agree.
+// A match whose inner run (R) is shorter than RunMin, and every match of a
+// tile narrower than RunCols, goes to ScatterMatches' per-update loop;
+// consecutive short matches go in one call. A longer one takes scatterRun.
 //
 //fastcc:hotpath
 func (d *Dense) ScatterRuns(ms []Match) {
@@ -155,13 +156,13 @@ func (d *Dense) ScatterRuns(ms []Match) {
 // scatterRun scatters one match, trading the per-update touched-bit test
 // for one per mask word: the inner run's columns are gathered into the run
 // mask once, each outer pair ORs the mask into its row's bitmask words and
-// appends the newly set bits to apos, and the multiply-add over the run is
-// then branch-free. The mask is cleared before it returns.
+// sets the sum bit of each word that gained a bit, and the multiply-add
+// over the run is then branch-free. The mask is cleared before it returns.
 //
 //fastcc:hotpath
 func (d *Dense) scatterRun(m Match) {
-	vals, bm, logTR, maskR := d.vals, d.bm, d.logTR, d.maskR
-	apos, run, words := d.apos, d.run, d.runWords
+	vals, bm, sum, logTR, maskR := d.vals, d.bm, d.sum, d.logTR, d.maskR
+	run, words := d.run, d.runWords
 	for _, rp := range m.R {
 		w := int(rp.Idx >> 6)
 		if run[w] == 0 {
@@ -178,10 +179,7 @@ func (d *Dense) scatterRun(m Match) {
 				continue
 			}
 			bm[rowWord+w] |= fresh
-			base := uint32(rowWord+w) << 6
-			for ; fresh != 0; fresh &= fresh - 1 {
-				apos = append(apos, base|uint32(bits.TrailingZeros64(fresh))) //fastcc:allow hotalloc -- amortized: apos tops out at tile nnz and is reused across tasks
-			}
+			sum[(rowWord+w)>>6] |= 1 << ((rowWord + w) & 63)
 		}
 		lv := lp.Val
 		rowVals := vals[row : row+int(maskR)+1]
@@ -193,30 +191,65 @@ func (d *Dense) scatterRun(m Match) {
 	for _, w := range words {
 		run[w] = 0
 	}
-	d.apos, d.runWords = apos, words[:0]
+	d.runWords = words[:0]
 }
 
-// Len returns the number of active positions.
-func (d *Dense) Len() int { return len(d.apos) }
+// Len returns the number of touched positions, by popcount over the
+// touched words.
+func (d *Dense) Len() int {
+	n := 0
+	for si, s := range d.sum {
+		for ; s != 0; s &= s - 1 {
+			n += bits.OnesCount64(d.bm[si<<6|bits.TrailingZeros64(s)])
+		}
+	}
+	return n
+}
 
-// Drain visits active positions via apos (nnz-proportional, per Section
-// 4.2's "parallel drain"), then resets the touched state in the same pass.
+// DrainBatch moves touched cells into keys and vals in ascending position,
+// each as its packed key l<<32 | r and its value, zeroing the cell and
+// clearing its touched bits, and returns how many it moved. It moves whole
+// bitmask words only, so keys and vals must hold at least 64 cells; it
+// stops at the first word that does not fit and the next call resumes
+// there. A return of 0 means the tile is empty. No update may come between
+// the first call and the one that returns 0.
 //
 //fastcc:hotpath
-func (d *Dense) Drain(fn func(l, r uint32, v float64)) {
-	for _, p := range d.apos {
-		fn(p>>d.logTR, p&d.maskR, d.vals[p])
-		d.vals[p] = 0
-		d.bm[p>>6] &^= 1 << (p & 63)
+func (d *Dense) DrainBatch(keys []uint64, vals []float64) int {
+	bm, sum, cells, logTR, maskR := d.bm, d.sum, d.vals, d.logTR, d.maskR
+	vals = vals[:len(keys)]
+	n := 0
+	for si := d.next; si < len(sum); si++ {
+		for s := sum[si]; s != 0; s &= s - 1 {
+			w := si<<6 | bits.TrailingZeros64(s)
+			word := bm[w]
+			if n+bits.OnesCount64(word) > len(keys) {
+				sum[si], d.next = s, si
+				return n
+			}
+			base := uint32(w) << 6
+			for ; word != 0; word &= word - 1 {
+				p := base | uint32(bits.TrailingZeros64(word))
+				keys[n], vals[n] = uint64(p>>logTR)<<32|uint64(p&maskR), cells[p]
+				cells[p] = 0
+				n++
+			}
+			bm[w] = 0
+		}
+		sum[si] = 0
 	}
-	d.apos = d.apos[:0]
+	d.next = 0
+	return n
 }
 
-// Reset clears without visiting values.
+// Drain visits every touched position in ascending order, through
+// DrainBatch, and leaves the tile empty.
+func (d *Dense) Drain(fn func(l, r uint32, v float64)) { drainBatches(d.DrainBatch, fn) }
+
+// Reset clears without visiting values: it drains into a scratch batch.
 func (d *Dense) Reset() {
-	for _, p := range d.apos {
-		d.vals[p] = 0
-		d.bm[p>>6] &^= 1 << (p & 63)
+	var keys [64]uint64
+	var vals [64]float64
+	for d.DrainBatch(keys[:], vals[:]) > 0 {
 	}
-	d.apos = d.apos[:0]
 }

@@ -49,13 +49,16 @@ func (s *Sparse) ScatterMatches(ms []Match) {
 // Len returns the number of distinct touched positions.
 func (s *Sparse) Len() int { return s.t.Len() }
 
-// Drain visits all entries then resets the table for reuse.
-func (s *Sparse) Drain(fn func(l, r uint32, v float64)) {
-	s.t.ForEach(func(k uint64, v float64) {
-		fn(uint32(k>>32), uint32(k), v)
-	})
-	s.t.Reset()
-}
+// DrainBatch moves entries into keys and vals in slot order, each as its
+// packed key l<<32 | r and its value, and returns how many it moved; see
+// hashtable.FloatTable.DrainBatch. A return of 0 means the tile is empty.
+//
+//fastcc:hotpath
+func (s *Sparse) DrainBatch(keys []uint64, vals []float64) int { return s.t.DrainBatch(keys, vals) }
+
+// Drain visits every entry in slot order, through DrainBatch, and leaves
+// the table empty and reusable.
+func (s *Sparse) Drain(fn func(l, r uint32, v float64)) { drainBatches(s.DrainBatch, fn) }
 
 // Reset empties without draining.
 func (s *Sparse) Reset() { s.t.Reset() }

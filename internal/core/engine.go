@@ -174,10 +174,14 @@ type Stats struct {
 	// Phase timings. The root package's entry points fill LinearizeTime,
 	// DelinearizeTime and TotalTime, the steps they own; TotalTime is the
 	// wall time of the whole run, linearize and delinearize included as in
-	// the paper. Drain time is inside ContractTime.
+	// the paper. DrainTime is the workers' summed time emptying their
+	// accumulators into the output pools, the drain sub-phase of
+	// ContractTime; with more than one worker it can exceed ContractTime's
+	// wall time.
 	LinearizeTime   time.Duration
 	BuildTime       time.Duration
 	ContractTime    time.Duration
+	DrainTime       time.Duration
 	ConcatTime      time.Duration
 	DelinearizeTime time.Duration
 	TotalTime       time.Duration
@@ -209,9 +213,9 @@ func (s *Stats) String() string {
 	}
 	return fmt.Sprintf(
 		"fastcc: accumulator=%s tile=%dx%d grid=%dx%d tasks=%d%s block=%dx%d threads=%d out_nnz=%d%s\n"+
-			"fastcc: total=%v (linearize=%v build=%v contract=%v concat=%v delinearize=%v)",
+			"fastcc: total=%v (linearize=%v build=%v contract=%v [drain=%v] concat=%v delinearize=%v)",
 		s.Decision.Kind, s.TileL, s.TileR, s.NL, s.NR, s.Tasks, sched, s.BlockL, s.BlockR, s.Threads, s.OutputNNZ, reuse,
-		s.TotalTime, s.LinearizeTime, s.BuildTime, s.ContractTime, s.ConcatTime, s.DelinearizeTime)
+		s.TotalTime, s.LinearizeTime, s.BuildTime, s.ContractTime, s.DrainTime, s.ConcatTime, s.DelinearizeTime)
 }
 
 // outputChunks recycles the chunk storage of output triple lists across
@@ -402,6 +406,7 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 	t0 := time.Now()
 	pools := make([]*mempool.Pool[Triple], threads)
 	workers := make([]*worker, threads)
+	drainTimes := make([]time.Duration, threads)
 	wkey := accKey{kind: dec.Kind, rows: rows, cols: cols}
 	sparseHint := tileNNZHint(dec, tl, tr)
 
@@ -482,7 +487,9 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 				} else {
 					kern(ls, rs, i, j, wk, cfg.Counters, probeBatch)
 				}
+				td := time.Now()
 				wk.drain(pools[w], baseL, uint64(j)*tr, sym && !diag)
+				drainTimes[w] += time.Since(td)
 				tasksDone++
 			}
 		}
@@ -505,6 +512,9 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 		return nil, nil, canceled(err)
 	}
 	st.ContractTime = time.Since(t0)
+	for _, d := range drainTimes {
+		st.DrainTime += d
+	}
 
 	// Final step: concatenate thread-local lists by pointer movement.
 	t0 = time.Now()

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"fastcc/internal/coo"
 	"fastcc/internal/mempool"
@@ -238,6 +241,13 @@ func TestContractStatsShape(t *testing.T) {
 	}
 	if st.Tasks <= 0 || st.Tasks > st.NL*st.NR {
 		t.Fatalf("tasks=%d", st.Tasks)
+	}
+	// The drain is a sub-phase of each worker's share of the contract.
+	if st.DrainTime <= 0 || st.DrainTime > time.Duration(st.Threads)*st.ContractTime {
+		t.Fatalf("drain %v outside (0, %d × contract %v]", st.DrainTime, st.Threads, st.ContractTime)
+	}
+	if s := st.String(); !strings.Contains(s, fmt.Sprintf("[drain=%v]", st.DrainTime)) {
+		t.Fatalf("stats line %q does not show the drain time", s)
 	}
 }
 

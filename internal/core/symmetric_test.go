@@ -59,7 +59,7 @@ func frosttSelf(t testing.TB, tensor string, ctr []int, scale float64) *coo.Matr
 // (l/tl, r/tr), in ascending tile order. Each output tile comes from one
 // tile task, so the digest does not depend on which worker ran which task.
 // Within a tile the triples keep the order the task drained them in, so a
-// change in any value's bits or in a dense tile's first-touch order shows.
+// change in any value's bits or in a dense tile's drain order shows.
 // With sorted set they are sorted instead: a sparse tile drains in the
 // slot order of a table whose capacity a recycled worker carries over from
 // earlier runs.
@@ -118,18 +118,23 @@ func tileKeyStats(m *coo.Matrix, tile uint64) (tiles, keys, shared, onePair int)
 // nips-013 on 12×12 grids whose keys mostly live in one tile, so their
 // off-diagonal pairs iterate short shared-key lists; vast-014 in one tile
 // whose keys mix one-pair runs, which the diagonal pair adds straight,
-// with longer ones, which it batches. The digests were computed before
-// the lists and the one-pair shortcut existed, when every off-diagonal
-// pair probed all keys of its smaller tile and every diagonal key went
-// through a batch. Both accumulators run at one and two threads; the
-// digest is independent of the worker count.
+// with longer ones, which it batches. The sparse digests were computed
+// before the lists and the one-pair shortcut existed, when every
+// off-diagonal pair probed all keys of its smaller tile and every diagonal
+// key went through a batch. The dense digests pin the ascending-position
+// drain; sorted within each tile, a dense run's digest must equal its
+// sparse twin's, as it did when dense tiles drained in first-touch order,
+// so every cell's bits are pinned across both drain orders. vast-014's one
+// diagonal tile drains in ascending (l, r), so its two digests are the
+// same. Both accumulators run at one and two threads; the digest is
+// independent of the worker count.
 func TestSymmetricColdGolden(t *testing.T) {
 	golden := map[string]uint64{
-		"vast-01/dense":   0xf847acd4d20822f0,
+		"vast-01/dense":   0x455d433e6836fe40,
 		"vast-01/sparse":  0x60b25a3856eaaf80,
-		"vast-014/dense":  0xed1322d67fd870db,
+		"vast-014/dense":  0x3a78896e12db0bd7,
 		"vast-014/sparse": 0x3a78896e12db0bd7,
-		"nips-013/dense":  0x9c86ebed3bc86f1d,
+		"nips-013/dense":  0x92d405db7f85b3e1,
 		"nips-013/sparse": 0x31a9af7cabd21f75,
 	}
 	cases := []struct {
@@ -166,6 +171,12 @@ func TestSymmetricColdGolden(t *testing.T) {
 				d := drainOrderDigest(ts, st.TileL, st.TileR, acc == model.AccumSparse)
 				if want := golden[name]; d != want {
 					t.Errorf("%s threads=%d: digest %#x, want %#x", name, threads, d, want)
+				}
+				if acc == model.AccumDense {
+					sparse := fmt.Sprintf("%s/%v", gen.ContractionName(c.tensor, c.ctr), model.AccumSparse)
+					if d, want := drainOrderDigest(ts, st.TileL, st.TileR, true), golden[sparse]; d != want {
+						t.Errorf("%s threads=%d: sorted digest %#x, want %s's %#x", name, threads, d, sparse, want)
+					}
 				}
 			}
 		}

@@ -62,33 +62,58 @@ func (wk *worker) upsert(l, r uint32, v float64) {
 	}
 }
 
-// drain empties the worker's accumulator into pool after a tile task,
-// offsetting the intra-tile coordinates by the tile bases. With mirror set
-// every triple is also appended transposed, as (r, l): in a
-// self-contraction O = A·Aᵀ is symmetric, so that is the value of the
-// lower-triangle tile pair the schedule skipped. An R-major tile drains
-// (r, l) and is swapped back; mirror and rmajor never meet, since only
-// two-shard runs are R-major.
+// drain empties the worker's accumulator into pool after a tile task, one
+// batch of up to accum.DrainWidth cells at a time, offsetting the
+// intra-tile coordinates by the tile bases. An R-major tile drains (r, l)
+// and is swapped back. With mirror set each batch is then written again
+// transposed, as (r, l): in a self-contraction O = A·Aᵀ is symmetric, so
+// that is the value of the lower-triangle tile pair the schedule skipped.
+// Mirror and rmajor never meet, since only two-shard runs are R-major.
+//
+//fastcc:hotpath
 func (wk *worker) drain(pool *mempool.Pool[Triple], baseL, baseR uint64, mirror bool) {
-	emit := func(l, r uint32, v float64) {
-		pool.Append(Triple{L: baseL + uint64(l), R: baseR + uint64(r), V: v})
-	}
-	switch {
-	case mirror:
-		emit = func(l, r uint32, v float64) {
-			gl, gr := baseL+uint64(l), baseR+uint64(r)
-			pool.Append(Triple{L: gl, R: gr, V: v})
-			pool.Append(Triple{L: gr, R: gl, V: v})
+	var keys [accum.DrainWidth]uint64
+	var vals [accum.DrainWidth]float64
+	for {
+		var n int
+		if wk.dense != nil {
+			n = wk.dense.DrainBatch(keys[:], vals[:])
+		} else {
+			n = wk.sparse.DrainBatch(keys[:], vals[:])
 		}
-	case wk.rmajor:
-		emit = func(r, l uint32, v float64) {
-			pool.Append(Triple{L: baseL + uint64(l), R: baseR + uint64(r), V: v})
+		if n == 0 {
+			return
+		}
+		if wk.rmajor {
+			putTriples(pool, keys[:n], vals[:n], baseR, baseL, true)
+		} else {
+			putTriples(pool, keys[:n], vals[:n], baseL, baseR, false)
+		}
+		if mirror {
+			putTriples(pool, keys[:n], vals[:n], baseL, baseR, true)
 		}
 	}
-	if wk.dense != nil {
-		wk.dense.Drain(emit)
-	} else {
-		wk.sparse.Drain(emit)
+}
+
+// putTriples writes one drained batch into pool's tail chunks
+// (mempool.Pool.Extend): the cell with key hi<<32 | lo becomes the triple
+// (hiBase+hi, loBase+lo), or with swap set (loBase+lo, hiBase+hi).
+//
+//fastcc:hotpath
+func putTriples(pool *mempool.Pool[Triple], keys []uint64, vals []float64, hiBase, loBase uint64, swap bool) {
+	for len(keys) > 0 {
+		out := pool.Extend(len(keys))
+		ks, vs := keys[:len(out)], vals[:len(out)]
+		if swap {
+			for i, k := range ks {
+				out[i] = Triple{L: loBase + k&(1<<32-1), R: hiBase + k>>32, V: vs[i]}
+			}
+		} else {
+			for i, k := range ks {
+				out[i] = Triple{L: hiBase + k>>32, R: loBase + k&(1<<32-1), V: vs[i]}
+			}
+		}
+		keys, vals = keys[len(out):], vals[len(out):]
 	}
 }
 

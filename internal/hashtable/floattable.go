@@ -1,5 +1,7 @@
 package hashtable
 
+import "math/bits"
+
 // FloatTable is an open-addressing map from uint64 keys to accumulated
 // float64 values: the sparse tile accumulator of paper Section 5.4. Each
 // logical entry is 16 bytes (8-byte key + 8-byte value), matching the
@@ -16,6 +18,7 @@ type FloatTable struct {
 	occ   []uint64 // occupancy bitmap, one bit per slot
 	n     int
 	grows int
+	next  int // the occ word DrainBatch resumes at
 }
 
 const floatMaxLoad = 0.85
@@ -104,11 +107,45 @@ func (t *FloatTable) ForEach(fn func(key uint64, v float64)) {
 	}
 }
 
+// DrainBatch moves entries into keys and vals in slot order, removing them
+// from the table, and returns how many it moved. It walks the occupancy
+// words and moves whole words only, so keys and vals must hold at least 64
+// entries; it stops at the first word that does not fit and the next call
+// resumes there. A return of 0 means the table is empty; it keeps its
+// capacity. No Upsert may come between the first call and the one that
+// returns 0.
+//
+//fastcc:hotpath
+func (t *FloatTable) DrainBatch(keys []uint64, vals []float64) int {
+	occ, tk, tv := t.occ, t.keys, t.vals
+	vals = vals[:len(keys)]
+	n := 0
+	for wi := t.next; wi < len(occ); wi++ {
+		word := occ[wi]
+		if word == 0 {
+			continue
+		}
+		if n+bits.OnesCount64(word) > len(keys) {
+			t.next, t.n = wi, t.n-n
+			return n
+		}
+		base := wi << 6
+		for ; word != 0; word &= word - 1 {
+			slot := base | bits.TrailingZeros64(word)
+			keys[n], vals[n] = tk[slot], tv[slot]
+			n++
+		}
+		occ[wi] = 0
+	}
+	t.next, t.n = 0, 0
+	return n
+}
+
 // Reset drops all entries but keeps capacity, so a worker can reuse one
 // accumulator across tile tasks.
 func (t *FloatTable) Reset() {
 	clear(t.occ)
-	t.n = 0
+	t.n, t.next = 0, 0
 }
 
 func (t *FloatTable) grow() {

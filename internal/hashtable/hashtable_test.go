@@ -1,6 +1,7 @@
 package hashtable
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -247,5 +248,51 @@ func BenchmarkFloatTableUpsert(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tb.Upsert(uint64(i)&0xFFFF, 1.0)
+	}
+}
+
+// TestFloatTableDrainBatchEdge lays out a table with slot 0, the whole
+// second occupancy word and slot 130 occupied, and drains it in buffers
+// of 64 and 65 entries: a batch never splits a word, so the 64-entry one
+// stops before the full word and the next call resumes at it, and both
+// return every entry once in slot order and leave the table empty and
+// reusable.
+func TestFloatTableDrainBatchEdge(t *testing.T) {
+	for _, c := range []struct {
+		width int
+		sizes string
+	}{{64, "[1 64 1]"}, {65, "[65 1]"}} {
+		tb := NewFloatTable(200)
+		if tb.Cap() != 256 {
+			t.Fatalf("capacity %d, want 256", tb.Cap())
+		}
+		var slots []int
+		for s := range 256 {
+			if s == 0 || s >= 64 && s < 128 || s == 130 {
+				tb.keys[s], tb.vals[s] = uint64(1000+s), float64(s)
+				tb.setOccupied(uint64(s))
+				tb.n++
+				slots = append(slots, s)
+			}
+		}
+		keys, vals := make([]uint64, c.width), make([]float64, c.width)
+		var sizes []int
+		i := 0
+		for n := tb.DrainBatch(keys, vals); n > 0; n = tb.DrainBatch(keys, vals) {
+			sizes = append(sizes, n)
+			for k := range n {
+				if s := slots[i]; keys[k] != uint64(1000+s) || vals[k] != float64(s) {
+					t.Fatalf("width %d: entry %d is (%d, %g), want slot %d's", c.width, i, keys[k], vals[k], s)
+				}
+				i++
+			}
+		}
+		if fmt.Sprint(sizes) != c.sizes || i != len(slots) || tb.Len() != 0 {
+			t.Fatalf("width %d: batches %v (%d entries, Len %d), want %s", c.width, sizes, i, tb.Len(), c.sizes)
+		}
+		tb.Upsert(7, 1.5)
+		if v, ok := tb.Get(7); !ok || v != 1.5 || tb.Len() != 1 {
+			t.Fatalf("width %d: after the drain Get(7) = %g, %v, Len %d", c.width, v, ok, tb.Len())
+		}
 	}
 }

@@ -68,13 +68,26 @@ func (p *Pool[T]) newChunk() []T {
 // Append adds one element, allocating a new chunk when the tail is full.
 //
 //fastcc:hotpath
-func (p *Pool[T]) Append(v T) {
+func (p *Pool[T]) Append(v T) { p.Extend(1)[0] = v }
+
+// Extend appends up to n > 0 elements for the caller to write, and returns
+// them: the next min(n, room) slots of the tail chunk, after opening a new
+// chunk (from the cache, when the pool has one) if the tail is full, so
+// every chunk but the last is full. Len counts them at once, so the caller
+// writes every returned slot before the pool is read, and calls again for
+// the rest of n.
+//
+//fastcc:hotpath
+func (p *Pool[T]) Extend(n int) []T {
 	if len(p.chunks) == 0 || len(p.chunks[len(p.chunks)-1]) == cap(p.chunks[len(p.chunks)-1]) {
-		p.chunks = append(p.chunks, p.newChunk()) //fastcc:allow hotalloc -- chunk allocation IS the amortization, once per chunkLen appends
+		p.chunks = append(p.chunks, p.newChunk()) //fastcc:allow hotalloc -- chunk allocation IS the amortization, once per chunkLen elements
 	}
 	last := len(p.chunks) - 1
-	p.chunks[last] = append(p.chunks[last], v) //fastcc:allow hotalloc -- tail append is capacity-bounded, never reallocates
-	p.n++
+	c := p.chunks[last]
+	k := min(n, cap(c)-len(c))
+	p.chunks[last] = c[:len(c)+k]
+	p.n += k
+	return c[len(c) : len(c)+k]
 }
 
 // Len returns the number of elements appended.

@@ -28,6 +28,71 @@ func TestAppendAcrossChunks(t *testing.T) {
 	}
 }
 
+// TestExtendAcrossChunks fills pools through Extend, in requests that end
+// mid-chunk, fill one exactly and span several, mixed with Append, with and
+// without a ChunkCache, and checks that Len, Chunks and Concat see exactly
+// what Append alone would have built. The cached pass runs twice over one
+// cache, so the second draws recycled chunks (poisoned and checked under
+// fastcc_checked).
+func TestExtendAcrossChunks(t *testing.T) {
+	const chunkLen = 8
+	sizes := []int{1, 3, 4, 8, 17, 1, 7, 64, 2, 9}
+	cache := NewChunkCache[int](chunkLen)
+	for pass, p := range []*Pool[int]{New[int](chunkLen), cache.NewPool(), cache.NewPool()} {
+		next := 0
+		for i, n := range sizes {
+			if i%3 == 2 {
+				p.Append(next)
+				next++
+			}
+			for left := n; left > 0; {
+				before := p.Len()
+				out := p.Extend(left)
+				if len(out) == 0 || len(out) > left {
+					t.Fatalf("pass %d: Extend(%d) returned %d slots", pass, left, len(out))
+				}
+				if p.Len() != before+len(out) {
+					t.Fatalf("pass %d: Len %d after Extend(%d) returned %d slots at %d", pass, p.Len(), left, len(out), before)
+				}
+				for k := range out {
+					out[k] = next
+					next++
+				}
+				left -= len(out)
+			}
+		}
+		if p.Len() != next {
+			t.Fatalf("pass %d: Len=%d want %d", pass, p.Len(), next)
+		}
+		chunks := p.Chunks()
+		if want := (next + chunkLen - 1) / chunkLen; len(chunks) != want {
+			t.Fatalf("pass %d: %d chunks, want %d", pass, len(chunks), want)
+		}
+		for c, ch := range chunks[:len(chunks)-1] {
+			if len(ch) != chunkLen {
+				t.Fatalf("pass %d: chunk %d holds %d of %d", pass, c, len(ch), chunkLen)
+			}
+		}
+		l := Concat(p)
+		i := 0
+		l.ForEach(func(v int) {
+			if v != i {
+				t.Fatalf("pass %d: element %d = %d", pass, i, v)
+			}
+			i++
+		})
+		if i != next || l.Len() != next {
+			t.Fatalf("pass %d: Concat holds %d (Len %d), want %d", pass, i, l.Len(), next)
+		}
+		if pass > 0 {
+			cache.Release(l)
+		}
+	}
+	if d := cache.Dropped(); d != 0 {
+		t.Fatalf("cache dropped %d chunks", d)
+	}
+}
+
 func TestDefaultChunkLen(t *testing.T) {
 	p := New[byte](0)
 	p.Append(1)

@@ -12,7 +12,7 @@ type AccumKind int
 const (
 	// AccumAuto lets the probabilistic model decide (Algorithm 7).
 	AccumAuto AccumKind = iota
-	// AccumDense forces the dense tile (value buffer + apos + bitmask).
+	// AccumDense forces the dense tile (value buffer + touched bitmap).
 	AccumDense
 	// AccumSparse forces the sparse tile (open-addressing hash table).
 	AccumSparse

@@ -222,6 +222,7 @@ func (p *Plan) TotalStats() *Stats {
 		agg.LinearizeTime += s.LinearizeTime
 		agg.BuildTime += s.BuildTime
 		agg.ContractTime += s.ContractTime
+		agg.DrainTime += s.DrainTime
 		agg.ConcatTime += s.ConcatTime
 		agg.DelinearizeTime += s.DelinearizeTime
 		agg.TotalTime += s.TotalTime
