@@ -238,10 +238,16 @@ func DropTenant(id string) error {
 }
 
 // Contract contracts l and r per spec and returns the output tensor (in
-// COO, sorted order unspecified, duplicates absent) together with run
-// statistics. Each call linearizes and shards its operands transiently; to
-// amortize that work across repeated contractions, Preshard the operands
-// once and use ContractPrepared.
+// COO, duplicates absent) together with run statistics. Each call
+// linearizes and shards its operands transiently; to amortize that work
+// across repeated contractions, Preshard the operands once and use
+// ContractPrepared.
+//
+// The output's element order is not sorted. In a run with the dense
+// accumulator (Stats.Decision.Kind) it is fixed by the inputs and the
+// plan, the same at every thread count, and the elements that share their
+// left-operand coordinates come in ascending row-major order of their
+// right-operand coordinates. A sparse run's order is not defined.
 func Contract(l, r *Tensor, spec Spec, opts ...Option) (*Tensor, *Stats, error) {
 	cfg, err := config(opts)
 	if err != nil {

@@ -4,7 +4,8 @@
 // open-addressing hash tables keyed by the contraction index; tile–tile
 // contractions run as dynamically scheduled parallel tasks, each
 // accumulating into a worker-local dense or sparse tile and draining into a
-// worker-local chunked COO list that is finally concatenated by reference.
+// worker-local chunked COO list that is finally concatenated by reference,
+// in tile order.
 //
 // The engine is split into three explicit stages so the Build phase can be
 // amortized across repeated contractions (the prepared-operand API):
@@ -17,9 +18,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -174,7 +177,9 @@ type Stats struct {
 	// Phase timings. The root package's entry points fill LinearizeTime,
 	// DelinearizeTime and TotalTime, the steps they own; TotalTime is the
 	// wall time of the whole run, linearize and delinearize included as in
-	// the paper. DrainTime is the workers' summed time emptying their
+	// the paper. On the BTNS result path (ContractPreparedBTNS)
+	// DelinearizeTime is the key step and the encode that replace
+	// delinearization. DrainTime is the workers' summed time emptying their
 	// accumulators into the output pools, the drain sub-phase of
 	// ContractTime; with more than one worker it can exceed ContractTime's
 	// wall time.
@@ -407,6 +412,7 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 	pools := make([]*mempool.Pool[Triple], threads)
 	workers := make([]*worker, threads)
 	drainTimes := make([]time.Duration, threads)
+	segs := make([][]segment, threads)
 	wkey := accKey{kind: dec.Kind, rows: rows, cols: cols}
 	sparseHint := tileNNZHint(dec, tl, tr)
 
@@ -488,7 +494,11 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 					kern(ls, rs, i, j, wk, cfg.Counters, probeBatch)
 				}
 				td := time.Now()
+				lo := pools[w].Len()
 				wk.drain(pools[w], baseL, uint64(j)*tr, sym && !diag)
+				if hi := pools[w].Len(); hi > lo {
+					segs[w] = append(segs[w], segment{ii, jj, mempool.Span{Pool: w, Lo: lo, Hi: hi}})
+				}
 				drainTimes[w] += time.Since(td)
 				tasksDone++
 			}
@@ -516,9 +526,11 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 		st.DrainTime += d
 	}
 
-	// Final step: concatenate thread-local lists by pointer movement.
+	// Final step: concatenate thread-local lists by pointer movement, one
+	// segment per task in (ii, jj) order, so the element order depends on
+	// the inputs and the plan, not on which worker ran which task.
 	t0 = time.Now()
-	out := mempool.Concat(pools...)
+	out := mempool.ConcatSpans(pools, tileOrder(segs))
 	st.ConcatTime = time.Since(t0)
 	st.OutputNNZ = out.Len()
 	cfg.Counters.AddOutput(int64(out.Len()))
@@ -527,6 +539,35 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 	}
 	st.Counters = cfg.Counters.Snapshot()
 	return out, st, nil
+}
+
+// segment is one tile task's output: the elements of its worker's pool
+// that task (ii, jj), positions in the nonempty-tile lists, drained.
+type segment struct {
+	ii, jj int
+	span   mempool.Span
+}
+
+// tileOrder returns every worker's segments as spans in (ii, jj) order.
+//
+// In a dense run that order lists each output row's cells in ascending r,
+// the precondition of OutputKeys' counting sort. A dense tile drains in
+// ascending position: a row-major one in (l, r) order, an R-major one in
+// (r, l) order, and a mirrored batch in the (r', l') order of the tile it
+// transposes, so within one segment each row's cells ascend in r. A tile
+// row's tasks sort by ascending column. On the symmetric schedule, the
+// mirrored cells of tile row t come from tasks (ii, t) with ii < t, which
+// sort before row t's own tasks (t, jj >= t).
+func tileOrder(segs [][]segment) []mempool.Span {
+	all := slices.Concat(segs...)
+	slices.SortFunc(all, func(a, b segment) int {
+		return cmp.Or(cmp.Compare(a.ii, b.ii), cmp.Compare(a.jj, b.jj))
+	})
+	spans := make([]mempool.Span, len(all))
+	for k, sg := range all {
+		spans[k] = sg.span
+	}
+	return spans
 }
 
 // rMajor reports whether a two-shard dense run lays its tiles out R-major,

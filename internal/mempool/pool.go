@@ -97,15 +97,6 @@ func (p *Pool[T]) Len() int { return p.n }
 // read-only; they remain owned by the pool.
 func (p *Pool[T]) Chunks() [][]T { return p.chunks }
 
-// ForEach calls fn for every element in append order.
-func (p *Pool[T]) ForEach(fn func(T)) {
-	for _, c := range p.chunks {
-		for i := range c {
-			fn(c[i])
-		}
-	}
-}
-
 // Reset drops all elements but keeps the last chunk's storage for reuse.
 // Under fastcc_checked the retained storage is poisoned, so a stale Chunks
 // reference reading past Reset sees the sentinel pattern instead of
@@ -121,14 +112,17 @@ func (p *Pool[T]) Reset() {
 }
 
 // List concatenates pools by reference (pointer movement, no element
-// copies), in the order given — the paper's master-thread concatenation of
-// thread-local COO lists.
+// copies) — the paper's master-thread concatenation of thread-local COO
+// lists. Its elements are a sequence of views into the pools' chunks, in
+// list order; the list also owns the whole chunks, which Release hands back.
 type List[T any] struct {
-	chunks [][]T
+	views  [][]T // the elements, in list order
+	chunks [][]T // every chunk the list took over, whole
 	n      int
 }
 
-// Concat builds a List from the pools' chunks without copying elements.
+// Concat builds a List from the pools' chunks without copying elements, in
+// the order given.
 //
 // Ownership: pointer movement is the contract. The List takes over the
 // pools' chunks, and List.Release (or output recycling) hands them back.
@@ -145,23 +139,51 @@ func Concat[T any](pools ...*Pool[T]) *List[T] {
 			}
 		}
 	}
+	l.views = l.chunks
+	return l
+}
+
+// Span is the elements [Lo, Hi) of pools[Pool], counted in append order.
+type Span struct{ Pool, Lo, Hi int }
+
+// ConcatSpans is Concat with the elements in span order instead of pool
+// order: the list visits each span's elements in turn, as views into the
+// chunks that hold them, and still takes over every chunk of every pool.
+// The spans must cover each pool's elements exactly once.
+//
+// Ownership: as Concat. Release returns the whole chunks, never the views.
+func ConcatSpans[T any](pools []*Pool[T], spans []Span) *List[T] {
+	l := Concat(pools...)
+	l.views = make([][]T, 0, len(spans))
+	for _, s := range spans {
+		p := pools[s.Pool]
+		// Every chunk but a pool's last is full, so element e sits in
+		// chunk e/chunkLen.
+		for e := s.Lo; e < s.Hi; {
+			c, off := p.chunks[e/p.chunkLen], e%p.chunkLen
+			v := c[off:min(len(c), off+s.Hi-e)]
+			l.views = append(l.views, v)
+			e += len(v)
+		}
+	}
 	return l
 }
 
 // Len returns the total number of elements in the list.
 func (l *List[T]) Len() int { return l.n }
 
-// ForEach calls fn for every element.
+// ForEach calls fn for every element, in list order.
 func (l *List[T]) ForEach(fn func(T)) {
-	for _, c := range l.chunks {
+	for _, c := range l.views {
 		for i := range c {
 			fn(c[i])
 		}
 	}
 }
 
-// Chunks exposes the chunk slices (read-only).
-func (l *List[T]) Chunks() [][]T { return l.chunks }
+// Chunks returns the list's elements as runs of chunk storage, in list
+// order (read-only).
+func (l *List[T]) Chunks() [][]T { return l.views }
 
 // ChunkCache recycles fixed-length chunk storage between contraction runs.
 // Pools created via NewPool draw their chunks from the cache; once a run's
@@ -244,7 +266,7 @@ func (c *ChunkCache[T]) Release(l *List[T]) {
 		c.returnedN.Add(1)
 		c.park(ch[:0])
 	}
-	l.chunks = nil
+	l.views, l.chunks = nil, nil
 	l.n = 0
 }
 

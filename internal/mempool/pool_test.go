@@ -1,6 +1,7 @@
 package mempool
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -17,7 +18,7 @@ func TestAppendAcrossChunks(t *testing.T) {
 		t.Fatalf("chunks=%d want 3", got)
 	}
 	i := 0
-	p.ForEach(func(v int) {
+	Concat(p).ForEach(func(v int) {
 		if v != i {
 			t.Fatalf("element %d = %d", i, v)
 		}
@@ -115,7 +116,7 @@ func TestReset(t *testing.T) {
 		t.Fatal("append after reset")
 	}
 	sum := 0
-	p.ForEach(func(v int) { sum += v })
+	Concat(p).ForEach(func(v int) { sum += v })
 	if sum != 42 {
 		t.Fatalf("stale elements after reset, sum=%d", sum)
 	}
@@ -146,6 +147,50 @@ func TestConcatNoCopy(t *testing.T) {
 	l.ForEach(func(v int) { found = found || v == 99 })
 	if !found {
 		t.Fatal("Concat copied data; expected shared chunks")
+	}
+}
+
+// TestConcatSpans reorders two cached pools' elements by spans that start
+// and end mid-chunk and cross chunk boundaries, and checks the list visits
+// them in span order without copying, and that Release hands back every
+// chunk whole: none dropped, none left outstanding.
+func TestConcatSpans(t *testing.T) {
+	c := NewChunkCache[int](4)
+	a, b := c.NewPool(), c.NewPool()
+	for i := 0; i < 11; i++ {
+		a.Append(i)
+	}
+	for i := 0; i < 6; i++ {
+		b.Append(100 + i)
+	}
+	spans := []Span{{1, 3, 6}, {0, 5, 11}, {0, 0, 1}, {1, 0, 3}, {0, 1, 5}}
+	var want []int
+	for _, s := range spans {
+		for e := s.Lo; e < s.Hi; e++ {
+			want = append(want, []int{0, 100}[s.Pool]+e)
+		}
+	}
+	l := ConcatSpans([]*Pool[int]{a, b}, spans)
+	if l.Len() != 17 {
+		t.Fatalf("Len=%d want 17", l.Len())
+	}
+	var got []int
+	l.ForEach(func(v int) { got = append(got, v) })
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("order %v\nwant  %v", got, want)
+	}
+	// No copy: a write through a pool chunk shows through the list.
+	a.Chunks()[1][2] = -6
+	got = got[:0]
+	for _, v := range l.Chunks() {
+		got = append(got, v...)
+	}
+	if got[4] != -6 {
+		t.Fatalf("element 4 = %d after writing its chunk; ConcatSpans copied", got[4])
+	}
+	c.Release(l)
+	if out, d := c.Outstanding(), c.Dropped(); out != 0 || d != 0 {
+		t.Fatalf("after Release: %d chunks outstanding, %d dropped; want whole chunks back", out, d)
 	}
 }
 
@@ -249,7 +294,7 @@ func TestPoolOrderProperty(t *testing.T) {
 		}
 		i := 0
 		ok := true
-		p.ForEach(func(v int16) {
+		Concat(p).ForEach(func(v int16) {
 			ok = ok && v == vals[i]
 			i++
 		})

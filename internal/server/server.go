@@ -70,11 +70,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// resultEntry is one finished contraction output awaiting download.
+// resultEntry is one finished contraction output awaiting download, held
+// as the BTNS bytes a fetch sends.
 type resultEntry struct {
 	tenant string
-	t      *fastcc.Tensor
-	nnz    int
+	btns   []byte
 }
 
 // Server is the contraction service: a Registry of content-addressed
@@ -240,6 +240,7 @@ type StatsResponse struct {
 	Operands      int                `json:"operands"`
 	OperandBytes  int64              `json:"operand_bytes"`
 	Results       int                `json:"results"`
+	ResultBytes   int64              `json:"result_bytes"`   // the results store's encoded bytes
 	UploadedBytes int64              `json:"uploaded_bytes"` // calling tenant's registry charge
 }
 
@@ -435,7 +436,8 @@ func (s *Server) handleContract(w http.ResponseWriter, r *http.Request, tenant s
 	if s.cfg.Threads > 0 {
 		opts = append(opts, fastcc.WithThreads(s.cfg.Threads))
 	}
-	out, stats, err := fastcc.ContractPrepared(lsh, rsh, opts...)
+	// The result is encoded once, here, so a fetch only copies bytes.
+	btns, stats, err := fastcc.ContractPreparedBTNS(lsh, rsh, opts...)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -443,11 +445,11 @@ func (s *Server) handleContract(w http.ResponseWriter, r *http.Request, tenant s
 
 	id := "r" + strconv.FormatInt(s.nextID.Add(1), 16)
 	s.mu.Lock()
-	s.results[id] = &resultEntry{tenant: tenant, t: out, nnz: out.NNZ()}
+	s.results[id] = &resultEntry{tenant: tenant, btns: btns}
 	s.mu.Unlock()
 	writeJSON(w, &ContractResponse{
 		ResultID:    id,
-		OutputNNZ:   out.NNZ(),
+		OutputNNZ:   stats.OutputNNZ,
 		BuildNS:     stats.BuildTime.Nanoseconds(),
 		ContractNS:  stats.ContractTime.Nanoseconds(),
 		TotalNS:     stats.TotalTime.Nanoseconds(),
@@ -475,10 +477,10 @@ func (s *Server) handleFetchResult(w http.ResponseWriter, r *http.Request, tenan
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := fastcc.WriteBTNS(w, e.t); err != nil {
-		// Headers are gone; the truncated body fails the client's decode.
-		return
-	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(e.btns)))
+	// A failed write means the client went away; its decode fails on the
+	// short body.
+	_, _ = w.Write(e.btns)
 }
 
 func (s *Server) handleDeleteResult(w http.ResponseWriter, r *http.Request, tenant string) {
@@ -492,7 +494,10 @@ func (s *Server) handleDeleteResult(w http.ResponseWriter, r *http.Request, tena
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request, tenant string) {
 	operands, bytes, _ := s.reg.Stats()
 	s.mu.Lock()
-	nresults := len(s.results)
+	nresults, resultBytes := len(s.results), int64(0)
+	for _, e := range s.results {
+		resultBytes += int64(len(e.btns))
+	}
 	s.mu.Unlock()
 	own, _ := fastcc.TenantCacheStats(tenant)
 	writeJSON(w, &StatsResponse{
@@ -503,6 +508,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request, tenant stri
 		Operands:      operands,
 		OperandBytes:  bytes,
 		Results:       nresults,
+		ResultBytes:   resultBytes,
 		UploadedBytes: s.reg.Charged(tenant),
 	})
 }

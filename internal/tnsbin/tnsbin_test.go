@@ -358,3 +358,90 @@ func checkAccepted(t *testing.T, data []byte) {
 		t.Fatal("Write then Read changed an accepted tensor")
 	}
 }
+
+// distinctColumns returns a random tensor with distinct coordinates and
+// its key and value columns in ascending key order.
+func distinctColumns(rng *rand.Rand, dims []uint64, nnz int) (*coo.Tensor, []uint64, []float64) {
+	t := randomTensor(rng, dims, nnz)
+	t.Dedup()
+	keys, err := t.LinearizeModes([]int{0, 1, 2, 3}[:t.Order()])
+	if err != nil {
+		panic(err)
+	}
+	// Dedup leaves the elements sorted, so the keys ascend.
+	return t, keys, append([]float64(nil), t.Vals...)
+}
+
+// TestEncodeKeysRejects requires EncodeKeys to refuse keys that repeat,
+// descend or leave the index space, mismatched columns, and dims whose
+// index space overflows a uint64.
+func TestEncodeKeysRejects(t *testing.T) {
+	cases := []struct {
+		name string
+		dims []uint64
+		keys []uint64
+		vals []float64
+	}{
+		{"repeated", []uint64{4, 5}, []uint64{1, 3, 3}, []float64{1, 2, 3}},
+		{"descending", []uint64{4, 5}, []uint64{1, 7, 6}, []float64{1, 2, 3}},
+		{"beyond index space", []uint64{4, 5}, []uint64{1, 20}, []float64{1, 2}},
+		{"short value column", []uint64{4, 5}, []uint64{1, 2}, []float64{1}},
+		{"overflowing dims", []uint64{1 << 40, 1 << 40}, nil, nil},
+	}
+	for _, c := range cases {
+		if _, err := EncodeKeys(c.dims, c.keys, c.vals); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+}
+
+// FuzzEncodeKeys checks EncodeKeys against Write on random tensors with
+// distinct coordinates: the bytes must be equal. The same columns with a
+// key repeated, two keys swapped or the last key moved past the index
+// space must be rejected.
+func FuzzEncodeKeys(f *testing.F) {
+	f.Add(int64(1), uint8(2), uint16(40))
+	f.Add(int64(2), uint8(4), uint16(300))
+	f.Add(int64(3), uint8(1), uint16(1))
+	f.Add(int64(4), uint8(3), uint16(0))
+	f.Fuzz(func(t *testing.T, seed int64, order uint8, nnz uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		dims := make([]uint64, 1+order%4)
+		for m := range dims {
+			dims[m] = 1 + rng.Uint64()%40
+		}
+		tn, keys, vals := distinctColumns(rng, dims, int(nnz%512))
+		got, err := EncodeKeys(dims, keys, vals)
+		if err != nil {
+			t.Fatalf("dims %v, %d keys: %v", dims, len(keys), err)
+		}
+		var want bytes.Buffer
+		if err := Write(&want, tn); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("dims %v, %d keys: EncodeKeys bytes differ from Write's", dims, len(keys))
+		}
+		size, _ := coo.LinearSize(dims)
+		n := len(keys)
+		var bad [][]uint64
+		if n >= 2 {
+			i := 1 + rng.Intn(n-1)
+			rep := append([]uint64(nil), keys...)
+			rep[i] = rep[i-1]
+			swp := append([]uint64(nil), keys...)
+			swp[i], swp[i-1] = swp[i-1], swp[i]
+			bad = append(bad, rep, swp)
+		}
+		if n >= 1 {
+			out := append([]uint64(nil), keys...)
+			out[n-1] = size + rng.Uint64()%8
+			bad = append(bad, out)
+		}
+		for k, b := range bad {
+			if _, err := EncodeKeys(dims, b, vals); err == nil {
+				t.Fatalf("dims %v: bad column %d accepted", dims, k)
+			}
+		}
+	})
+}

@@ -1,10 +1,12 @@
 package fastcc
 
 import (
+	"slices"
 	"time"
 
 	"fastcc/internal/coo"
 	"fastcc/internal/core"
+	"fastcc/internal/tnsbin"
 )
 
 // Sharded is a contraction operand prepared once and reusable across many
@@ -148,15 +150,73 @@ func (s *Sharded) Modes() []int { return append([]int(nil), s.modes...) }
 // the run's shards to a tenant account — so prepared and one-shot paths are
 // interchangeable call-site by call-site.
 func ContractPrepared(l, r *Sharded, opts ...Option) (*Tensor, *Stats, error) {
-	cfg, err := config(opts)
+	cfg, err := preparedConfig(l, r, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	spec := Spec{CtrLeft: l.modes, CtrRight: r.modes}
-	if err := spec.Validate(l.t, r.t); err != nil {
+	return contractSharded(l, r, cfg, 0)
+}
+
+// ContractPreparedBTNS is the BTNS result path: ContractPrepared for a
+// caller that sends the result on, as the daemon does. It returns the
+// output already encoded, the bytes WriteBTNS writes for ContractPrepared's
+// result, without building the COO tensor: the engine's output goes
+// straight to key order and into the encoder. Options and errors are
+// ContractPrepared's, plus one: an output whose index space does not fit in
+// a uint64, which BTNS cannot carry, fails with an error wrapping
+// ErrBadSpec. Stats.DelinearizeTime reports the key step and the encode,
+// which take delinearization's place, and Stats.TotalTime includes them.
+func ContractPreparedBTNS(l, r *Sharded, opts ...Option) ([]byte, *Stats, error) {
+	cfg, err := preparedConfig(l, r, opts)
+	if err != nil {
 		return nil, nil, err
 	}
-	return contractSharded(l, r, cfg, 0)
+	tStart := time.Now()
+	out, st, err := core.ContractOperands(l.op, r.op, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	t0 := time.Now()
+	lDims, rDims := outputDims(l, r)
+	keys, vals, _, err := core.OutputKeys(out, lDims, rDims, st.Decision.Kind == AccumDense)
+	// The columns hold copies; the triple chunks go straight back to the
+	// engine's chunk cache.
+	core.RecycleOutput(out)
+	if err != nil {
+		return nil, nil, err
+	}
+	data, err := tnsbin.EncodeKeys(slices.Concat(lDims, rDims), keys, vals)
+	if err != nil {
+		return nil, nil, err
+	}
+	st.DelinearizeTime = time.Since(t0)
+	st.TotalTime = time.Since(tStart)
+	return data, st, nil
+}
+
+// preparedConfig applies opts for a contraction of two prepared operands
+// and checks the Spec their Preshard calls froze.
+func preparedConfig(l, r *Sharded, opts []Option) (core.Config, error) {
+	cfg, err := config(opts)
+	if err != nil {
+		return cfg, err
+	}
+	spec := Spec{CtrLeft: l.modes, CtrRight: r.modes}
+	return cfg, spec.Validate(l.t, r.t)
+}
+
+// outputDims returns the extents of the output's modes: the left operand's
+// external modes, then the right's.
+func outputDims(l, r *Sharded) (lDims, rDims []uint64) {
+	lDims = make([]uint64, len(l.ext))
+	for i, m := range l.ext {
+		lDims[i] = l.t.Dims[m]
+	}
+	rDims = make([]uint64, len(r.ext))
+	for i, m := range r.ext {
+		rDims[i] = r.t.Dims[m]
+	}
+	return lDims, rDims
 }
 
 // contractSharded runs the shared build/execute pipeline over two prepared
@@ -173,14 +233,7 @@ func contractSharded(l, r *Sharded, cfg core.Config, linearize time.Duration) (*
 	// Post-processing: de-linearize the output chunks straight into the
 	// result tensor (timed).
 	t0 := time.Now()
-	lDims := make([]uint64, len(l.ext))
-	for i, m := range l.ext {
-		lDims[i] = l.t.Dims[m]
-	}
-	rDims := make([]uint64, len(r.ext))
-	for i, m := range r.ext {
-		rDims[i] = r.t.Dims[m]
-	}
+	lDims, rDims := outputDims(l, r)
 	result, ferr := core.DelinearizeOutput(out, lDims, rDims, st.Threads)
 	// The result holds copies; the triple chunks go straight back to the
 	// engine's chunk cache.

@@ -325,6 +325,7 @@ func TestEntryPointsAgree(t *testing.T) {
 	}{
 		{"Contract", func() (*Stats, error) { _, st, err := Contract(l, r, spec, opts...); return st, err }},
 		{"ContractPrepared", func() (*Stats, error) { _, st, err := ContractPrepared(ls, rs, opts...); return st, err }},
+		{"ContractPreparedBTNS", func() (*Stats, error) { _, st, err := ContractPreparedBTNS(ls, rs, opts...); return st, err }},
 		{"Einsum", func() (*Stats, error) { _, st, err := Einsum("ij,jk->ik", l, r, opts...); return st, err }},
 		{"core.ContractOperands", func() (*Stats, error) {
 			out, st, err := core.ContractOperands(ls.op, rs.op, core.Config{Threads: 2, Platform: Desktop8, Counters: &metrics.Counters{}})
