@@ -67,7 +67,9 @@ test-spill:
 # Short fuzz of every existing Fuzz* target; go test -fuzz takes one
 # target per package per invocation. The contraction fuzzer runs a second
 # time under fastcc_checked so random tilings also exercise the poison and
-# generation asserts.
+# generation asserts. The spill-body fuzzer caps the minimization of each
+# new input at 200 runs: unbounded, minimizing one kilobyte-sized image
+# takes the whole smoke budget.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzParseEinsum -fuzztime=$(FUZZTIME) .
 	$(GO) test -run=^$$ -fuzz=FuzzReadTNS -fuzztime=$(FUZZTIME) ./internal/coo
@@ -75,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzRead -fuzztime=$(FUZZTIME) ./internal/tnsbin
 	$(GO) test -run=^$$ -fuzz=FuzzEncodeKeys -fuzztime=$(FUZZTIME) ./internal/tnsbin
 	$(GO) test -run=^$$ -fuzz=FuzzContractTiling -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzSpillBody -fuzztime=$(FUZZTIME) -fuzzminimizetime=200x ./internal/core
 	$(GO) test -tags fastcc_checked -run=^$$ -fuzz=FuzzContractTiling -fuzztime=$(FUZZTIME) ./internal/core
 
 # One-iteration run of the prepared-operand reuse benchmark: exercises the

@@ -222,14 +222,6 @@ func BenchmarkFig5_FaSTCC1T(b *testing.B) {
 
 // --- Ablation benches (design choices called out in DESIGN.md) ------------
 
-func BenchmarkAblate_InputRep_Hash(b *testing.B) {
-	benchFastCC(b, "chicago-0", fastcc.WithInputRep(fastcc.RepHash))
-}
-
-func BenchmarkAblate_InputRep_Sorted(b *testing.B) {
-	benchFastCC(b, "chicago-0", fastcc.WithInputRep(fastcc.RepSorted))
-}
-
 func BenchmarkAblate_UntiledCO(b *testing.B) {
 	l, r, spec := loadCase(b, "chicago-01")
 	extL := coo.ExternalModes(l.Order(), spec.CtrLeft)

@@ -8,7 +8,7 @@
 //
 //	tnsinfo -in chicago.tns
 //	tnsinfo -in chicago.tns -ctr 0 -platform desktop8
-//	tnsinfo -spill cache/ab12cd-m1-t64-r0.fspl
+//	tnsinfo -spill cache/ab12cd-m1-t64.fspl
 package main
 
 import (

@@ -75,17 +75,6 @@ func NewTensor(dims []uint64, capHint int) *Tensor { return coo.New(dims, capHin
 // with WithMetrics, the data-access counters.
 type Stats = core.Stats
 
-// InputRep selects the input-tile representation: the paper's hash tables
-// (RepHash, default) or radix-sorted grouped arrays with merge
-// co-iteration (RepSorted, an engineering ablation).
-type InputRep = core.InputRep
-
-// Input representations.
-const (
-	RepHash   = core.RepHash
-	RepSorted = core.RepSorted
-)
-
 // Option configures one run. Options apply in order, so the last one
 // setting a field wins.
 type Option func(*core.Config)
@@ -121,9 +110,6 @@ func WithPlatform(p Platform) Option { return func(c *core.Config) { c.Platform 
 func WithMetrics() Option {
 	return func(c *core.Config) { c.Counters = &metrics.Counters{} }
 }
-
-// WithInputRep selects the input-tile representation (default RepHash).
-func WithInputRep(rep InputRep) Option { return func(c *core.Config) { c.Rep = rep } }
 
 // WithContext attaches a context for cooperative cancellation. It is the
 // one cancellation path through the package: every entry point (Contract,

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"fastcc/internal/coo"
-	"fastcc/internal/metrics"
 	"fastcc/internal/model"
 	"fastcc/internal/ref"
 )
@@ -160,77 +159,4 @@ func TestContractDuplicateInputCoordinates(t *testing.T) {
 			t.Fatalf("duplicate accumulation wrong: %g", tr.V)
 		}
 	})
-}
-
-func TestSortedRepMatchesHashRep(t *testing.T) {
-	rng := rand.New(rand.NewSource(36))
-	l := randomMatrix(rng, 200, 40, 2000)
-	r := randomMatrix(rng, 150, 40, 1500)
-	collect := func(rep InputRep) *coo.Tensor {
-		out, _, err := contract(l, r, Config{Threads: 3, TileL: 64, TileR: 64, Rep: rep})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ls, rs []uint64
-		var vs []float64
-		out.ForEach(func(tr Triple) { ls = append(ls, tr.L); rs = append(rs, tr.R); vs = append(vs, tr.V) })
-		tn := ref.TriplesToMatrixTensor(ls, rs, vs, l.ExtDim, r.ExtDim)
-		tn.Sort()
-		return tn
-	}
-	h := collect(RepHash)
-	s := collect(RepSorted)
-	if !coo.Equal(h, s) {
-		t.Fatal("sorted rep disagrees with hash rep")
-	}
-	want := ref.MapToMatrixTensor(ref.ContractMatrix(l, r), l.ExtDim, r.ExtDim)
-	if !coo.Equal(s, want) {
-		t.Fatal("sorted rep disagrees with reference")
-	}
-}
-
-func TestSortedRepWithSparseAccumAndRaggedTiles(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	l := randomMatrix(rng, 97, 13, 700)
-	r := randomMatrix(rng, 83, 13, 600)
-	out, stc, err := contract(l, r, Config{Threads: 2, TileL: 30, TileR: 41, Accum: model.AccumSparse, Rep: RepSorted})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stc.NL != 4 || stc.NR != 3 {
-		t.Fatalf("grid %dx%d", stc.NL, stc.NR)
-	}
-	var ls, rs []uint64
-	var vs []float64
-	out.ForEach(func(tr Triple) { ls = append(ls, tr.L); rs = append(rs, tr.R); vs = append(vs, tr.V) })
-	got := ref.TriplesToMatrixTensor(ls, rs, vs, l.ExtDim, r.ExtDim)
-	want := ref.MapToMatrixTensor(ref.ContractMatrix(l, r), l.ExtDim, r.ExtDim)
-	if !coo.Equal(got, want) {
-		t.Fatal("sorted rep + sparse accum wrong")
-	}
-}
-
-func TestInputRepString(t *testing.T) {
-	if RepHash.String() != "hash" || RepSorted.String() != "sorted" {
-		t.Fatal("InputRep strings")
-	}
-}
-
-func TestRepsAgreeOnUpdateCounts(t *testing.T) {
-	// Hash and sorted representations must perform the exact same number
-	// of multiply-accumulates (the work is representation-independent).
-	rng := rand.New(rand.NewSource(38))
-	l := randomMatrix(rng, 120, 25, 900)
-	r := randomMatrix(rng, 110, 25, 800)
-	count := func(rep InputRep) int64 {
-		var c metrics.Counters
-		if _, _, err := contract(l, r, Config{Threads: 2, TileL: 32, TileR: 32, Rep: rep, Counters: &c}); err != nil {
-			t.Fatal(err)
-		}
-		return c.Snapshot().Updates
-	}
-	h, s := count(RepHash), count(RepSorted)
-	if h != s || h == 0 {
-		t.Fatalf("updates differ: hash=%d sorted=%d", h, s)
-	}
 }

@@ -15,7 +15,7 @@ import (
 // behave like the plain field reads otherwise.
 func TestShardGenerationCheck(t *testing.T) {
 	unbuilt := &Shard{
-		Key:    ShardKey{Tile: 4, Rep: RepHash},
+		Key:    ShardKey{Tile: 4},
 		sealed: make([]*hashtable.Sealed, 1),
 	}
 	defer func() {
@@ -41,7 +41,7 @@ func TestShardGenerationCheck(t *testing.T) {
 // slice to still be allocated.
 func TestSpilledShardGenerationCheck(t *testing.T) {
 	spilled := &Shard{
-		Key:    ShardKey{Tile: 4, Rep: RepHash},
+		Key:    ShardKey{Tile: 4},
 		sealed: make([]*hashtable.Sealed, 1),
 	}
 	spilled.stampBuilt()
@@ -86,7 +86,7 @@ func TestShardBuildVerifiesMatrixStamp(t *testing.T) {
 			t.Fatalf("normal build panicked: %v", r)
 		}
 	}()
-	s, _ := op.Shard(ShardKey{Tile: 2, Rep: RepHash}, 1)
+	s, _ := op.Shard(ShardKey{Tile: 2}, 1)
 	s.Unpin()
 	op.Close()
 }
@@ -100,7 +100,7 @@ func TestBuiltShardPassesGenerationCheck(t *testing.T) {
 	}
 	op := NewOperand(m)
 	defer op.Close()
-	s, built := op.Shard(ShardKey{Tile: 2, Rep: RepHash}, 1)
+	s, built := op.Shard(ShardKey{Tile: 2}, 1)
 	if !built {
 		t.Fatal("first Shard call did not build")
 	}

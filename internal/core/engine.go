@@ -55,9 +55,6 @@ type Config struct {
 	Platform model.Platform
 	// Counters, when non-nil, collects data-access statistics.
 	Counters *metrics.Counters
-	// Rep selects the input-tile representation: the paper's hash tables
-	// (default) or the sorted-array ablation.
-	Rep InputRep
 	// Tenant, when non-empty, charges every shard this run builds or reuses
 	// to the named tenant's cache account (tenant.go): the shard bytes count
 	// against the tenant's quota, quota overruns are settled by evicting the
@@ -105,11 +102,6 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("%w: accumulator %d is not a known kind", ErrBadOption, int(c.Accum))
 	}
-	switch c.Rep {
-	case RepHash, RepSorted:
-	default:
-		return fmt.Errorf("%w: input representation %d is not a known one", ErrBadOption, int(c.Rep))
-	}
 	if c.Platform != (model.Platform{}) {
 		if err := c.Platform.Validate(); err != nil {
 			return fmt.Errorf("%w: %v", ErrBadOption, err)
@@ -138,7 +130,7 @@ func checkDenseTile(tl, tr uint64) error {
 // Stats reports everything one contraction run decided and measured.
 type Stats struct {
 	// Decision is the probabilistic model's output (densities, expected
-	// tile nonzeros, accumulator kind, tile sizes, kernel).
+	// tile nonzeros, accumulator kind, tile sizes).
 	Decision model.Decision
 	// TileL, TileR are the tile sizes actually used; NL, NR the tile-grid
 	// dimensions.
@@ -244,7 +236,7 @@ var workerFree = mempool.NewFreelist[accKey, *worker](0)
 // on two shard-caching operands and returns the output as a concatenated
 // chunk list of triples. Each side's Build phase is skipped when the
 // operand already holds a shard compatible with this run's plan (same tile
-// side and representation). Passing the same *Operand on both sides of a
+// side). Passing the same *Operand on both sides of a
 // self-contraction shards it exactly once. A Config that fails Validate is
 // rejected before any work runs.
 func ContractOperands(l, r *Operand, cfg Config) (*mempool.List[Triple], *Stats, error) {
@@ -277,7 +269,7 @@ func ContractOperands(l, r *Operand, cfg Config) (*mempool.List[Triple], *Stats,
 	// are released when the run ends (a self-contraction holds one pin on
 	// its single shard), after execute's pool has joined every worker, so
 	// eviction never reaches tables a tile kernel is reading.
-	ls, rs, builtL, builtR := buildShards(l, r, ShardKey{Tile: tl, Rep: cfg.Rep}, ShardKey{Tile: tr, Rep: cfg.Rep}, threads, st)
+	ls, rs, builtL, builtR := buildShards(l, r, ShardKey{Tile: tl}, ShardKey{Tile: tr}, threads, st)
 	st.ShardReusedL, st.ShardReusedR = !builtL, !builtR
 	st.ShardReused = !builtL && !builtR
 	if cfg.Tenant != "" {
@@ -340,7 +332,6 @@ func plan(l, r *coo.Matrix, cfg Config) (model.Decision, error) {
 			return model.Decision{}, err
 		}
 	}
-	dec.Kernel = model.SelectKernel(cfg.Rep == RepSorted, dec.Kind)
 	return dec, nil
 }
 
@@ -446,9 +437,13 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 	blocksTotal := rowStart[nbL]
 	st.BlockL, st.BlockR, st.Blocks = bl, br, blocksTotal
 	// Kernel dispatch is resolved HERE, once per run: every tile task below
-	// calls the same direct function value out of kernelTable. The platform's
-	// probe depth (hash kernels' batch width) is likewise hoisted.
-	kern := kernelTable[dec.Kernel]
+	// calls the same direct function value, the kernel for the run's
+	// accumulator kind. The platform's probe depth (the kernels' batch
+	// width) is likewise hoisted.
+	kern := runHashDense
+	if dec.Kind == model.AccumSparse {
+		kern = runHashSparse
+	}
 	probeBatch := cfg.Platform.ProbeBatch()
 	ctx := cfg.ctx()
 	err := scheduler.PoolCtxBatch(ctx, threads, blocksTotal, scheduler.ClaimBatch(blocksTotal, threads), func(w, b int) {
@@ -483,13 +478,13 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 				// inside a block, matching the batched claim's latency of
 				// one task, not one block.
 				if ctx.Err() != nil {
-					cfg.Counters.AddKernelTasks(int(dec.Kernel), tasksDone)
+					cfg.Counters.AddKernelTasks(int(dec.Kind), tasksDone)
 					return
 				}
 				j := nonEmptyR[jj]
 				diag := sym && jj == ii
 				if diag {
-					scatterDiagonal(ls.runsAt(i), wk, cfg.Counters)
+					scatterDiagonal(ls.sealedAt(i), wk, cfg.Counters)
 				} else {
 					kern(ls, rs, i, j, wk, cfg.Counters, probeBatch)
 				}
@@ -503,7 +498,7 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 				tasksDone++
 			}
 		}
-		cfg.Counters.AddKernelTasks(int(dec.Kernel), tasksDone)
+		cfg.Counters.AddKernelTasks(int(dec.Kind), tasksDone)
 	})
 	// Accumulators drain at the end of every task, so canceled or not they
 	// are empty and safe to park for the next run. The pool hands out no

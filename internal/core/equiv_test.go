@@ -13,9 +13,8 @@ import (
 
 // The tests in this file pin the partitioned-build + sealed-shard +
 // blocked-schedule pipeline against the reference contraction and against
-// itself: every {representation × accumulator} combination must produce the
-// same output, bit for bit, and a reused shard must reproduce the cold run
-// exactly. Values are small integers, so float64 accumulation is exact and
+// itself: both accumulators must produce the same output, bit for bit, and
+// a reused shard must reproduce the cold run exactly. Values are small integers, so float64 accumulation is exact and
 // "equal" means identical bits regardless of accumulation order.
 
 // collectSorted contracts and returns the output as a sorted tensor, with
@@ -84,47 +83,27 @@ func TestEquivalenceAcrossRepAndAccum(t *testing.T) {
 	r := randomMatrix(rng, 260, 40, 2000)
 	want := referenceSorted(l, r)
 
-	type combo struct {
-		name string
-		rep  InputRep
-		acc  model.AccumKind
-	}
-	combos := []combo{
-		{"hash/dense", RepHash, model.AccumDense},
-		{"hash/sparse", RepHash, model.AccumSparse},
-		{"sorted/dense", RepSorted, model.AccumDense},
-		{"sorted/sparse", RepSorted, model.AccumSparse},
-	}
-	outs := make([]*coo.Tensor, len(combos))
-	for k, c := range combos {
+	accs := []model.AccumKind{model.AccumDense, model.AccumSparse}
+	outs := make([]*coo.Tensor, len(accs))
+	for k, acc := range accs {
 		outs[k], _ = collectSorted(t, l, r, Config{
-			Threads: 4, TileL: 17, TileR: 32, Accum: c.acc, Rep: c.rep,
-			Platform: tinyLLC,
+			Threads: 4, TileL: 17, TileR: 32, Accum: acc, Platform: tinyLLC,
 		})
 		if !coo.Equal(outs[k], want) {
-			t.Fatalf("%s: result differs from reference", c.name)
+			t.Fatalf("%v: result differs from reference", acc)
 		}
 	}
-	// Pairwise bit-for-bit: same sorted coordinates and identical value bits.
-	for k := 1; k < len(outs); k++ {
-		if !coo.Equal(outs[0], outs[k]) {
-			t.Fatalf("%s vs %s: outputs differ", combos[0].name, combos[k].name)
-		}
-		for i := range outs[0].Vals {
-			if outs[0].Vals[i] != outs[k].Vals[i] {
-				t.Fatalf("%s vs %s: value bits differ at %d", combos[0].name, combos[k].name, i)
-			}
-		}
-	}
+	// Bit-for-bit: same sorted coordinates and identical value bits.
+	assertBitIdentical(t, "dense vs sparse", outs[0], outs[1])
 	// Self leg: one Operand on both sides runs the symmetric schedule. With
 	// 16-wide tiles a tinyLLC panel holds two tiles, so blocks straddle the
 	// diagonal: one block runs diagonal, mirrored and skipped pairs.
 	wantSelf := referenceSorted(l, l)
-	for _, c := range combos {
-		cfg := Config{Threads: 4, TileL: 16, TileR: 16, Accum: c.acc, Rep: c.rep, Platform: tinyLLC}
-		st := checkSelfLeg(t, "self "+c.name, l, cfg, wantSelf)
+	for _, acc := range accs {
+		cfg := Config{Threads: 4, TileL: 16, TileR: 16, Accum: acc, Platform: tinyLLC}
+		st := checkSelfLeg(t, fmt.Sprintf("self %v", acc), l, cfg, wantSelf)
 		if st.BlockL < 2 || st.BlockR < 2 {
-			t.Fatalf("self %s: block %dx%d cannot straddle the diagonal", c.name, st.BlockL, st.BlockR)
+			t.Fatalf("self %v: block %dx%d cannot straddle the diagonal", acc, st.BlockL, st.BlockR)
 		}
 	}
 }
@@ -168,72 +147,52 @@ func TestShardReuseBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	lm := randomMatrix(rng, 400, 50, 3000)
 	rm := randomMatrix(rng, 350, 50, 2800)
-	for _, rep := range []InputRep{RepHash, RepSorted} {
-		l, r := NewOperand(lm), NewOperand(rm)
-		cfg := Config{Threads: 4, TileL: 64, TileR: 64, Rep: rep, Platform: tinyLLC}
-		run := func() (*coo.Tensor, *Stats) {
-			out, st, err := ContractOperands(l, r, cfg)
-			if err != nil {
-				t.Fatalf("rep=%v: %v", rep, err)
-			}
-			var ls, rs []uint64
-			var vs []float64
-			out.ForEach(func(tr Triple) { ls = append(ls, tr.L); rs = append(rs, tr.R); vs = append(vs, tr.V) })
-			tn := ref.TriplesToMatrixTensor(ls, rs, vs, lm.ExtDim, rm.ExtDim)
-			tn.Sort()
-			return tn, st
+	l, r := NewOperand(lm), NewOperand(rm)
+	cfg := Config{Threads: 4, TileL: 64, TileR: 64, Platform: tinyLLC}
+	run := func() (*coo.Tensor, *Stats) {
+		out, st, err := ContractOperands(l, r, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		cold, coldSt := run()
-		warm, warmSt := run()
-		if coldSt.ShardReusedL || coldSt.ShardReusedR {
-			t.Fatalf("rep=%v: cold run claims shard reuse", rep)
-		}
-		if !warmSt.ShardReusedL || !warmSt.ShardReusedR || warmSt.BuildTime != 0 {
-			t.Fatalf("rep=%v: warm run did not reuse shards (%+v)", rep, warmSt)
-		}
-		if warmSt.Blocks <= 0 || warmSt.BlockL <= 0 || warmSt.BlockR <= 0 {
-			t.Fatalf("rep=%v: block stats not populated: %+v", rep, warmSt)
-		}
-		if !coo.Equal(cold, warm) {
-			t.Fatalf("rep=%v: warm output differs from cold", rep)
-		}
-		for i := range cold.Vals {
-			if cold.Vals[i] != warm.Vals[i] {
-				t.Fatalf("rep=%v: warm value bits differ at %d", rep, i)
-			}
-		}
+		var ls, rs []uint64
+		var vs []float64
+		out.ForEach(func(tr Triple) { ls = append(ls, tr.L); rs = append(rs, tr.R); vs = append(vs, tr.V) })
+		tn := ref.TriplesToMatrixTensor(ls, rs, vs, lm.ExtDim, rm.ExtDim)
+		tn.Sort()
+		return tn, st
 	}
+	cold, coldSt := run()
+	warm, warmSt := run()
+	if coldSt.ShardReusedL || coldSt.ShardReusedR {
+		t.Fatal("cold run claims shard reuse")
+	}
+	if !warmSt.ShardReusedL || !warmSt.ShardReusedR || warmSt.BuildTime != 0 {
+		t.Fatalf("warm run did not reuse shards (%+v)", warmSt)
+	}
+	if warmSt.Blocks <= 0 || warmSt.BlockL <= 0 || warmSt.BlockR <= 0 {
+		t.Fatalf("block stats not populated: %+v", warmSt)
+	}
+	assertBitIdentical(t, "warm vs cold", cold, warm)
 }
 
 // TestEvictionEquivalence is the lifecycle acceptance test: contract,
 // force-evict everything with a 1-byte budget, contract again over the
-// rebuilt shards, and demand bit-identical output — for every
-// {representation × accumulator} combination, plus a run under an
-// adversarially small budget that rebuilds both shards and evicts them as
-// its pins drop.
+// rebuilt shards, and demand bit-identical output — for both
+// accumulators, plus a run under an adversarially small budget that
+// rebuilds both shards and evicts them as its pins drop.
 func TestEvictionEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	lm := randomMatrix(rng, 300, 40, 2500)
 	rm := randomMatrix(rng, 260, 40, 2000)
 
-	type combo struct {
-		name string
-		rep  InputRep
-		acc  model.AccumKind
-	}
-	combos := []combo{
-		{"hash/dense", RepHash, model.AccumDense},
-		{"hash/sparse", RepHash, model.AccumSparse},
-		{"sorted/dense", RepSorted, model.AccumDense},
-		{"sorted/sparse", RepSorted, model.AccumSparse},
-	}
-	for _, c := range combos {
+	for _, acc := range []model.AccumKind{model.AccumDense, model.AccumSparse} {
+		name := acc.String()
 		l, r := NewOperand(lm), NewOperand(rm)
-		cfg := Config{Threads: 4, TileL: 17, TileR: 32, Accum: c.acc, Rep: c.rep, Platform: tinyLLC}
+		cfg := Config{Threads: 4, TileL: 17, TileR: 32, Accum: acc, Platform: tinyLLC}
 		run := func(cfg Config) (*coo.Tensor, *Stats) {
 			out, st, err := ContractOperands(l, r, cfg)
 			if err != nil {
-				t.Fatalf("%s: %v", c.name, err)
+				t.Fatalf("%s: %v", name, err)
 			}
 			var ls, rs []uint64
 			var vs []float64
@@ -248,26 +207,26 @@ func TestEvictionEquivalence(t *testing.T) {
 		before := CacheStats()
 		SetShardBudget(1)
 		if after := CacheStats(); after.Evictions <= before.Evictions {
-			t.Fatalf("%s: 1-byte budget evicted nothing (%d -> %d)", c.name, before.Evictions, after.Evictions)
+			t.Fatalf("%s: 1-byte budget evicted nothing (%d -> %d)", name, before.Evictions, after.Evictions)
 		}
 		SetShardBudget(-1)
 		rebuilt, st := run(cfg)
 		if st.ShardReusedL || st.ShardReusedR {
-			t.Fatalf("%s: post-eviction run claims shard reuse", c.name)
+			t.Fatalf("%s: post-eviction run claims shard reuse", name)
 		}
-		assertBitIdentical(t, c.name+" rebuilt", cold, rebuilt)
+		assertBitIdentical(t, name+" rebuilt", cold, rebuilt)
 
 		// Adversarially small budget: the run rebuilds both shards, they are
 		// evicted as soon as its pins drop, and the result must still match.
 		SetShardBudget(1)
 		squeezed, _ := run(cfg)
 		SetShardBudget(-1)
-		assertBitIdentical(t, c.name+" squeezed", cold, squeezed)
+		assertBitIdentical(t, name+" squeezed", cold, squeezed)
 		if _, n := l.Resident(); n != 0 {
-			t.Fatalf("%s: %d left shards resident after a squeezed run", c.name, n)
+			t.Fatalf("%s: %d left shards resident after a squeezed run", name, n)
 		}
 		if _, n := r.Resident(); n != 0 {
-			t.Fatalf("%s: %d right shards resident after a squeezed run", c.name, n)
+			t.Fatalf("%s: %d right shards resident after a squeezed run", name, n)
 		}
 
 		l.Close()
@@ -295,16 +254,16 @@ func pow2Ceil(x uint64) uint64 { return 1 << bits.Len64(x-1) }
 
 // FuzzContractTiling throws arbitrary tile geometries at the pipeline —
 // including tile sides that do not divide the extents and non-empty counts
-// that do not divide the block sides — and checks both representations
+// that do not divide the block sides — and checks both accumulators
 // against the reference. Seeds pin the partial-edge-block cases; the budget
-// seeds force mid-sequence eviction (shards reclaimed between the hash and
-// sorted runs) through adversarially small shard budgets; the spill
+// seeds force mid-sequence eviction (shards reclaimed between the runs)
+// through adversarially small shard budgets; the spill
 // seeds route those evictions through the disk tier (including budgets tiny
 // enough that the spill write itself fails over budget and falls back),
 // so reload, adoption-miss and fallback paths all fuzz under arbitrary
 // non-dividing tile geometry.
 //
-// A dense leg runs the same contraction through the dense kernels, with
+// A dense leg runs the same contraction through the dense kernel, with
 // TileR rounded up to a power of two. When tl16's top bit is set, TileL is
 // rounded up to a power of two of at least 64 too, so a run whose left key
 // runs are longer, and at least accum.RunMin, goes R-major. Seeds 11 and
@@ -320,7 +279,7 @@ func pow2Ceil(x uint64) uint64 { return 1 << bits.Len64(x-1) }
 // accumulator and, over TileL rounded up to a power of two, the dense one.
 // When ctr16's top bit is set it draws its own operand with a key extent
 // 1000 times wider, so most of a tile's keys live in no other tile and the
-// hash runs iterate partial shared-key lists: seeds 14–17 cut 16 to 102
+// runs iterate partial shared-key lists: seeds 14–17 cut 16 to 102
 // tiles of few nonzeros each, and nearly every tile lists a strict subset
 // of its keys, most tiles of seeds 14 and 16 none at all.
 func FuzzContractTiling(f *testing.F) {
@@ -333,7 +292,7 @@ func FuzzContractTiling(f *testing.F) {
 	f.Add(int64(7), uint16(257), uint16(129), uint16(17), uint16(16), uint16(16), uint16(900), uint16(4096), uint16(0))
 	// Batched-probe boundary: ~62 distinct contraction keys per tile — not a
 	// multiple of the probe batch width — so LookupBatch's remainder chunk is
-	// exercised on the hash-rep leg of every fuzz execution of this seed.
+	// exercised on every fuzz execution of this seed.
 	f.Add(int64(8), uint16(120), uint16(110), uint16(61), uint16(40), uint16(40), uint16(800), uint16(0), uint16(0))
 	// Disk-tier seeds: 1-byte cache budget spills every cold shard, with
 	// non-dividing tile sides so partial remainder tiles round-trip through
@@ -387,26 +346,14 @@ func FuzzContractTiling(f *testing.F) {
 		l := randomMatrix(rng, extL, ctr, nnz)
 		r := randomMatrix(rng, extR, ctr, nnz)
 		want := referenceSorted(l, r)
-		var first *coo.Tensor
-		for _, rep := range []InputRep{RepHash, RepSorted} {
-			// Sparse accumulator: no power-of-two TileR constraint, so every
-			// fuzzed geometry is legal.
-			got, _ := collectSorted(t, l, r, Config{
-				Threads: 3, TileL: tileL, TileR: tileR,
-				Accum: model.AccumSparse, Rep: rep, Platform: tinyLLC,
-			})
-			if !coo.Equal(got, want) {
-				t.Fatalf("rep=%v tile=%dx%d: mismatch vs reference", rep, tileL, tileR)
-			}
-			if first == nil {
-				first = got
-			} else {
-				for i := range first.Vals {
-					if first.Vals[i] != got.Vals[i] {
-						t.Fatalf("tile=%dx%d: hash and sorted reps differ in value bits", tileL, tileR)
-					}
-				}
-			}
+		// Sparse accumulator: no power-of-two TileR constraint, so every
+		// fuzzed geometry is legal.
+		got, _ := collectSorted(t, l, r, Config{
+			Threads: 3, TileL: tileL, TileR: tileR,
+			Accum: model.AccumSparse, Platform: tinyLLC,
+		})
+		if !coo.Equal(got, want) {
+			t.Fatalf("tile=%dx%d: mismatch vs reference", tileL, tileR)
 		}
 		// Dense leg: integer values, so every layout and scatter must match
 		// the reference exactly, duplicate coordinates included.
@@ -414,35 +361,30 @@ func FuzzContractTiling(f *testing.F) {
 		if tl16&0x8000 != 0 {
 			denseL = max(64, pow2Ceil(tileL))
 		}
-		for _, rep := range []InputRep{RepHash, RepSorted} {
-			got, st := collectSorted(t, l, r, Config{
-				Threads: 3, TileL: denseL, TileR: denseR,
-				Accum: model.AccumDense, Rep: rep, Platform: tinyLLC,
-			})
-			if !coo.Equal(got, want) {
-				t.Fatalf("dense rep=%v tile=%dx%d rmajor=%v runs=%v: mismatch vs reference",
-					rep, denseL, denseR, st.RMajor, st.RunScatter)
-			}
+		got, st := collectSorted(t, l, r, Config{
+			Threads: 3, TileL: denseL, TileR: denseR,
+			Accum: model.AccumDense, Platform: tinyLLC,
+		})
+		if !coo.Equal(got, want) {
+			t.Fatalf("dense tile=%dx%d rmajor=%v runs=%v: mismatch vs reference",
+				denseL, denseR, st.RMajor, st.RunScatter)
 		}
 		// Self leg: an operand against itself with square tiles takes the
-		// symmetric schedule, in both representations and with both
-		// accumulators.
+		// symmetric schedule, with both accumulators.
 		self := l
 		if ctr16&0x8000 != 0 {
 			self = randomMatrix(rng, extL, 1000*ctr, nnz)
 		}
 		wantSelf := referenceSorted(self, self)
-		for _, rep := range []InputRep{RepHash, RepSorted} {
-			for _, leg := range []struct {
-				acc  model.AccumKind
-				tile uint64
-			}{{model.AccumSparse, tileL}, {model.AccumDense, pow2Ceil(tileL)}} {
-				cfg := Config{
-					Threads: 3, TileL: leg.tile, TileR: leg.tile,
-					Accum: leg.acc, Rep: rep, Platform: tinyLLC,
-				}
-				checkSelfLeg(t, fmt.Sprintf("self rep=%v %v tile=%d", rep, leg.acc, leg.tile), self, cfg, wantSelf)
+		for _, leg := range []struct {
+			acc  model.AccumKind
+			tile uint64
+		}{{model.AccumSparse, tileL}, {model.AccumDense, pow2Ceil(tileL)}} {
+			cfg := Config{
+				Threads: 3, TileL: leg.tile, TileR: leg.tile,
+				Accum: leg.acc, Platform: tinyLLC,
 			}
+			checkSelfLeg(t, fmt.Sprintf("self %v tile=%d", leg.acc, leg.tile), self, cfg, wantSelf)
 		}
 	})
 }

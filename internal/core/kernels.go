@@ -4,50 +4,34 @@ import (
 	"fastcc/internal/accum"
 	"fastcc/internal/hashtable"
 	"fastcc/internal/metrics"
-	"fastcc/internal/model"
 )
 
 // This file is the tile microkernel family: the tile-pair loop of the
-// paper's Algorithm 6, specialized once per (representation, accumulator)
-// combination so no branch on the accumulator type sits inside a tile.
+// paper's Algorithm 6, specialized once per accumulator kind so no branch
+// on the accumulator type sits inside a tile.
 //
-// Dispatch happens ONCE per run: plan() sets Decision.Kernel, execute()
-// indexes kernelTable with it, and every tile task of the run goes through
-// the same direct function value. Inside a kernel there are no interface
-// calls — the accumulator is the worker's typed field, and the
+// Dispatch happens ONCE per run: execute() picks runHashDense or
+// runHashSparse from Decision.Kind, and every tile task of the run goes
+// through the same direct function value. Inside a kernel there are no
+// interface calls — the accumulator is the worker's typed field, and the
 // multiply-accumulate runs in the accumulator's ScatterMatches or
 // ScatterRuns with the flat scatter exposed to the compiler. The dense
-// kernels scatter through worker.scatter, and under an R-major layout
-// (rMajor) they swap each match's runs.
+// kernel scatters through worker.scatter, and under an R-major layout
+// (rMajor) it swaps each match's runs.
 //
-// The hash kernels additionally replace the per-key serial Lookup with
-// Sealed.LookupBatch: the iterated side's flat key array is consumed in
-// chunks of the platform's probe depth, so up to ProbeBatch home-slot loads
-// overlap in the load queue instead of serializing hash → load → compare
-// chains (paper Section 4.3's probe-bound regime).
+// Both kernels replace the per-key serial Lookup with Sealed.LookupBatch:
+// the iterated side's flat key array is consumed in chunks of the
+// platform's probe depth, so up to ProbeBatch home-slot loads overlap in
+// the load queue instead of serializing hash → load → compare chains
+// (paper Section 4.3's probe-bound regime).
 //
 // A kernel only accumulates; execute then drains the worker with the one
 // shared worker.drain. A self-contraction's diagonal pairs skip the kernels
-// for scatterDiagonal, and its off-diagonal pairs hand the hash kernels
-// the tiles' shared-key lists (sharedLists).
+// for scatterDiagonal, and its off-diagonal pairs hand the kernels the
+// tiles' shared-key lists (sharedLists).
 //
-// All four kernels agree bit for bit with internal/ref on every input the
+// Both kernels agree bit for bit with internal/ref on every input the
 // equivalence suite and the contraction fuzzer generate.
-
-// tileKernel accumulates one tile-pair contraction into the worker's
-// accumulator. i/j are tile indices into the shards; probeBatch the
-// platform probe depth (hash kernels only).
-type tileKernel func(ls, rs *Shard, i, j int, wk *worker, ctr *metrics.Counters, probeBatch int)
-
-// kernelTable maps a model.KernelID to its tile-pair kernel. The KernelAuto
-// slot is nil on purpose: plan() sets Decision.Kernel before execute()
-// indexes the table.
-var kernelTable = [model.NumKernels]tileKernel{
-	model.KernelHashDense:    runHashDense,
-	model.KernelHashSparse:   runHashSparse,
-	model.KernelSortedDense:  runSortedDense,
-	model.KernelSortedSparse: runSortedSparse,
-}
 
 // chooseSides orders a hash tile pair for co-iteration: iterate the table
 // with fewer DISTINCT KEYS and probe the other. The intersection is the
@@ -63,7 +47,7 @@ func chooseSides(hl, hr *hashtable.Sealed) (iter, probeInto *hashtable.Sealed, s
 	return hl, hr, false
 }
 
-// sharedLists returns the shared-key lists of tile pair (i, j) for the hash
+// sharedLists returns the shared-key lists of tile pair (i, j) for the
 // kernels. On the symmetric schedule (one shard on both sides) the pair is
 // off-diagonal, so a key that no other tile holds matches nothing in it;
 // the iterated side visits only its listed keys (Shard.sharedAt). A
@@ -96,25 +80,9 @@ func keyIndex(list []int32, k int) int {
 	return int(list[k])
 }
 
-func runSortedDense(ls, rs *Shard, i, j int, wk *worker, ctr *metrics.Counters, _ int) {
-	contractSortedDense(ls.sortedAt(i), rs.sortedAt(j), wk, ctr)
-}
-
-func runSortedSparse(ls, rs *Shard, i, j int, wk *worker, ctr *metrics.Counters, _ int) {
-	contractSortedSparse(ls.sortedAt(i), rs.sortedAt(j), wk, ctr)
-}
-
-// keyRuns is a built input tile seen as its distinct keys' pair runs, in
-// the order the kernels co-iterate them: a sealed hash table or a sorted
-// tile.
-type keyRuns interface {
-	Len() int
-	PairsAt(k int) []hashtable.Pair
-}
-
 // scatterDiagonal accumulates a diagonal tile pair of a self-contraction:
-// both sides are the same table t, so key k matches itself and no probe or
-// merge step runs. Matches go in key order, the order in which the kernels
+// both sides are the same table t, so key k matches itself and no probe
+// runs. Matches go in key order, the order in which the kernels
 // visit them when t is on both sides, so the output bits are unchanged. A
 // key holding one pair (a, v), met when no match is pending, adds v·v at
 // (a, a) with one Upsert: the same product into the same cell in the same
@@ -122,7 +90,7 @@ type keyRuns interface {
 // would; no probe batches, hits or misses are recorded.
 //
 //fastcc:hotpath
-func scatterDiagonal(t keyRuns, wk *worker, ctr *metrics.Counters) {
+func scatterDiagonal(t *hashtable.Sealed, wk *worker, ctr *metrics.Counters) {
 	var ms [hashtable.LookupBatchMax]accum.Match
 	var volume, updates int64
 	nm := 0
@@ -147,7 +115,7 @@ func scatterDiagonal(t keyRuns, wk *worker, ctr *metrics.Counters) {
 	ctr.AddUpdates(updates)
 }
 
-// contractHashDense is the RepHash × AccumDense microkernel: batched probes
+// contractHashDense is the AccumDense microkernel: batched probes
 // over the iterated side's flat key array, dense-grid scatter per match.
 // listL and listR are the tiles' shared-key lists (nil: every key); the
 // iterated side visits only the keys its list names, in list order.
@@ -210,7 +178,7 @@ func contractHashDense(hl, hr *hashtable.Sealed, listL, listR []int32, wk *worke
 	ctr.AddProbeBatches(batches, hits, queries-hits)
 }
 
-// contractHashSparse is the RepHash × AccumSparse microkernel: batched
+// contractHashSparse is the AccumSparse microkernel: batched
 // probes feeding the amortized key-merge of the sparse accumulator's
 // open-addressing table. The lists are contractHashDense's.
 //
@@ -266,80 +234,4 @@ func contractHashSparse(hl, hr *hashtable.Sealed, listL, listR []int32, wk *work
 	ctr.AddVolume(volume)
 	ctr.AddUpdates(updates)
 	ctr.AddProbeBatches(batches, hits, queries-hits)
-}
-
-// contractSortedDense is the RepSorted × AccumDense microkernel: the sorted
-// merge walk with the dense scatter inlined per matched key. No probes, so
-// no batch counters; queries count merge-loop iterations.
-//
-//fastcc:hotpath
-func contractSortedDense(sl, sr *sortedTile, wk *worker, ctr *metrics.Counters) {
-	var ms [hashtable.LookupBatchMax]accum.Match
-	nm := 0
-	var queries, volume, updates int64
-	i, j := 0, 0
-	for i < len(sl.keys) && j < len(sr.keys) {
-		queries++
-		switch {
-		case sl.keys[i] < sr.keys[j]:
-			i++
-		case sl.keys[i] > sr.keys[j]:
-			j++
-		default:
-			lps := sl.PairsAt(i)
-			rps := sr.PairsAt(j)
-			volume += int64(len(lps)) + int64(len(rps))
-			updates += int64(len(lps)) * int64(len(rps))
-			if wk.rmajor {
-				lps, rps = rps, lps
-			}
-			ms[nm] = accum.Match{L: lps, R: rps}
-			if nm++; nm == len(ms) {
-				wk.scatter(ms[:nm])
-				nm = 0
-			}
-			i++
-			j++
-		}
-	}
-	wk.scatter(ms[:nm])
-	ctr.AddQueries(queries)
-	ctr.AddVolume(volume)
-	ctr.AddUpdates(updates)
-}
-
-// contractSortedSparse is the RepSorted × AccumSparse microkernel.
-//
-//fastcc:hotpath
-func contractSortedSparse(sl, sr *sortedTile, wk *worker, ctr *metrics.Counters) {
-	s := wk.sparse
-	var ms [hashtable.LookupBatchMax]accum.Match
-	nm := 0
-	var queries, volume, updates int64
-	i, j := 0, 0
-	for i < len(sl.keys) && j < len(sr.keys) {
-		queries++
-		switch {
-		case sl.keys[i] < sr.keys[j]:
-			i++
-		case sl.keys[i] > sr.keys[j]:
-			j++
-		default:
-			lps := sl.PairsAt(i)
-			rps := sr.PairsAt(j)
-			volume += int64(len(lps)) + int64(len(rps))
-			updates += int64(len(lps)) * int64(len(rps))
-			ms[nm] = accum.Match{L: lps, R: rps}
-			if nm++; nm == len(ms) {
-				s.ScatterMatches(ms[:nm])
-				nm = 0
-			}
-			i++
-			j++
-		}
-	}
-	s.ScatterMatches(ms[:nm])
-	ctr.AddQueries(queries)
-	ctr.AddVolume(volume)
-	ctr.AddUpdates(updates)
 }

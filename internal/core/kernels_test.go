@@ -14,31 +14,32 @@ import (
 	"fastcc/internal/model"
 )
 
-// TestKernelResolution pins the once-per-run dispatch: plan resolves
-// Decision.Kernel to the kernel matching (rep, accumulator).
+// TestKernelResolution pins the once-per-run dispatch: the run's
+// accumulator kind, model-chosen or forced, picks the kernel, and every
+// tile task is counted in KernelTasks under that kind and no other.
 func TestKernelResolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	l := randomMatrix(rng, 120, 30, 900)
 	r := randomMatrix(rng, 110, 30, 800)
-	cases := []struct {
-		rep  InputRep
-		acc  model.AccumKind
-		want model.KernelID
-	}{
-		{RepHash, model.AccumDense, model.KernelHashDense},
-		{RepHash, model.AccumSparse, model.KernelHashSparse},
-		{RepSorted, model.AccumDense, model.KernelSortedDense},
-		{RepSorted, model.AccumSparse, model.KernelSortedSparse},
-	}
-	for _, c := range cases {
-		cfg := Config{Threads: 2, TileL: 32, TileR: 32, Accum: c.acc, Rep: c.rep, Platform: tinyLLC}
+	for _, acc := range []model.AccumKind{model.AccumAuto, model.AccumDense, model.AccumSparse} {
+		var ctr metrics.Counters
+		cfg := Config{Threads: 2, TileL: 32, TileR: 32, Accum: acc, Platform: tinyLLC, Counters: &ctr}
 		out, st, err := contract(l, r, cfg)
 		if err != nil {
-			t.Fatalf("%v/%v: %v", c.rep, c.acc, err)
+			t.Fatalf("%v: %v", acc, err)
 		}
 		RecycleOutput(out)
-		if st.Decision.Kernel != c.want {
-			t.Fatalf("%v/%v: resolved kernel %v want %v", c.rep, c.acc, st.Decision.Kernel, c.want)
+		kind := st.Decision.Kind
+		if acc != model.AccumAuto && kind != acc {
+			t.Fatalf("%v: the run took kind %v", acc, kind)
+		}
+		tasks := ctr.Snapshot().KernelTasks
+		var total int64
+		for _, n := range tasks {
+			total += n
+		}
+		if tasks[kind] != int64(st.Tasks) || total != int64(st.Tasks) {
+			t.Fatalf("%v: kernel tasks %v, want all %d under kind %v", acc, tasks, st.Tasks, kind)
 		}
 	}
 }
@@ -114,7 +115,7 @@ func TestIterateSmallerSideByDistinctKeys(t *testing.T) {
 	}
 }
 
-// TestHashKernelProbeCounters checks the new observability: hash kernels
+// TestHashKernelProbeCounters checks the new observability: the kernels
 // report probe batches, and hits+misses add up to queries.
 func TestHashKernelProbeCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -139,22 +140,9 @@ func TestHashKernelProbeCounters(t *testing.T) {
 		if s.ProbeHits == 0 {
 			t.Fatalf("accum=%v: contraction with output found no probe hits", acc)
 		}
-		if got := s.KernelTasks[int(st.Decision.Kernel)]; got != int64(st.Tasks) {
-			t.Fatalf("accum=%v: kernel %v ran %d tasks, stats say %d", acc, st.Decision.Kernel, got, st.Tasks)
+		if got := s.KernelTasks[st.Decision.Kind]; got != int64(st.Tasks) {
+			t.Fatalf("accum=%v: kernel ran %d tasks, stats say %d", acc, got, st.Tasks)
 		}
-	}
-	// Sorted kernels probe nothing: the batch counters must stay zero.
-	var ctr metrics.Counters
-	out, _, err := contract(l, r, Config{
-		Threads: 2, TileL: 32, TileR: 32, Rep: RepSorted, Accum: model.AccumSparse,
-		Platform: tinyLLC, Counters: &ctr,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	RecycleOutput(out)
-	if s := ctr.Snapshot(); s.ProbeBatches != 0 || s.ProbeHits != 0 || s.ProbeMisses != 0 {
-		t.Fatalf("sorted rep recorded probe batches: %+v", s)
 	}
 }
 
@@ -175,8 +163,8 @@ func diagonalCounts(m *coo.Matrix, tile uint64) (queries, volume, updates int64)
 	return queries, volume, updates
 }
 
-// offDiagonalQueries is what the off-diagonal pairs of a symmetric hash
-// run over m with square tiles of side tile add to Queries: per pair of
+// offDiagonalQueries is what the off-diagonal pairs of a symmetric run
+// over m with square tiles of side tile add to Queries: per pair of
 // non-empty tiles, the length of the iterated side's shared-key list, or
 // its key count when it keeps none. The iterated side is the tile with
 // fewer keys, the left one on a tie (chooseSides). lists reports whether
@@ -184,7 +172,7 @@ func diagonalCounts(m *coo.Matrix, tile uint64) (queries, volume, updates int64)
 func offDiagonalQueries(m *coo.Matrix, tile uint64) (queries int64, lists bool) {
 	o := NewOperand(m)
 	defer o.Close()
-	s, _ := o.Shard(ShardKey{Tile: tile, Rep: RepHash}, 1)
+	s, _ := o.Shard(ShardKey{Tile: tile}, 1)
 	defer s.Unpin()
 	ne := s.NonEmpty()
 	for a, i := range ne {
@@ -204,12 +192,12 @@ func offDiagonalQueries(m *coo.Matrix, tile uint64) (queries int64, lists bool) 
 }
 
 // TestSymmetricScheduleCounters pins the symmetric schedule's accounting
-// against the full grid over the same matrix, for all four kernels. It
-// runs nT·(nT+1)/2 tasks, each counted in KernelTasks. Diagonal pairs add
+// against the full grid over the same matrix, for both kernels. It runs
+// nT·(nT+1)/2 tasks, each counted in KernelTasks. Diagonal pairs add
 // queries, volume and updates but no probe batches, hits or misses. Each
 // off-diagonal pair counts once for the two pairs (i, j) and (j, i) the
-// full grid runs, except for the hash kernels' queries and misses: there
-// an off-diagonal pair iterates only its shared-key list. The second
+// full grid runs, except for queries and misses: there an off-diagonal
+// pair iterates only its shared-key list. The second
 // matrix's contraction extent is 13 times its nonzero count, so most of
 // its tiles' keys live in no other tile and its multi-tile shards keep
 // lists; every key of the first is shared, so its shards keep none.
@@ -219,15 +207,6 @@ func TestSymmetricScheduleCounters(t *testing.T) {
 		randomMatrix(rng, 200, 40, 1500),
 		randomMatrix(rng, 200, 20000, 1500),
 	}
-	combos := []struct {
-		rep InputRep
-		acc model.AccumKind
-	}{
-		{RepHash, model.AccumDense},
-		{RepHash, model.AccumSparse},
-		{RepSorted, model.AccumDense},
-		{RepSorted, model.AccumSparse},
-	}
 	for mi, m := range mats {
 		for _, tile := range []uint64{32, 256} {
 			nT := int((m.ExtDim + tile - 1) / tile)
@@ -236,12 +215,12 @@ func TestSymmetricScheduleCounters(t *testing.T) {
 			if lists != (mi == 1 && nT > 1) {
 				t.Fatalf("matrix %d tile=%d: shard keeps lists = %v", mi, tile, lists)
 			}
-			for _, c := range combos {
-				name := fmt.Sprintf("matrix %d tile=%d %v/%v", mi, tile, c.rep, c.acc)
+			for _, acc := range []model.AccumKind{model.AccumDense, model.AccumSparse} {
+				name := fmt.Sprintf("matrix %d tile=%d %v", mi, tile, acc)
 				run := func(r *coo.Matrix) (*Stats, metrics.Snapshot) {
 					var ctr metrics.Counters
 					out, st, err := contract(m, r, Config{
-						Threads: 2, TileL: tile, TileR: tile, Accum: c.acc, Rep: c.rep,
+						Threads: 2, TileL: tile, TileR: tile, Accum: acc,
 						Platform: tinyLLC, Counters: &ctr,
 					})
 					if err != nil {
@@ -256,7 +235,7 @@ func TestSymmetricScheduleCounters(t *testing.T) {
 					t.Fatalf("%s: tasks %d (symmetric %v) and %d (symmetric %v), want %d and %d",
 						name, st.Tasks, st.Symmetric, fst.Tasks, fst.Symmetric, nT*(nT+1)/2, nT*nT)
 				}
-				k := int(st.Decision.Kernel)
+				k := st.Decision.Kind
 				if s.KernelTasks[k] != int64(st.Tasks) || f.KernelTasks[k] != int64(fst.Tasks) {
 					t.Fatalf("%s: kernel tasks %d and %d, stats say %d and %d",
 						name, s.KernelTasks[k], f.KernelTasks[k], st.Tasks, fst.Tasks)
@@ -278,15 +257,6 @@ func TestSymmetricScheduleCounters(t *testing.T) {
 						t.Fatalf("%s: %s %d on the symmetric schedule, %d on the full grid, diagonal %d",
 							name, q.what, q.self, q.full, q.diag)
 					}
-				}
-				if c.rep == RepSorted {
-					// The merge walk has no lists: each off-diagonal pair
-					// makes the queries of its two full-grid twins.
-					if f.Queries-dq != 2*(s.Queries-dq) {
-						t.Fatalf("%s: queries %d on the symmetric schedule, %d on the full grid, diagonal %d",
-							name, s.Queries, f.Queries, dq)
-					}
-					continue
 				}
 				// Only off-diagonal pairs probe, and only the listed keys of
 				// the side they iterate. On the full grid every diagonal key
@@ -393,11 +363,10 @@ func TestTileNNZHintClamps(t *testing.T) {
 	}
 }
 
-// benchTilePairData builds one asymmetric tile pair in both representations
-// with a realistic key overlap, plus the matching workers.
+// benchTilePairData builds one asymmetric tile pair with a realistic key
+// overlap.
 type benchTilePairData struct {
 	hl, hr *hashtable.Sealed
-	sl, sr *sortedTile
 }
 
 func newBenchTilePair(nKeysL, nKeysR, pairsPerKey int) *benchTilePairData {
@@ -410,28 +379,13 @@ func newBenchTilePair(nKeysL, nKeysR, pairsPerKey int) *benchTilePairData {
 		}
 		return tc.build(nKeys)
 	}
-	mkSorted := func(nKeys, stride int) *sortedTile {
-		st := &sortedTile{}
-		for k := 0; k < nKeys; k++ {
-			st.keys = append(st.keys, uint64(k*stride))
-			st.offs = append(st.offs, int32(len(st.pairs)))
-			for p := 0; p < pairsPerKey; p++ {
-				st.pairs = append(st.pairs, hashtable.Pair{Idx: uint32((k + p) % 32), Val: 1.25})
-			}
-		}
-		st.offs = append(st.offs, int32(len(st.pairs)))
-		return st
-	}
 	// Left keys stride 1, right stride 2: half the smaller side intersects.
-	return &benchTilePairData{
-		hl: mkSealed(nKeysL, 1), hr: mkSealed(nKeysR, 2),
-		sl: mkSorted(nKeysL, 1), sr: mkSorted(nKeysR, 2),
-	}
+	return &benchTilePairData{hl: mkSealed(nKeysL, 1), hr: mkSealed(nKeysR, 2)}
 }
 
-// BenchmarkTilePair times each microkernel on one tile pair per (rep,
-// accum) combination — `go test -bench TilePair ./internal/core` isolates
-// the inner loops from build, scheduling and output handling.
+// BenchmarkTilePair times each microkernel on one tile pair —
+// `go test -bench TilePair ./internal/core` isolates the inner loops from
+// build, scheduling and output handling.
 func BenchmarkTilePair(b *testing.B) {
 	const tl, tr = 64, 32
 	d := newBenchTilePair(1024, 512, 8)
@@ -452,11 +406,5 @@ func BenchmarkTilePair(b *testing.B) {
 	})
 	run("hash/sparse", model.AccumSparse, func(wk *worker) {
 		contractHashSparse(d.hl, d.hr, nil, nil, wk, nil, hashtable.LookupBatchMax)
-	})
-	run("sorted/dense", model.AccumDense, func(wk *worker) {
-		contractSortedDense(d.sl, d.sr, wk, nil)
-	})
-	run("sorted/sparse", model.AccumSparse, func(wk *worker) {
-		contractSortedSparse(d.sl, d.sr, wk, nil)
 	})
 }

@@ -126,29 +126,22 @@ func transposed(tn *coo.Tensor) *coo.Tensor {
 // the digests were computed before R-major tiles and ScatterRuns existed,
 // when every dense tile was row-major and scattered one update at a time.
 // Each cell sums one product per matched key, in the kernels' match order,
-// so the new layout and scatter must leave every bit unchanged. The hash
-// and sorted kernels visit the keys in different orders, so each has its
-// own digest.
+// so the new layout and scatter must leave every bit unchanged.
 func TestDenseLayoutGolden(t *testing.T) {
 	golden := map[string]uint64{
-		"vvoo/hash":   0x342c93d3ca8d5304,
-		"vvoo/sorted": 0xef400e1d361d8677,
-		"vvov/hash":   0x7b65bdc5edd763d3,
-		"vvov/sorted": 0xfdb06a16056ac59d,
+		"vvoo": 0x342c93d3ca8d5304,
+		"vvov": 0x7b65bdc5edd763d3,
 	}
 	for _, kind := range []string{"vvoo", "vvov"} {
 		l, r := qcOperands(t, kind, false)
-		for _, rep := range []InputRep{RepHash, RepSorted} {
-			what := kind + "/" + rep.String()
-			cfg := qcTile
-			cfg.Threads, cfg.Rep, cfg.Platform = 2, rep, model.Desktop8
-			got, st := collectSorted(t, l, r, cfg)
-			if !st.RMajor || !st.RunScatter {
-				t.Fatalf("%s: RMajor=%v RunScatter=%v, want both", what, st.RMajor, st.RunScatter)
-			}
-			if d := outputDigest(got); d != golden[what] {
-				t.Errorf("%s: output digest %#x, want %#x", what, d, golden[what])
-			}
+		cfg := qcTile
+		cfg.Threads, cfg.Platform = 2, model.Desktop8
+		got, st := collectSorted(t, l, r, cfg)
+		if !st.RMajor || !st.RunScatter {
+			t.Fatalf("%s: RMajor=%v RunScatter=%v, want both", kind, st.RMajor, st.RunScatter)
+		}
+		if d := outputDigest(got); d != golden[kind] {
+			t.Errorf("%s: output digest %#x, want %#x", kind, d, golden[kind])
 		}
 	}
 }
@@ -172,10 +165,9 @@ func distinctKeys(m *coo.Matrix, tile uint64) map[uint64]int {
 
 // TestDenseLayoutTranspose is the metamorphic leg: L·R runs R-major (the
 // left runs are the longer ones) and R·L row-major with ScatterRuns along
-// the same long runs, so (R·L)ᵀ must equal L·R bit for bit, in both
-// representations and at every thread count. Both orders accumulate each
-// cell over the same matches in the same order as long as the hash kernels
-// iterate the same table of each tile pair in both: they iterate the one
+// the same long runs, so (R·L)ᵀ must equal L·R bit for bit at every thread
+// count. Both orders accumulate each cell over the same matches in the
+// same order as long as the kernels iterate the same table of each tile pair in both: they iterate the one
 // with fewer distinct keys, and the left one on a tie, so the test first
 // checks that no tile pair ties.
 func TestDenseLayoutTranspose(t *testing.T) {
@@ -189,20 +181,18 @@ func TestDenseLayoutTranspose(t *testing.T) {
 				}
 			}
 		}
-		for _, rep := range []InputRep{RepHash, RepSorted} {
-			for _, threads := range []int{1, 2, 5} {
-				what := fmt.Sprintf("%s/%v threads=%d", kind, rep, threads)
-				cfg := qcTile
-				cfg.Threads, cfg.Rep, cfg.Platform = threads, rep, tinyLLC
-				lr, st := collectSorted(t, l, r, cfg)
-				cfg.TileL, cfg.TileR = qcTile.TileR, qcTile.TileL
-				rl, stT := collectSorted(t, r, l, cfg)
-				if !st.RMajor || !st.RunScatter || stT.RMajor || !stT.RunScatter {
-					t.Fatalf("%s: L·R RMajor=%v RunScatter=%v, R·L RMajor=%v RunScatter=%v; want true, true, false, true",
-						what, st.RMajor, st.RunScatter, stT.RMajor, stT.RunScatter)
-				}
-				assertBitIdentical(t, what+": (R·L)ᵀ vs L·R", lr, transposed(rl))
+		for _, threads := range []int{1, 2, 5} {
+			what := fmt.Sprintf("%s threads=%d", kind, threads)
+			cfg := qcTile
+			cfg.Threads, cfg.Platform = threads, tinyLLC
+			lr, st := collectSorted(t, l, r, cfg)
+			cfg.TileL, cfg.TileR = qcTile.TileR, qcTile.TileL
+			rl, stT := collectSorted(t, r, l, cfg)
+			if !st.RMajor || !st.RunScatter || stT.RMajor || !stT.RunScatter {
+				t.Fatalf("%s: L·R RMajor=%v RunScatter=%v, R·L RMajor=%v RunScatter=%v; want true, true, false, true",
+					what, st.RMajor, st.RunScatter, stT.RMajor, stT.RunScatter)
 			}
+			assertBitIdentical(t, what+": (R·L)ᵀ vs L·R", lr, transposed(rl))
 		}
 	}
 }
@@ -216,18 +206,16 @@ func TestDenseLayoutIntegerReference(t *testing.T) {
 	for _, kind := range []string{"vvoo", "vvov"} {
 		l, r := qcOperands(t, kind, true)
 		want := referenceSorted(l, r)
-		for _, rep := range []InputRep{RepHash, RepSorted} {
-			for _, threads := range []int{1, 2, 5} {
-				what := fmt.Sprintf("%s/%v threads=%d", kind, rep, threads)
-				cfg := qcTile
-				cfg.Threads, cfg.Rep, cfg.Platform = threads, rep, tinyLLC
-				got, st := collectSorted(t, l, r, cfg)
-				if !st.RMajor || !st.RunScatter {
-					t.Fatalf("%s: RMajor=%v RunScatter=%v, want both", what, st.RMajor, st.RunScatter)
-				}
-				if !coo.Equal(got, want) {
-					t.Fatalf("%s: output differs from the reference", what)
-				}
+		for _, threads := range []int{1, 2, 5} {
+			what := fmt.Sprintf("%s threads=%d", kind, threads)
+			cfg := qcTile
+			cfg.Threads, cfg.Platform = threads, tinyLLC
+			got, st := collectSorted(t, l, r, cfg)
+			if !st.RMajor || !st.RunScatter {
+				t.Fatalf("%s: RMajor=%v RunScatter=%v, want both", what, st.RMajor, st.RunScatter)
+			}
+			if !coo.Equal(got, want) {
+				t.Fatalf("%s: output differs from the reference", what)
 			}
 		}
 	}

@@ -35,7 +35,7 @@ func lifecycleOperand(seed int64) *Operand {
 func TestShardReturnsPinnedAndCountsHits(t *testing.T) {
 	op := lifecycleOperand(11)
 	defer op.Close()
-	key := ShardKey{Tile: 32, Rep: RepHash}
+	key := ShardKey{Tile: 32}
 
 	before := CacheStats()
 	s, built := op.Shard(key, 2)
@@ -61,7 +61,7 @@ func TestShardReturnsPinnedAndCountsHits(t *testing.T) {
 func TestEvictionSkipsPinnedShards(t *testing.T) {
 	op := lifecycleOperand(13)
 	defer op.Close()
-	key := ShardKey{Tile: 32, Rep: RepHash}
+	key := ShardKey{Tile: 32}
 	s, _ := op.Shard(key, 2)
 
 	// A 1-byte budget demands eviction of everything — but the pin must hold.
@@ -97,7 +97,7 @@ func TestEvictionSkipsPinnedShards(t *testing.T) {
 
 func TestCloseDropsAndRebuilds(t *testing.T) {
 	op := lifecycleOperand(17)
-	key := ShardKey{Tile: 16, Rep: RepSorted}
+	key := ShardKey{Tile: 16}
 	op.Warm(key, 2)
 	if !op.Cached(key) {
 		t.Fatal("Warm did not cache the shard")
@@ -124,7 +124,7 @@ func TestCloseDropsAndRebuilds(t *testing.T) {
 
 func TestCloseWhilePinnedDefersReclaim(t *testing.T) {
 	op := lifecycleOperand(19)
-	key := ShardKey{Tile: 32, Rep: RepHash}
+	key := ShardKey{Tile: 32}
 	s, _ := op.Shard(key, 2)
 
 	op.Close() // dooms; s is pinned, so its tables must survive
@@ -155,7 +155,7 @@ func TestCloseWhilePinnedDefersReclaim(t *testing.T) {
 func TestShardUnpinWithoutPinPanics(t *testing.T) {
 	op := lifecycleOperand(47)
 	defer op.Close()
-	s, _ := op.Shard(ShardKey{Tile: 32, Rep: RepHash}, 2)
+	s, _ := op.Shard(ShardKey{Tile: 32}, 2)
 	s.Unpin()
 	func() {
 		defer func() {
@@ -173,7 +173,7 @@ func TestShardUnpinWithoutPinPanics(t *testing.T) {
 func TestWarmHoldsNoPin(t *testing.T) {
 	op := lifecycleOperand(23)
 	defer op.Close()
-	key := ShardKey{Tile: 32, Rep: RepHash}
+	key := ShardKey{Tile: 32}
 	if built := op.Warm(key, 2); !built {
 		t.Fatal("first Warm did not build")
 	}
@@ -246,12 +246,10 @@ func TestCacheChargeReturnsToBaseline(t *testing.T) {
 	residentShards := testutil.Gauge{Name: "shard-cache shards", Read: func() int64 { return CacheStats().Shards }}
 	base := testutil.Capture(cachedBytes, residentShards)
 
-	for _, rep := range []InputRep{RepHash, RepSorted} {
-		op := lifecycleOperand(29)
-		s, _ := op.Shard(ShardKey{Tile: 16, Rep: rep}, 2)
-		s.Unpin()
-		op.Close()
-	}
+	op := lifecycleOperand(29)
+	s, _ := op.Shard(ShardKey{Tile: 16}, 2)
+	s.Unpin()
+	op.Close()
 	base.Assert(t)
 }
 
@@ -267,7 +265,7 @@ func TestUnpinnedReadAfterReclaimPanicsWhenChecked(t *testing.T) {
 		t.Skip("generation stamps require -tags fastcc_checked")
 	}
 	op := lifecycleOperand(31)
-	key := ShardKey{Tile: 32, Rep: RepHash}
+	key := ShardKey{Tile: 32}
 	s, _ := op.Shard(key, 2)
 	tbl := s.sealedAt(s.NonEmpty()[0])
 	s.Unpin()
@@ -288,7 +286,7 @@ func TestShardAccessAfterReclaimPanicsWhenChecked(t *testing.T) {
 		t.Skip("generation stamps require -tags fastcc_checked")
 	}
 	op := lifecycleOperand(37)
-	s, _ := op.Shard(ShardKey{Tile: 32, Rep: RepHash}, 2)
+	s, _ := op.Shard(ShardKey{Tile: 32}, 2)
 	i := s.NonEmpty()[0]
 	s.Unpin()
 	op.Close()

@@ -11,8 +11,8 @@ import (
 
 // Operand wraps a matrixized contraction operand together with a cache of
 // built tile shards. Building a shard — partitioning the operand into
-// per-tile segments and constructing per-tile hash tables or sorted groups
-// over them — is the paper's Build phase (Algorithm 5, Section 4.2); caching
+// per-tile segments and constructing per-tile hash tables over them — is
+// the paper's Build phase (Algorithm 5, Section 4.2); caching
 // it by ShardKey lets repeated contractions over the same operand skip that
 // phase entirely.
 //
@@ -60,14 +60,12 @@ func NewKeyedOperand(m *coo.Matrix, key string) *Operand {
 }
 
 // ShardKey is the shard-compatibility contract: a contraction can reuse a
-// cached shard iff it partitions the operand with the same tile side under
-// the same input representation. The tile side fixes the grid (tiles =
-// ceil(ExtDim/Tile)) and the intra-tile index split, so any contraction
-// arriving at the same (Tile, Rep) — whether from the model's decision or
-// an explicit override — sees bit-identical tables.
+// cached shard iff it partitions the operand with the same tile side. The
+// tile side fixes the grid (tiles = ceil(ExtDim/Tile)) and the intra-tile
+// index split, so any contraction arriving at the same Tile — whether from
+// the model's decision or an explicit override — sees bit-identical tables.
 type ShardKey struct {
 	Tile uint64
-	Rep  InputRep
 }
 
 // Shard is one operand's built tile tables for a given ShardKey. The tables
@@ -78,12 +76,11 @@ type ShardKey struct {
 type Shard struct {
 	Key ShardKey
 
-	sealed   []*hashtable.Sealed // RepHash tiles (nil entries are empty)
-	sorted   []*sortedTile       // RepSorted tiles
+	sealed   []*hashtable.Sealed // per-tile tables (nil entries are empty)
 	nonEmpty []int               // indices of tiles with at least one nonzero
 	pairs    int                 // total nonzeros across all tiles
 	keys     int                 // total distinct contraction keys across tiles
-	// shared holds the shared-key lists of a hash shard with at least two
+	// shared holds the shared-key lists of a shard with at least two
 	// non-empty tiles (markShared; nil otherwise): per tile, a slice of
 	// one flat array. Read through sharedAt.
 	shared [][]int32
@@ -123,14 +120,6 @@ func (s *Shard) sealedAt(i int) *hashtable.Sealed {
 	return s.sealed[i]
 }
 
-// sortedAt is sealedAt's RepSorted twin.
-//
-//fastcc:hotpath
-func (s *Shard) sortedAt(i int) *sortedTile {
-	s.checkBuilt("sortedAt")
-	return s.sorted[i]
-}
-
 // sharedAt returns tile i's shared-key list: the ascending dense indices of
 // the keys another tile of the shard may also hold. Nil means every key:
 // a tile whose keys are all listed, and every tile of a shard without
@@ -145,23 +134,9 @@ func (s *Shard) sharedAt(i int) []int32 {
 	return s.shared[i]
 }
 
-// runsAt returns non-empty tile i in the shard's representation, for the
-// diagonal pairs of a self-contraction.
-func (s *Shard) runsAt(i int) keyRuns {
-	if s.Key.Rep == RepSorted {
-		return s.sortedAt(i)
-	}
-	return s.sealedAt(i)
-}
-
 // Tiles returns the tile-grid size (number of tiles along the operand's
 // external dimension).
-func (s *Shard) Tiles() int {
-	if s.Key.Rep == RepSorted {
-		return len(s.sorted)
-	}
-	return len(s.sealed)
-}
+func (s *Shard) Tiles() int { return len(s.sealed) }
 
 // NonEmpty returns the indices of nonempty tiles (read-only), cached at
 // build time straight from the partition offsets so the contract schedule
@@ -174,8 +149,8 @@ func (s *Shard) Pairs() int { return s.pairs }
 // TileBytes estimates the average in-memory footprint of one non-empty tile,
 // the per-panel term of the LLC block-shape choice. The per-key constant
 // covers the dense key, its span, and the (load-factor-padded, power-of-two)
-// slot arrays of the sealed form; the sorted form is smaller, but the
-// estimate only has to be the right order of magnitude for blocking.
+// slot arrays; the estimate only has to be the right order of magnitude
+// for blocking.
 func (s *Shard) TileBytes() int64 {
 	ne := len(s.nonEmpty)
 	if ne == 0 {
@@ -286,23 +261,12 @@ func (s *Shard) build(m *coo.Matrix, threads int) {
 	part := coo.PartitionByTile(m, s.Key.Tile, threads)
 	s.nonEmpty = part.NonEmpty()
 	s.pairs = m.NNZ()
-	n := part.Tiles
-	if s.Key.Rep == RepSorted {
-		s.sorted = make([]*sortedTile, n)
-		scheduler.Static(threads, func(w, size int) {
-			buildSortedTiles(s.sorted, part, w, size)
-		})
-		for _, i := range s.nonEmpty {
-			s.keys += len(s.sorted[i].keys)
-		}
-	} else {
-		s.sealed = make([]*hashtable.Sealed, n)
-		scheduler.Static(threads, func(w, size int) {
-			buildSealedTiles(s.sealed, part, m.CtrDim, w, size)
-		})
-		for _, i := range s.nonEmpty {
-			s.keys += s.sealed[i].Len()
-		}
+	s.sealed = make([]*hashtable.Sealed, part.Tiles)
+	scheduler.Static(threads, func(w, size int) {
+		buildSealedTiles(s.sealed, part, m.CtrDim, w, size)
+	})
+	for _, i := range s.nonEmpty {
+		s.keys += s.sealed[i].Len()
 	}
 	part.Release()
 	s.markShared()
@@ -321,15 +285,6 @@ func (s *Shard) footprint() int64 {
 	for _, l := range s.shared {
 		b += int64(len(l)) * 4
 	}
-	if s.Key.Rep == RepSorted {
-		b += int64(len(s.sorted)) * 8
-		for _, st := range s.sorted {
-			if st != nil {
-				b += st.memBytes()
-			}
-		}
-		return b
-	}
 	b += int64(len(s.sealed)) * 8
 	for _, t := range s.sealed {
 		if t != nil {
@@ -340,11 +295,11 @@ func (s *Shard) footprint() int64 {
 }
 
 // recycle reclaims a retired shard's storage: every sealed table's arenas
-// flow back through the hashtable pools (hashtable.Sealed.Recycle), every
-// sorted tile's arrays through the sorted pools. Only the caller that
-// retired the shard under shardLRU.mu may call this, after unlocking. Under
-// fastcc_checked the shard's generation stamp flips to retired first, so a
-// reader that skipped pinning panics at its next tile access.
+// flow back through the hashtable pools (hashtable.Sealed.Recycle). Only
+// the caller that retired the shard under shardLRU.mu may call this, after
+// unlocking. Under fastcc_checked the shard's generation stamp flips to
+// retired first, so a reader that skipped pinning panics at its next tile
+// access.
 func (s *Shard) recycle() {
 	s.stampRetired()
 	for i, t := range s.sealed {
@@ -353,11 +308,5 @@ func (s *Shard) recycle() {
 			s.sealed[i] = nil
 		}
 	}
-	for i, st := range s.sorted {
-		if st != nil {
-			st.recycle()
-			s.sorted[i] = nil
-		}
-	}
-	s.sealed, s.sorted, s.shared = nil, nil, nil
+	s.sealed, s.shared = nil, nil
 }

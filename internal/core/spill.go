@@ -145,7 +145,7 @@ func sanitizeSpillKey(key string) string {
 // operands' names are stable across processes, so keep-mode files are
 // adoptable; anonymous names never become orphans.
 func (o *Operand) spillFile(key ShardKey) string {
-	return fmt.Sprintf("%s-t%d-r%d%s", o.spillName, key.Tile, key.Rep, spill.Ext)
+	return fmt.Sprintf("%s-t%d%s", o.spillName, key.Tile, spill.Ext)
 }
 
 // adoptSpillLocked looks for an orphan spill file of a previous process
@@ -249,14 +249,18 @@ func badSpillBody(format string, args ...any) error {
 // decodeSpill parses the section body into this shard's tables, verifying
 // at every step that the image matches the shard key and the operand it is
 // being reattached to. A failure partway recycles everything decoded so
-// far and leaves the shard empty for the rebuild fallback.
+// far and leaves the shard empty for the rebuild fallback. Every error
+// wraps a spill sentinel: a body shorter than its own counts is
+// spill.ErrBadHeader, as is any other malformed body.
 func (s *Shard) decodeSpill(r *tnsbin.SectionReader, m *coo.Matrix) (err error) {
 	defer func() {
 		if err != nil {
 			s.abortSpillDecode()
+			if errors.Is(err, tnsbin.ErrSectionTruncated) {
+				err = badSpillBody("%v", err)
+			}
 		}
 	}()
-	rep := InputRep(r.U8())
 	tile := r.U64()
 	nTiles := int(r.Uvarint())
 	nPairs := int(r.Uvarint())
@@ -264,8 +268,8 @@ func (s *Shard) decodeSpill(r *tnsbin.SectionReader, m *coo.Matrix) (err error) 
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if rep != s.Key.Rep || tile != s.Key.Tile {
-		return badSpillBody("image is (tile %d, rep %v), shard wants (tile %d, rep %v)", tile, rep, s.Key.Tile, s.Key.Rep)
+	if tile != s.Key.Tile {
+		return badSpillBody("image has tile %d, shard wants %d", tile, s.Key.Tile)
 	}
 	if want := int((m.ExtDim + tile - 1) / tile); nTiles != want {
 		return badSpillBody("%d tiles, operand grid has %d", nTiles, want)
@@ -286,32 +290,20 @@ func (s *Shard) decodeSpill(r *tnsbin.SectionReader, m *coo.Matrix) (err error) 
 		if r.Err() != nil {
 			return r.Err()
 		}
-		if v >= nTiles || (i > 0 && v <= s.nonEmpty[i-1]) {
+		if v < 0 || v >= nTiles || (i > 0 && v <= s.nonEmpty[i-1]) {
 			return badSpillBody("non-empty tile index %d out of order or range", v)
 		}
 		s.nonEmpty[i] = v
 	}
 	s.pairs = nPairs
-	if rep == RepSorted {
-		s.sorted = make([]*sortedTile, nTiles)
-		for _, i := range s.nonEmpty {
-			st, derr := decodeSortedTile(r)
-			if derr != nil {
-				return derr
-			}
-			s.sorted[i] = st
-			s.keys += len(st.keys)
+	s.sealed = make([]*hashtable.Sealed, nTiles)
+	for _, i := range s.nonEmpty {
+		t, derr := decodeSealedTile(r)
+		if derr != nil {
+			return derr
 		}
-	} else {
-		s.sealed = make([]*hashtable.Sealed, nTiles)
-		for _, i := range s.nonEmpty {
-			t, derr := decodeSealedTile(r)
-			if derr != nil {
-				return derr
-			}
-			s.sealed[i] = t
-			s.keys += t.Len()
-		}
+		s.sealed[i] = t
+		s.keys += t.Len()
 	}
 	if s.keys != nKeys {
 		return badSpillBody("tiles carry %d keys, header says %d", s.keys, nKeys)
@@ -331,28 +323,20 @@ func (s *Shard) abortSpillDecode() {
 			s.sealed[i] = nil
 		}
 	}
-	for i, st := range s.sorted {
-		if st != nil {
-			st.recycle()
-			s.sorted[i] = nil
-		}
-	}
-	s.sealed, s.sorted, s.nonEmpty = nil, nil, nil
+	s.sealed, s.nonEmpty = nil, nil
 	s.pairs, s.keys = 0, 0
 }
 
 // encodeShard serializes the shard's tables as a section body (the
 // spill.Dir envelope adds magic, version, generation and CRC). Layout:
 //
-//	u8      rep                     u64     tile side
-//	uvarint tiles                   uvarint pairs
-//	uvarint keys                    uvarint non-empty count
+//	u64     tile side               uvarint tiles
+//	uvarint pairs                   uvarint keys
+//	uvarint non-empty count
 //	uvarint non-empty tile indices (ascending)
 //	per non-empty tile, in index order:
-//	  RepHash:   u64 mask · u64s keys · uvarint pairs · uvarint lens ·
-//	             u32 idxs · f64-bit vals
-//	  RepSorted: u64s keys · i32s offs (CSR) · uvarint pairs ·
-//	             u32 idxs · f64-bit vals
+//	  u64 mask · u64s keys · uvarint pairs · uvarint lens ·
+//	  u32 idxs · f64-bit vals
 //
 // Spans and slot arrays are not stored: spans rebuild cumulatively from the
 // per-key lens (BuildSealed lays the arena out contiguously in dense order),
@@ -360,7 +344,6 @@ func (s *Shard) abortSpillDecode() {
 // mask.
 func encodeShard(s *Shard) []byte {
 	var w tnsbin.SectionWriter
-	w.U8(uint8(s.Key.Rep))
 	w.U64(s.Key.Tile)
 	w.Uvarint(uint64(s.Tiles()))
 	w.Uvarint(uint64(s.pairs))
@@ -369,14 +352,8 @@ func encodeShard(s *Shard) []byte {
 	for _, i := range s.nonEmpty {
 		w.Uvarint(uint64(i))
 	}
-	if s.Key.Rep == RepSorted {
-		for _, i := range s.nonEmpty {
-			encodeSortedTile(&w, s.sorted[i])
-		}
-	} else {
-		for _, i := range s.nonEmpty {
-			encodeSealedTile(&w, s.sealed[i])
-		}
+	for _, i := range s.nonEmpty {
+		encodeSealedTile(&w, s.sealed[i])
 	}
 	return w.Bytes()
 }
@@ -398,18 +375,6 @@ func encodeSealedTile(w *tnsbin.SectionWriter, t *hashtable.Sealed) {
 		for _, p := range t.PairsAt(i) {
 			w.U64(math.Float64bits(p.Val))
 		}
-	}
-}
-
-func encodeSortedTile(w *tnsbin.SectionWriter, st *sortedTile) {
-	w.U64s(st.keys)
-	w.I32s(st.offs)
-	w.Uvarint(uint64(len(st.pairs)))
-	for _, p := range st.pairs {
-		w.U32(p.Idx)
-	}
-	for _, p := range st.pairs {
-		w.U64(math.Float64bits(p.Val))
 	}
 }
 
@@ -440,27 +405,28 @@ func pairCount(r *tnsbin.SectionReader) (int, error) {
 
 func decodeSealedTile(r *tnsbin.SectionReader) (*hashtable.Sealed, error) {
 	mask := r.U64()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	// mask+1 must be a power of two no larger than the addressable slot
-	// space; anything else is a malformed image.
-	if mask == ^uint64(0) || (mask+1)&mask != 0 || mask+1 > 1<<31 {
-		return nil, badSpillBody("slot mask %#x is not a power-of-two capacity", mask)
-	}
 	keys := r.U64s(hashtable.RestoreKeys)
 	if r.Err() != nil {
 		hashtable.DiscardRestore(keys, nil, nil)
 		return nil, r.Err()
 	}
-	if uint64(len(keys)) > mask+1 {
-		hashtable.DiscardRestore(keys, nil, nil)
-		return nil, badSpillBody("%d keys overfill %d slots", len(keys), mask+1)
-	}
 	nPairs, err := pairCount(r)
 	if err != nil {
 		hashtable.DiscardRestore(keys, nil, nil)
 		return nil, err
+	}
+	// BuildSealed gives a tile of nPairs pairs a power-of-two index of at
+	// most Slots(nPairs) slots within the addressable 2^31, so a corrupt
+	// mask cannot draw gigabytes of slots, and never loads it past
+	// MaxKeys, which leaves an empty slot to end a probe for an absent key.
+	slots := mask + 1
+	if slots == 0 || slots&mask != 0 || slots > 1<<31 || slots > uint64(hashtable.Slots(nPairs)) {
+		hashtable.DiscardRestore(keys, nil, nil)
+		return nil, badSpillBody("slot mask %#x is no index for %d pairs", mask, nPairs)
+	}
+	if len(keys) > hashtable.MaxKeys(int(slots)) {
+		hashtable.DiscardRestore(keys, nil, nil)
+		return nil, badSpillBody("%d keys overload %d slots", len(keys), slots)
 	}
 	spans := hashtable.RestoreSpans(len(keys))[:len(keys)]
 	off := 0
@@ -486,48 +452,10 @@ func decodeSealedTile(r *tnsbin.SectionReader) (*hashtable.Sealed, error) {
 		hashtable.DiscardRestore(keys, spans, pairs)
 		return nil, r.Err()
 	}
-	return hashtable.RestoreSealed(mask, keys, spans, pairs), nil
-}
-
-func decodeSortedTile(r *tnsbin.SectionReader) (*sortedTile, error) {
-	keys := r.U64s(func(n int) []uint64 { return sortedKeyPool.Get(n) }) //fastcc:owned -- stolen by the returned sortedTile, recycled by sortedTile.recycle; discard below on failure
-	offs := r.I32s(func(n int) []int32 { return sortedOffPool.Get(n) })  //fastcc:owned -- stolen by the returned sortedTile, recycled by sortedTile.recycle; discard below on failure
-	// Only hand back what was actually drawn: a read that fails before its
-	// alloc callback runs leaves the slice nil, and a Put(nil) would skew
-	// the pools' vended/returned leak gauges.
-	discard := func() {
-		if keys != nil {
-			sortedKeyPool.Put(keys)
-		}
-		if offs != nil {
-			sortedOffPool.Put(offs)
-		}
+	t, ok := hashtable.RestoreSealed(mask, keys, spans, pairs)
+	if !ok {
+		hashtable.DiscardRestore(keys, spans, pairs)
+		return nil, badSpillBody("a key repeats among %d keys", len(keys))
 	}
-	if r.Err() != nil {
-		discard()
-		return nil, r.Err()
-	}
-	nPairs, err := pairCount(r)
-	if err != nil {
-		discard()
-		return nil, err
-	}
-	if len(offs) != len(keys)+1 || len(offs) == 0 || offs[0] != 0 || int(offs[len(offs)-1]) != nPairs {
-		discard()
-		return nil, badSpillBody("sorted tile CSR shape (%d keys, %d offs, %d pairs)", len(keys), len(offs), nPairs)
-	}
-	for i := 1; i < len(offs); i++ {
-		if offs[i] < offs[i-1] {
-			discard()
-			return nil, badSpillBody("sorted tile offsets decrease at %d", i)
-		}
-	}
-	pairs := sortedPairPool.Get(nPairs)[:nPairs]
-	readPairBlock(r, pairs)
-	if r.Err() != nil {
-		discard()
-		sortedPairPool.Put(pairs)
-		return nil, r.Err()
-	}
-	return &sortedTile{keys: keys, offs: offs, pairs: pairs}, nil //fastcc:owned -- the restore twin of buildSortedTiles: recycled by sortedTile.recycle
+	return t, nil
 }

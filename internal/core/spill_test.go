@@ -49,8 +49,8 @@ func spillFiles(t *testing.T, dir string) []string {
 }
 
 // TestSpillEquivalence is the disk tier's bit-identity acceptance test: for
-// every {representation × accumulator} combination, contract cold, force
-// every shard through spill-to-disk with a 1-byte budget, contract again —
+// both accumulators, contract cold, force every shard through
+// spill-to-disk with a 1-byte budget, contract again —
 // the second run must serve its shards from the spill files (reported as
 // reuse, no rebuild) and reproduce the cold output bit for bit.
 func TestSpillEquivalence(t *testing.T) {
@@ -61,27 +61,17 @@ func TestSpillEquivalence(t *testing.T) {
 	lm := randomMatrix(rng, 300, 40, 2500)
 	rm := randomMatrix(rng, 260, 40, 2000)
 
-	type combo struct {
-		name string
-		rep  InputRep
-		acc  model.AccumKind
-	}
-	combos := []combo{
-		{"hash/dense", RepHash, model.AccumDense},
-		{"hash/sparse", RepHash, model.AccumSparse},
-		{"sorted/dense", RepSorted, model.AccumDense},
-		{"sorted/sparse", RepSorted, model.AccumSparse},
-	}
-	for _, c := range combos {
-		// The previous combo left a 1-byte budget in force; the cold run
+	for _, acc := range []model.AccumKind{model.AccumDense, model.AccumSparse} {
+		name := acc.String()
+		// The previous leg left a 1-byte budget in force; the cold run
 		// must keep its shards resident for the squeeze below to spill.
 		SetShardBudget(-1)
 		l, r := NewOperand(lm), NewOperand(rm)
-		cfg := Config{Threads: 4, TileL: 17, TileR: 32, Accum: c.acc, Rep: c.rep, Platform: tinyLLC}
+		cfg := Config{Threads: 4, TileL: 17, TileR: 32, Accum: acc, Platform: tinyLLC}
 		run := func() (*coo.Tensor, *Stats) {
 			out, st, err := ContractOperands(l, r, cfg)
 			if err != nil {
-				t.Fatalf("%s: %v", c.name, err)
+				t.Fatalf("%s: %v", name, err)
 			}
 			var ls, rs []uint64
 			var vs []float64
@@ -99,22 +89,22 @@ func TestSpillEquivalence(t *testing.T) {
 		after := CacheStats()
 		if after.SpillWrites-before.SpillWrites < 2 {
 			t.Fatalf("%s: eviction spilled %d shards, want both operands'",
-				c.name, after.SpillWrites-before.SpillWrites)
+				name, after.SpillWrites-before.SpillWrites)
 		}
 
 		reloaded, st := run()
 		now := CacheStats()
 		if !st.ShardReusedL || !st.ShardReusedR {
-			t.Fatalf("%s: post-spill run rebuilt instead of reloading (%+v)", c.name, st)
+			t.Fatalf("%s: post-spill run rebuilt instead of reloading (%+v)", name, st)
 		}
 		if now.SpillReads-after.SpillReads < 2 {
 			t.Fatalf("%s: reload performed %d spill reads, want both operands'",
-				c.name, now.SpillReads-after.SpillReads)
+				name, now.SpillReads-after.SpillReads)
 		}
 		if d := now.SpillFallbacks - before.SpillFallbacks; d != 0 {
-			t.Fatalf("%s: healthy round trip counted %d spill fallbacks", c.name, d)
+			t.Fatalf("%s: healthy round trip counted %d spill fallbacks", name, d)
 		}
-		assertBitIdentical(t, c.name+" reloaded", cold, reloaded)
+		assertBitIdentical(t, name+" reloaded", cold, reloaded)
 
 		l.Close()
 		r.Close()
@@ -183,7 +173,7 @@ func TestSpillFaultFallback(t *testing.T) {
 			l, r := NewOperand(lm), NewOperand(rm)
 			defer l.Close()
 			defer r.Close()
-			cfg := Config{Threads: 4, TileL: 17, TileR: 32, Accum: model.AccumSparse, Rep: RepHash, Platform: tinyLLC}
+			cfg := Config{Threads: 4, TileL: 17, TileR: 32, Accum: model.AccumSparse, Platform: tinyLLC}
 			run := func() (*coo.Tensor, *Stats) {
 				out, st, err := ContractOperands(l, r, cfg)
 				if err != nil {
@@ -283,7 +273,7 @@ func TestSpillAdoption(t *testing.T) {
 	rng := rand.New(rand.NewSource(737))
 	lm := randomMatrix(rng, 300, 40, 2500)
 	rm := randomMatrix(rng, 260, 40, 2000)
-	cfg := Config{Threads: 4, TileL: 17, TileR: 32, Accum: model.AccumSparse, Rep: RepHash, Platform: tinyLLC}
+	cfg := Config{Threads: 4, TileL: 17, TileR: 32, Accum: model.AccumSparse, Platform: tinyLLC}
 	run := func(l, r *Operand) (*coo.Tensor, *Stats) {
 		out, st, err := ContractOperands(l, r, cfg)
 		if err != nil {

@@ -309,7 +309,7 @@ func TestSharedKeyListsProperty(t *testing.T) {
 			SetShardBudget(-1)
 			o := NewOperand(m)
 			defer o.Close()
-			key := ShardKey{Tile: tile, Rep: RepHash}
+			key := ShardKey{Tile: tile}
 			withShard := func(f func(s *Shard)) {
 				s, _ := o.Shard(key, 2)
 				defer s.Unpin()

@@ -26,7 +26,7 @@ func TestTenantClaimChargesOncePerShard(t *testing.T) {
 	tenantCleanup(t, "claim-a")
 	op := lifecycleOperand(101)
 	defer op.Close()
-	key := ShardKey{Tile: 32, Rep: RepHash}
+	key := ShardKey{Tile: 32}
 
 	s, built := op.Shard(key, 2)
 	claimShard(s, "claim-a", built)
@@ -63,8 +63,8 @@ func TestTenantQuotaEvictsOwnColdShards(t *testing.T) {
 	tenantCleanup(t, "quota-a")
 	op := lifecycleOperand(103)
 	defer op.Close()
-	k1 := ShardKey{Tile: 32, Rep: RepHash}
-	k2 := ShardKey{Tile: 64, Rep: RepHash}
+	k1 := ShardKey{Tile: 32}
+	k2 := ShardKey{Tile: 64}
 
 	s1, b1 := op.Shard(k1, 2)
 	claimShard(s1, "quota-a", b1)
@@ -104,7 +104,7 @@ func TestGlobalEvictionPrefersOverQuotaTenants(t *testing.T) {
 	opB := lifecycleOperand(109)
 	defer opA.Close()
 	defer opB.Close()
-	key := ShardKey{Tile: 32, Rep: RepHash}
+	key := ShardKey{Tile: 32}
 
 	// Baseline: run with an unlimited budget so the builds themselves don't
 	// evict anything.
@@ -135,7 +135,7 @@ func TestDropTenantReleasesClaimsButKeepsSharedShards(t *testing.T) {
 	tenantCleanup(t, "shared-a", "shared-b")
 	op := lifecycleOperand(113)
 	defer op.Close()
-	key := ShardKey{Tile: 32, Rep: RepHash}
+	key := ShardKey{Tile: 32}
 
 	s, built := op.Shard(key, 2)
 	claimShard(s, "shared-a", built)

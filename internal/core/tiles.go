@@ -165,7 +165,7 @@ const sharedBitsPerKey = 8
 // sharedBits parks markShared's two bitsets between builds.
 var sharedBits mempool.SlicePool[uint64]
 
-// markShared records the shared-key lists of a hash shard with at least two
+// markShared records the shared-key lists of a shard with at least two
 // non-empty tiles (sharedAt): per tile, the dense indices of the keys that
 // another tile may also hold. On the symmetric schedule an off-diagonal
 // pair iterates only those, since a key no other tile holds matches
@@ -183,7 +183,7 @@ var sharedBits mempool.SlicePool[uint64]
 // exactly sized array by a last pass over the bitmap; the bitsets go back
 // to their pool.
 func (s *Shard) markShared() {
-	if s.Key.Rep != RepHash || len(s.nonEmpty) < 2 {
+	if len(s.nonEmpty) < 2 {
 		return
 	}
 	words := max(1, 1<<bits.Len(uint(sharedBitsPerKey*s.keys-1))/64)

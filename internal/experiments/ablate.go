@@ -211,31 +211,6 @@ func RunAblations(cfg Config) error {
 	fmt.Fprintln(w, "tiled accumulators resolve per-tile.")
 	fmt.Fprintln(w)
 
-	// 7. Input-tile representation: hash tables (the paper) vs radix-sorted
-	// grouped arrays with merge co-iteration.
-	fmt.Fprintln(w, "A7: input-tile representation, hash tables vs sorted arrays")
-	t7 := newTable("contraction", "hash(s)", "sorted(s)")
-	for _, cs := range []Case{denseCase, sparseCase} {
-		l, r, spec, err := cs.Load(cfg)
-		if err != nil {
-			return err
-		}
-		_, _, hashD, err := runFastCC(cfg, l, r, spec, fastcc.WithInputRep(fastcc.RepHash))
-		if err != nil {
-			return err
-		}
-		_, _, sortD, err := runFastCC(cfg, l, r, spec, fastcc.WithInputRep(fastcc.RepSorted))
-		if err != nil {
-			return err
-		}
-		t7.addf("%s|%s|%s", cs.ID, secs(hashD), secs(sortD))
-	}
-	cfg.print(t7)
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "Sorted tiles pay a radix sort per tile at build but co-iterate without")
-	fmt.Fprintln(w, "hashing; hash tiles insert in one pass and probe per key.")
-	fmt.Fprintln(w)
-
 	// 8. Symmetric schedule: a self-contraction of one tensor shards it once
 	// and runs only the upper triangle of the tile grid; against a clone,
 	// each side gets its own shard and the whole grid runs.

@@ -47,15 +47,12 @@ var denseScratch mempool.SlicePool[int32]
 func BuildSealed(ctr []uint64, intra []uint32, val []float64, keyHint int) *Sealed {
 	n := len(ctr)
 	intra, val = intra[:n], val[:n] // one length check here; intra[k], val[k] need none below
-	capacity := nextPow2(int(float64(keyHint)/sealedMaxLoad) + 1)
-	if capacity < 8 {
-		capacity = 8
-	}
+	capacity := Slots(keyHint)
 	slotKeys, slotIdx := newSlots(capacity)
 	mask := uint64(capacity - 1)
 	// growAt is the distinct-key count at which the next new key would push
-	// the load past sealedMaxLoad (the integer form of that float test).
-	growAt := int(sealedMaxLoad * float64(capacity))
+	// the load past sealedMaxLoad.
+	growAt := MaxKeys(capacity)
 
 	// Pass 1: slot insertion and dense-index recording.
 	dense := denseScratch.Get(n)[:n]
@@ -75,7 +72,7 @@ func BuildSealed(ctr []uint64, intra []uint32, val []float64, keyHint int) *Seal
 			} else {
 				slotKeys, slotIdx = growSlots(slotKeys, slotIdx)
 				mask = uint64(len(slotIdx) - 1)
-				growAt = int(sealedMaxLoad * float64(len(slotIdx)))
+				growAt = MaxKeys(len(slotIdx))
 				placeKey(slotKeys, slotIdx, key, li)
 			}
 			nkeys++
@@ -125,6 +122,18 @@ func BuildSealed(ctr []uint64, intra []uint32, val []float64, keyHint int) *Seal
 	return s
 }
 
+// Slots is the slot count BuildSealed starts a table at for keyHint
+// expected distinct keys: room for them under the load limit, a power of
+// two of at least 8. A table built from n pairs holds at most n keys, so
+// with a hint of at most n it never grows past Slots(n).
+func Slots(keyHint int) int { return max(8, nextPow2(int(float64(keyHint)/sealedMaxLoad)+1)) }
+
+// MaxKeys is the most distinct keys a sealed table with the given slot
+// count holds: the load limit, sealedMaxLoad, at which BuildSealed grows
+// its index (the integer form of that float test). It is below the slot
+// count, so every probe chain ends at an empty slot.
+func MaxKeys(slots int) int { return int(sealedMaxLoad * float64(slots)) }
+
 // newSlots draws an empty open-addressing slot index of the given
 // power-of-two capacity from the sealed-arena pools.
 func newSlots(capacity int) (slotKeys []uint64, slotIdx []int32) {
@@ -137,8 +146,8 @@ func newSlots(capacity int) (slotKeys []uint64, slotIdx []int32) {
 }
 
 // placeKey stores a key absent from the slot index, with dense index li, in
-// the first empty slot of its linear-probe chain. It is the shared insertion
-// step of growth rehashing and spill restore.
+// the first empty slot of its linear-probe chain: the insertion step of
+// growth, for the key that outgrew the index and for the rehash.
 //
 //fastcc:hotpath
 func placeKey(slotKeys []uint64, slotIdx []int32, key uint64, li int32) {

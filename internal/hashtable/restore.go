@@ -39,10 +39,26 @@ func DiscardRestore(keys []uint64, spans []Span, pairs []Pair) {
 // every lookup resolves to the same dense key index as before the spill,
 // which is all bit-identical contraction output requires. The returned
 // table owns all four slices; Recycle returns everything to the pools.
-func RestoreSealed(mask uint64, keys []uint64, spans []Span, pairs []Pair) *Sealed {
+//
+// The caller bounds len(keys) by MaxKeys(mask+1), so a probe for an absent
+// key ends at an empty slot. A key that repeats would be found only at its
+// first index, losing the other's pairs: RestoreSealed then reports false,
+// keeps none of the slices, and the caller still owns keys, spans and
+// pairs.
+func RestoreSealed(mask uint64, keys []uint64, spans []Span, pairs []Pair) (*Sealed, bool) {
 	slotKeys, slotIdx := newSlots(int(mask) + 1)
 	for li, k := range keys {
-		placeKey(slotKeys, slotIdx, k, int32(li))
+		slot := Mix(k) & mask
+		for slotIdx[slot] != sealedEmptySlot {
+			if slotKeys[slot] == k {
+				arenaU64.Put(slotKeys)
+				arenaI32.Put(slotIdx)
+				return nil, false
+			}
+			slot = (slot + 1) & mask
+		}
+		slotKeys[slot] = k
+		slotIdx[slot] = int32(li)
 	}
 	s := &Sealed{
 		mask:     mask,
@@ -53,5 +69,5 @@ func RestoreSealed(mask uint64, keys []uint64, spans []Span, pairs []Pair) *Seal
 		pairs:    pairs,
 	}
 	s.stampLive()
-	return s
+	return s, true
 }

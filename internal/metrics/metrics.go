@@ -32,15 +32,16 @@ type Counters struct {
 	// every key, so Table 1 comparisons are unaffected by batching.
 	ProbeBatches, ProbeHits, ProbeMisses atomic.Int64
 	// KernelTasks counts tile-pair tasks executed per microkernel, indexed
-	// by model.KernelID (kernelSlots bounds the id space so this package
-	// stays import-free; out-of-range ids are dropped).
+	// by the run's accumulator kind (model.AccumKind), which picks the
+	// kernel. kernelSlots bounds the index so this package stays
+	// import-free; out-of-range indices are dropped.
 	KernelTasks [kernelSlots]atomic.Int64
 }
 
-// kernelSlots sizes the per-kernel task counter array. Must be at least
-// model.NumKernels; kept a couple of slots wider so a new kernel id does
-// not need a lock-step metrics change.
-const kernelSlots = 8
+// kernelSlots sizes the per-kernel task counter array: one slot per
+// model.AccumKind (auto, dense, sparse). The auto slot stays zero, since a
+// run resolves its kind before any task runs.
+const kernelSlots = 3
 
 // AddQueries records n input-table queries. Safe on a nil receiver.
 func (c *Counters) AddQueries(n int64) {
@@ -94,13 +95,14 @@ func (c *Counters) AddProbeBatches(batches, hits, misses int64) {
 	c.ProbeMisses.Add(misses)
 }
 
-// AddKernelTasks records n tile-pair tasks executed by kernel id (a
-// model.KernelID); ids outside the counter array are dropped.
-func (c *Counters) AddKernelTasks(id int, n int64) {
-	if c == nil || id < 0 || id >= kernelSlots {
+// AddKernelTasks records n tile-pair tasks executed by the kernel of
+// accumulator kind (a model.AccumKind); kinds outside the counter array
+// are dropped.
+func (c *Counters) AddKernelTasks(kind int, n int64) {
+	if c == nil || kind < 0 || kind >= kernelSlots {
 		return
 	}
-	c.KernelTasks[id].Add(n)
+	c.KernelTasks[kind].Add(n)
 }
 
 // CacheCounters aggregates shard-cache lifecycle statistics: how often the
@@ -217,10 +219,10 @@ type Snapshot struct {
 	WorkspaceWords int64
 	Output         int64
 	// ProbeBatches/ProbeHits/ProbeMisses are the batched-probe statistics
-	// of the hash microkernels (zero under the sorted kernels).
+	// of the hash microkernels.
 	ProbeBatches, ProbeHits, ProbeMisses int64
 	// KernelTasks is the per-kernel tile-task histogram, indexed by
-	// model.KernelID.
+	// model.AccumKind.
 	KernelTasks [kernelSlots]int64
 }
 

@@ -30,64 +30,6 @@ func (k AccumKind) String() string {
 	return fmt.Sprintf("AccumKind(%d)", int(k))
 }
 
-// KernelID names one member of the tile microkernel family: the inner
-// loop the contract phase runs per tile pair. The four kernels cover the
-// {hash, sorted} representation × {dense, sparse} accumulator grid.
-type KernelID int
-
-const (
-	// KernelAuto is the unresolved zero value of a raw Decide output; the
-	// engine's plan step replaces it with SelectKernel's choice.
-	KernelAuto KernelID = iota
-	// KernelHashDense co-iterates sealed hash tables with batched probes
-	// and scatters straight into the dense tile grid.
-	KernelHashDense
-	// KernelHashSparse co-iterates sealed hash tables with batched probes
-	// and upserts into the sparse (hash) accumulator.
-	KernelHashSparse
-	// KernelSortedDense merges sorted tiles and scatters into the dense
-	// grid.
-	KernelSortedDense
-	// KernelSortedSparse merges sorted tiles into the sparse accumulator.
-	KernelSortedSparse
-
-	// NumKernels bounds the kernel-id space for counter arrays.
-	NumKernels = int(KernelSortedSparse) + 1
-)
-
-func (k KernelID) String() string {
-	switch k {
-	case KernelAuto:
-		return "auto"
-	case KernelHashDense:
-		return "hash-dense"
-	case KernelHashSparse:
-		return "hash-sparse"
-	case KernelSortedDense:
-		return "sorted-dense"
-	case KernelSortedSparse:
-		return "sorted-sparse"
-	}
-	return fmt.Sprintf("KernelID(%d)", int(k))
-}
-
-// SelectKernel picks the microkernel for a run: the sorted flag carries the
-// input representation (core.InputRep, which this package must not import),
-// kind the resolved accumulator. Any kind other than AccumSparse selects a
-// dense kernel, matching the engine's worker construction, which builds a
-// dense accumulator for every non-sparse kind.
-func SelectKernel(sorted bool, kind AccumKind) KernelID {
-	switch {
-	case sorted && kind == AccumSparse:
-		return KernelSortedSparse
-	case sorted:
-		return KernelSortedDense
-	case kind == AccumSparse:
-		return KernelHashSparse
-	}
-	return KernelHashDense
-}
-
 // maxTileSide caps tile sides so intra-tile indices fit in uint32 (tile
 // tables and accumulators store them as uint32).
 const maxTileSide = uint64(1) << 31
@@ -107,11 +49,6 @@ type Decision struct {
 	Kind  AccumKind
 	TileL uint64
 	TileR uint64
-	// Kernel is the tile microkernel the contract phase will run, selected
-	// by the engine from the representation and accumulator kind. Zero
-	// (KernelAuto) in a raw Decide output; the engine's plan step fills it
-	// in so Stats exposes the choice.
-	Kernel KernelID
 
 	// PL and PR are the input densities p_L = nnz_L/(L·C), p_R = nnz_R/(R·C).
 	PL, PR float64

@@ -97,7 +97,11 @@ func (OS) ReadDir(dir string) ([]string, error) {
 // trailer (tnsbin section trailer) covers envelope and body together.
 var fsplMagic = uint32('F') | uint32('S')<<8 | uint32('P')<<16 | uint32('L')<<24
 
-const fsplVersion = 1
+// fsplVersion is the envelope version. Version 2 drops the body's
+// input-representation byte; a file of any other version fails
+// ParseHeader, so the startup scavenge deletes it instead of indexing it
+// as an orphan.
+const fsplVersion = 2
 
 // Ext is the spill-file extension; Dir ignores (and never deletes)
 // anything else living in its directory.

@@ -69,15 +69,6 @@ func (w *SectionWriter) U32s(vs []uint32) {
 	}
 }
 
-// I32s appends a length-prefixed array of fixed-width int32s (two's
-// complement through uint32).
-func (w *SectionWriter) I32s(vs []int32) {
-	w.Uvarint(uint64(len(vs)))
-	for _, v := range vs {
-		w.U32(uint32(v))
-	}
-}
-
 // F64s appends a length-prefixed array of raw IEEE-754 float64 bits.
 func (w *SectionWriter) F64s(vs []float64) {
 	w.Uvarint(uint64(len(vs)))
@@ -223,19 +214,6 @@ func (r *SectionReader) U32s(alloc func(n int) []uint32) []uint32 {
 	out := alloc(n)[:n]
 	for i := range out {
 		out[i] = r.U32()
-	}
-	return out
-}
-
-// I32s is U64s for int32 elements.
-func (r *SectionReader) I32s(alloc func(n int) []int32) []int32 {
-	n := r.arrayLen(4, "i32 array")
-	if r.err != nil {
-		return nil
-	}
-	out := alloc(n)[:n]
-	for i := range out {
-		out[i] = int32(r.U32())
 	}
 	return out
 }

@@ -37,9 +37,9 @@ type Sharded struct {
 // front with WithTileSize builds those shards eagerly (with WithThreads
 // workers), so the first contraction is already a shard hit.
 //
-// Options are validated eagerly (ErrBadOption); WithTileSize and
-// WithInputRep select the eager build, WithThreads its parallelism, and
-// other options are ignored here — pass them to the contraction instead.
+// Options are validated eagerly (ErrBadOption); WithTileSize selects the
+// eager build, WithThreads its parallelism, and other options are ignored
+// here — pass them to the contraction instead.
 func Preshard(t *Tensor, modes []int, opts ...Option) (*Sharded, error) {
 	return PreshardKeyed(t, modes, "", opts...)
 }
@@ -103,7 +103,7 @@ func PreshardKeyed(t *Tensor, modes []int, key string, opts ...Option) (*Sharded
 	// squeeze simply means the first contraction rebuilds.
 	for _, tile := range []uint64{cfg.TileL, cfg.TileR} {
 		if tile != 0 {
-			s.op.Warm(core.ShardKey{Tile: tile, Rep: cfg.Rep}, cfg.Threads)
+			s.op.Warm(core.ShardKey{Tile: tile}, cfg.Threads)
 		}
 	}
 	return s, nil

@@ -221,7 +221,6 @@ var badOptions = []struct {
 	{"dense non-pow2 tr", []Option{WithAccumulator(AccumDense), WithTileSize(64, 100)}, true},
 	{"dense oversized tile", []Option{WithAccumulator(AccumDense), WithTileSize(1<<20, 1<<20)}, true},
 	{"unknown accumulator", []Option{WithAccumulator(AccumKind(99))}, true},
-	{"unknown representation", []Option{WithInputRep(InputRep(99))}, true},
 	{"platform without cores", []Option{WithPlatform(Platform{Name: "bad", Cores: 0, L3Bytes: 1 << 20, WordBytes: 8})}, true},
 	{"model-dense non-pow2 tr", []Option{WithTileSize(16, 12)}, false},
 }
