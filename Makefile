@@ -84,15 +84,16 @@ fuzz-smoke:
 # Preshard/ContractPrepared path end to end (the warm iterations assert
 # Stats.BuildTime == 0 and ShardReused) without paying full benchmark time.
 # The BTNS codec benchmarks, the dense-tile scatter and tile drain
-# benchmarks, the cold self-contraction benchmark and the output
-# delinearization and key-step benchmarks run once too, so they keep
-# compiling (the self-contraction one also asserts the grids it stands
-# for, the key-step one that each path is the one it names).
+# benchmarks, the tile-pair kernel benchmark (both accumulators), the cold
+# self-contraction benchmark and the output delinearization and key-step
+# benchmarks run once too, so they keep compiling (the self-contraction
+# one also asserts the grids it stands for, the key-step one that each
+# path is the one it names).
 bench-smoke:
 	$(GO) test -bench=Reuse -benchtime=1x -run=^$$ .
 	$(GO) test -bench=BTNS -benchtime=1x -benchmem -run=^$$ ./internal/tnsbin
 	$(GO) test -bench='DenseScatter|TileDrain' -benchtime=1x -run=^$$ ./internal/accum
-	$(GO) test -bench='SelfContractCold|DelinearizeOutput|OutputKeys' -benchtime=1x -run=^$$ ./internal/core
+	$(GO) test -bench='TilePair|SelfContractCold|DelinearizeOutput|OutputKeys' -benchtime=1x -run=^$$ ./internal/core
 
 # The benchmark module's own tests (tiny preset, a few seconds). The root
 # `go test ./...` does not reach the separate bench module, and its

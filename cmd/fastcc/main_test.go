@@ -112,8 +112,8 @@ func TestRunStatsMarkDenseLayout(t *testing.T) {
 	if got.NNZ() != 128 || got.At([]uint64{9, 0}) != 20 || got.At([]uint64{63, 1}) != 192 {
 		t.Fatalf("unexpected output (%d nonzeros):\n%s", got.NNZ(), stdout.String())
 	}
-	if !strings.Contains(stderr.String(), " rmajor runs ") {
-		t.Fatalf("stats do not mark the R-major run scatter:\n%s", stderr.String())
+	if !strings.Contains(stderr.String(), " rmajor ") {
+		t.Fatalf("stats do not mark the R-major layout:\n%s", stderr.String())
 	}
 }
 

@@ -1,12 +1,14 @@
 // Package accum implements the two output-tile accumulators of FaSTCC
 // (paper Sections 4.2 and 5): a dense tile backed by a value buffer and a
 // two-level touched bitmap, and a sparse tile backed by an open-addressing
-// hash table; the probabilistic model in internal/model
-// decides which to instantiate. The engine's tile kernels are specialized
-// per accumulator and call the concrete types directly. The Accumulator
-// interface is what the package tests drive every implementation through,
-// the Robin Hood ablation SparseRobin included; the engine drains Dense and
-// Sparse through DrainBatch.
+// hash table; the probabilistic model in internal/model decides which to
+// instantiate. The engine's one tile kernel calls the concrete types
+// directly: every dense tile scatters through Dense.ScatterRuns, which
+// hands short runs to Dense.ScatterMatches itself, and every sparse tile
+// through Sparse.ScatterMatches. The Accumulator interface is what the
+// package tests drive every implementation through, the Robin Hood
+// ablation SparseRobin included; the engine drains Dense and Sparse through
+// DrainBatch.
 package accum
 
 // Accumulator accumulates contributions to one output tile and then drains

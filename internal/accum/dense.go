@@ -90,7 +90,7 @@ type Match struct {
 // vals[l<<logTR|r] += lv·rv for each pair combination, matches in slice
 // order and each match in L-major order — the identical accumulation order
 // to the equivalent Upsert loop, so results are bit-for-bit the same. This
-// is the dense microkernel's inner loop: against per-update Upsert calls it
+// is ScatterRuns' per-update loop: against per-update Upsert calls it
 // hoists the tile's field loads out of the whole batch, keeps the row base
 // l<<logTR in a register across each inner sweep, and exposes the
 // flat-index scatter to the compiler without a call boundary per

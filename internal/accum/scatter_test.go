@@ -112,7 +112,7 @@ var denseSink float64
 // the same runs swapped. The qc cases are vv·ov- and vv·oo-shaped, with a
 // left run of 300 pairs and a right run of 16 or 4; the frostt cases have
 // runs of 1 and of 7 on both sides, which ScatterRuns sends to its
-// per-update loop. Matches go in batches of 16, as the kernels send them.
+// per-update loop. Matches go in batches of 16, as the kernel sends them.
 func BenchmarkDenseScatter(b *testing.B) {
 	const side = 512
 	cases := []struct {

@@ -25,12 +25,12 @@ func (s *Sparse) Upsert(l, r uint32, v float64) {
 }
 
 // ScatterMatches accumulates every match's outer product into the table,
-// matches in slice order and each match in L-major order — the sparse
-// microkernel's inner loop. The key merge stays amortized in the backing
-// FloatTable (linear probing, grow at 85% load); what the specialization
-// removes is the interface/method hops per multiply-accumulate, with the
-// packed-key construction inline and the call boundary amortized over the
-// whole match batch.
+// matches in slice order and each match in L-major order — the tile
+// kernel's scatter on a sparse tile. The key merge stays amortized in the
+// backing FloatTable (linear probing, grow at 85% load); what the
+// specialization removes is the interface/method hops per
+// multiply-accumulate, with the packed-key construction inline and the
+// call boundary amortized over the whole match batch.
 //
 //fastcc:hotpath
 func (s *Sparse) ScatterMatches(ms []Match) {

@@ -52,7 +52,7 @@ func (t *Tensor) Sort() {
 		perm[i] = i
 	}
 	sort.Slice(perm, func(a, b int) bool { return t.lessAt(perm[a], perm[b]) })
-	t.applyPerm(perm)
+	applyPerm(t, perm)
 }
 
 // sortByKeys stably sorts elements by the given per-element keys using the
@@ -67,7 +67,7 @@ func (t *Tensor) sortByKeys(keys []uint64) {
 			perm[i] = i
 		}
 		sort.Slice(perm, func(a, b int) bool { return keys[perm[a]] < keys[perm[b]] })
-		t.applyPerm(perm)
+		applyPerm(t, perm)
 		return
 	}
 	perm := make([]uint32, n)
@@ -75,30 +75,13 @@ func (t *Tensor) sortByKeys(keys []uint64) {
 		perm[i] = uint32(i)
 	}
 	radix.SortWithPerm(keys, perm, 0)
-	t.applyPerm32(perm)
+	applyPerm(t, perm)
 }
 
-// applyPerm reorders all element arrays so that new position p holds old
-// element perm[p].
-func (t *Tensor) applyPerm(perm []int) {
-	n := len(perm)
-	tmpU := make([]uint64, n)
-	for m := range t.Coords {
-		src := t.Coords[m]
-		for p, i := range perm {
-			tmpU[p] = src[i]
-		}
-		copy(src, tmpU)
-	}
-	tmpV := make([]float64, n)
-	for p, i := range perm {
-		tmpV[p] = t.Vals[i]
-	}
-	copy(t.Vals, tmpV)
-}
-
-// applyPerm32 is applyPerm for the radix sort's uint32 permutation.
-func (t *Tensor) applyPerm32(perm []uint32) {
+// applyPerm reorders all element arrays of t so that new position p holds
+// old element perm[p]: a sort.Slice permutation or the radix sort's
+// uint32 one.
+func applyPerm[P int | uint32](t *Tensor, perm []P) {
 	n := len(perm)
 	tmpU := make([]uint64, n)
 	for m := range t.Coords {

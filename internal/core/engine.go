@@ -145,15 +145,13 @@ type Stats struct {
 	// one shard on both sides, so only the upper triangle of the tile grid
 	// ran and each off-diagonal pair also wrote its transpose.
 	Symmetric bool
-	// RMajor and RunScatter report the dense tile kernel of a two-operand
-	// run. RunScatter: matches went through accum.Dense.ScatterRuns, which
-	// marks touched cells once per run along inner runs of at least
-	// accum.RunMin pairs; every two-operand dense run sets it. RMajor: the
+	// RMajor reports the dense tile layout of a two-operand run: the
 	// tile's rows were R-tile indices, so the left operand's key runs
 	// (nonzeros per distinct contraction index in a tile), longer on
-	// average than the right's and than RunMin, were the inner runs. Both
-	// stay false on sparse and symmetric runs.
-	RMajor, RunScatter bool
+	// average than the right's and than accum.RunMin, were the inner runs
+	// along which accum.Dense.ScatterRuns marks touched cells. It stays
+	// false on sparse and symmetric runs.
+	RMajor bool
 	// BlockL, BlockR are the LLC super-block sides (in non-empty tiles) the
 	// contract schedule used; Blocks is the resulting block-task count. A
 	// worker claims whole blocks and walks them L-outer/R-inner, so each
@@ -204,9 +202,6 @@ func (s *Stats) String() string {
 	}
 	if s.RMajor {
 		sched += " rmajor"
-	}
-	if s.RunScatter {
-		sched += " runs"
 	}
 	return fmt.Sprintf(
 		"fastcc: accumulator=%s tile=%dx%d grid=%dx%d tasks=%d%s block=%dx%d threads=%d out_nnz=%d%s\n"+
@@ -391,9 +386,8 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 		st.Tasks = nL * (nL + 1) / 2
 	}
 
-	runs := dec.Kind == model.AccumDense && !sym
-	rmajor := runs && rMajor(ls, rs, tl)
-	st.RMajor, st.RunScatter = rmajor, runs
+	rmajor := dec.Kind == model.AccumDense && !sym && rMajor(ls, rs, tl)
+	st.RMajor = rmajor
 	rows, cols := tl, tr
 	if rmajor {
 		rows, cols = tr, tl
@@ -436,14 +430,6 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 	}
 	blocksTotal := rowStart[nbL]
 	st.BlockL, st.BlockR, st.Blocks = bl, br, blocksTotal
-	// Kernel dispatch is resolved HERE, once per run: every tile task below
-	// calls the same direct function value, the kernel for the run's
-	// accumulator kind. The platform's probe depth (the kernels' batch
-	// width) is likewise hoisted.
-	kern := runHashDense
-	if dec.Kind == model.AccumSparse {
-		kern = runHashSparse
-	}
 	probeBatch := cfg.Platform.ProbeBatch()
 	ctx := cfg.ctx()
 	err := scheduler.PoolCtxBatch(ctx, threads, blocksTotal, scheduler.ClaimBatch(blocksTotal, threads), func(w, b int) {
@@ -458,14 +444,13 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 				// builds, not a wrong-shaped vend.
 				workerFree.Note(wkey, wk)
 			}
-			wk.rmajor, wk.runs = rmajor, runs
+			wk.rmajor = rmajor
 			workers[w] = wk
 			pools[w] = outputChunks.NewPool()
 		}
 		bi := sort.Search(nbL, func(k int) bool { return rowStart[k+1] > b })
 		bj := firstBJ(bi) + b - rowStart[bi]
 		iEnd, jEnd := min((bi+1)*bl, nL), min((bj+1)*br, nR)
-		var tasksDone int64
 		for ii := bi * bl; ii < iEnd; ii++ {
 			i := nonEmptyL[ii]
 			baseL := uint64(i) * tl
@@ -478,7 +463,6 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 				// inside a block, matching the batched claim's latency of
 				// one task, not one block.
 				if ctx.Err() != nil {
-					cfg.Counters.AddKernelTasks(int(dec.Kind), tasksDone)
 					return
 				}
 				j := nonEmptyR[jj]
@@ -486,7 +470,8 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 				if diag {
 					scatterDiagonal(ls.sealedAt(i), wk, cfg.Counters)
 				} else {
-					kern(ls, rs, i, j, wk, cfg.Counters, probeBatch)
+					listL, listR := sharedLists(ls, rs, i, j)
+					contractPair(ls.sealedAt(i), rs.sealedAt(j), listL, listR, wk, cfg.Counters, probeBatch)
 				}
 				td := time.Now()
 				lo := pools[w].Len()
@@ -495,10 +480,8 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 					segs[w] = append(segs[w], segment{ii, jj, mempool.Span{Pool: w, Lo: lo, Hi: hi}})
 				}
 				drainTimes[w] += time.Since(td)
-				tasksDone++
 			}
 		}
-		cfg.Counters.AddKernelTasks(int(dec.Kind), tasksDone)
 	})
 	// Accumulators drain at the end of every task, so canceled or not they
 	// are empty and safe to park for the next run. The pool hands out no

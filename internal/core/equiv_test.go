@@ -366,8 +366,7 @@ func FuzzContractTiling(f *testing.F) {
 			Accum: model.AccumDense, Platform: tinyLLC,
 		})
 		if !coo.Equal(got, want) {
-			t.Fatalf("dense tile=%dx%d rmajor=%v runs=%v: mismatch vs reference",
-				denseL, denseR, st.RMajor, st.RunScatter)
+			t.Fatalf("dense tile=%dx%d rmajor=%v: mismatch vs reference", denseL, denseR, st.RMajor)
 		}
 		// Self leg: an operand against itself with square tiles takes the
 		// symmetric schedule, with both accumulators.

@@ -6,31 +6,28 @@ import (
 	"fastcc/internal/metrics"
 )
 
-// This file is the tile microkernel family: the tile-pair loop of the
-// paper's Algorithm 6, specialized once per accumulator kind so no branch
-// on the accumulator type sits inside a tile.
+// This file is the tile microkernel, contractPair: the tile-pair loop of
+// the paper's Algorithm 6, one loop for both accumulator kinds, which
+// differ only in the accumulator Algorithm 7 picks. execute calls it
+// directly for every tile task but a self-contraction's diagonal pairs.
+// Inside it there are no interface calls: the multiply-accumulate runs in
+// worker.scatter, which calls the worker's typed accumulator
+// (accum.Dense.ScatterRuns or accum.Sparse.ScatterMatches) with the flat
+// scatter exposed to the compiler. Under an R-major layout (rMajor) it
+// swaps each match's runs.
 //
-// Dispatch happens ONCE per run: execute() picks runHashDense or
-// runHashSparse from Decision.Kind, and every tile task of the run goes
-// through the same direct function value. Inside a kernel there are no
-// interface calls — the accumulator is the worker's typed field, and the
-// multiply-accumulate runs in the accumulator's ScatterMatches or
-// ScatterRuns with the flat scatter exposed to the compiler. The dense
-// kernel scatters through worker.scatter, and under an R-major layout
-// (rMajor) it swaps each match's runs.
-//
-// Both kernels replace the per-key serial Lookup with Sealed.LookupBatch:
+// The kernel replaces the per-key serial Lookup with Sealed.LookupBatch:
 // the iterated side's flat key array is consumed in chunks of the
 // platform's probe depth, so up to ProbeBatch home-slot loads overlap in
 // the load queue instead of serializing hash → load → compare chains
 // (paper Section 4.3's probe-bound regime).
 //
-// A kernel only accumulates; execute then drains the worker with the one
-// shared worker.drain. A self-contraction's diagonal pairs skip the kernels
-// for scatterDiagonal, and its off-diagonal pairs hand the kernels the
-// tiles' shared-key lists (sharedLists).
+// The kernel only accumulates; execute then drains the worker with
+// worker.drain. A self-contraction's diagonal pairs skip the kernel for
+// scatterDiagonal, and its off-diagonal pairs hand the kernel the tiles'
+// shared-key lists (sharedLists).
 //
-// Both kernels agree bit for bit with internal/ref on every input the
+// Both accumulators agree bit for bit with internal/ref on every input the
 // equivalence suite and the contraction fuzzer generate.
 
 // chooseSides orders a hash tile pair for co-iteration: iterate the table
@@ -47,26 +44,16 @@ func chooseSides(hl, hr *hashtable.Sealed) (iter, probeInto *hashtable.Sealed, s
 	return hl, hr, false
 }
 
-// sharedLists returns the shared-key lists of tile pair (i, j) for the
-// kernels. On the symmetric schedule (one shard on both sides) the pair is
-// off-diagonal, so a key that no other tile holds matches nothing in it;
-// the iterated side visits only its listed keys (Shard.sharedAt). A
-// two-shard run iterates every key: nil, nil.
+// sharedLists returns the shared-key lists of tile pair (i, j) for
+// contractPair. On the symmetric schedule (one shard on both sides) the
+// pair is off-diagonal, so a key that no other tile holds matches nothing
+// in it; the iterated side visits only its listed keys (Shard.sharedAt).
+// A two-shard run iterates every key: nil, nil.
 func sharedLists(ls, rs *Shard, i, j int) (listL, listR []int32) {
 	if ls != rs {
 		return nil, nil
 	}
 	return ls.sharedAt(i), rs.sharedAt(j)
-}
-
-func runHashDense(ls, rs *Shard, i, j int, wk *worker, ctr *metrics.Counters, probeBatch int) {
-	listL, listR := sharedLists(ls, rs, i, j)
-	contractHashDense(ls.sealedAt(i), rs.sealedAt(j), listL, listR, wk, ctr, probeBatch)
-}
-
-func runHashSparse(ls, rs *Shard, i, j int, wk *worker, ctr *metrics.Counters, probeBatch int) {
-	listL, listR := sharedLists(ls, rs, i, j)
-	contractHashSparse(ls.sealedAt(i), rs.sealedAt(j), listL, listR, wk, ctr, probeBatch)
 }
 
 // keyIndex returns the dense index of position k of the iterated side's key
@@ -82,11 +69,11 @@ func keyIndex(list []int32, k int) int {
 
 // scatterDiagonal accumulates a diagonal tile pair of a self-contraction:
 // both sides are the same table t, so key k matches itself and no probe
-// runs. Matches go in key order, the order in which the kernels
-// visit them when t is on both sides, so the output bits are unchanged. A
-// key holding one pair (a, v), met when no match is pending, adds v·v at
+// runs. Matches go in key order, the order in which contractPair visits
+// them when t is on both sides, so the output bits are unchanged. A key
+// holding one pair (a, v), met when no match is pending, adds v·v at
 // (a, a) with one Upsert: the same product into the same cell in the same
-// order, with no batch to fill. Queries count the keys, as the kernels
+// order, with no batch to fill. Queries count the keys, as contractPair
 // would; no probe batches, hits or misses are recorded.
 //
 //fastcc:hotpath
@@ -115,13 +102,14 @@ func scatterDiagonal(t *hashtable.Sealed, wk *worker, ctr *metrics.Counters) {
 	ctr.AddUpdates(updates)
 }
 
-// contractHashDense is the AccumDense microkernel: batched probes
-// over the iterated side's flat key array, dense-grid scatter per match.
-// listL and listR are the tiles' shared-key lists (nil: every key); the
-// iterated side visits only the keys its list names, in list order.
+// contractPair contracts tile pair (hl, hr) into the worker's
+// accumulator: batched probes over the iterated side's flat key array,
+// one scatter per chunk of matches. listL and listR are the tiles'
+// shared-key lists (nil: every key); the iterated side visits only the
+// keys its list names, in list order.
 //
 //fastcc:hotpath
-func contractHashDense(hl, hr *hashtable.Sealed, listL, listR []int32, wk *worker, ctr *metrics.Counters, probeBatch int) {
+func contractPair(hl, hr *hashtable.Sealed, listL, listR []int32, wk *worker, ctr *metrics.Counters, probeBatch int) {
 	iter, probeInto, swapped := chooseSides(hl, hr)
 	list := listL
 	if swapped {
@@ -170,64 +158,6 @@ func contractHashDense(hl, hr *hashtable.Sealed, listL, listR []int32, wk *worke
 			nm++
 		}
 		wk.scatter(ms[:nm])
-	}
-	queries := int64(nk)
-	ctr.AddQueries(queries)
-	ctr.AddVolume(volume)
-	ctr.AddUpdates(updates)
-	ctr.AddProbeBatches(batches, hits, queries-hits)
-}
-
-// contractHashSparse is the AccumSparse microkernel: batched
-// probes feeding the amortized key-merge of the sparse accumulator's
-// open-addressing table. The lists are contractHashDense's.
-//
-//fastcc:hotpath
-func contractHashSparse(hl, hr *hashtable.Sealed, listL, listR []int32, wk *worker, ctr *metrics.Counters, probeBatch int) {
-	iter, probeInto, swapped := chooseSides(hl, hr)
-	list := listL
-	if swapped {
-		list = listR
-	}
-	keys := iter.Keys()
-	nk := len(keys)
-	if list != nil {
-		nk = len(list)
-	}
-	s := wk.sparse
-	var kb [hashtable.LookupBatchMax]uint64
-	var out [hashtable.LookupBatchMax]int32
-	var ms [hashtable.LookupBatchMax]accum.Match
-	var volume, updates, batches, hits int64
-	for base := 0; base < nk; base += probeBatch {
-		n := min(nk-base, probeBatch)
-		for bi := range n {
-			kb[bi] = keys[keyIndex(list, base+bi)]
-		}
-		h := probeInto.LookupBatch(kb[:n], out[:n])
-		batches++
-		if h == 0 {
-			continue
-		}
-		hits += int64(h)
-		nm := 0
-		for bi := 0; bi < n; bi++ {
-			li := out[bi]
-			if li < 0 {
-				continue
-			}
-			ips := iter.PairsAt(keyIndex(list, base+bi))
-			pps := probeInto.PairsAt(int(li))
-			volume += int64(len(ips)) + int64(len(pps))
-			updates += int64(len(ips)) * int64(len(pps))
-			if swapped {
-				ms[nm] = accum.Match{L: pps, R: ips}
-			} else {
-				ms[nm] = accum.Match{L: ips, R: pps}
-			}
-			nm++
-		}
-		s.ScatterMatches(ms[:nm])
 	}
 	queries := int64(nk)
 	ctr.AddQueries(queries)

@@ -14,9 +14,9 @@ import (
 	"fastcc/internal/model"
 )
 
-// TestKernelResolution pins the once-per-run dispatch: the run's
-// accumulator kind, model-chosen or forced, picks the kernel, and every
-// tile task is counted in KernelTasks under that kind and no other.
+// TestKernelResolution pins the accumulator resolution: the run's kind,
+// model-chosen or forced, is the kind of the accumulator its workers
+// scattered into, which the run parks under its shape key.
 func TestKernelResolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	l := randomMatrix(rng, 120, 30, 900)
@@ -33,14 +33,15 @@ func TestKernelResolution(t *testing.T) {
 		if acc != model.AccumAuto && kind != acc {
 			t.Fatalf("%v: the run took kind %v", acc, kind)
 		}
-		tasks := ctr.Snapshot().KernelTasks
-		var total int64
-		for _, n := range tasks {
-			total += n
+		key := accKey{kind: kind, rows: 32, cols: 32}
+		wk, ok := workerFree.Get(key)
+		if !ok {
+			t.Fatalf("%v: no worker parked under %+v", acc, key)
 		}
-		if tasks[kind] != int64(st.Tasks) || total != int64(st.Tasks) {
-			t.Fatalf("%v: kernel tasks %v, want all %d under kind %v", acc, tasks, st.Tasks, kind)
+		if (wk.dense != nil) != (kind == model.AccumDense) || (wk.sparse != nil) != (kind == model.AccumSparse) {
+			t.Fatalf("%v: a %v run parked dense=%v sparse=%v", acc, kind, wk.dense != nil, wk.sparse != nil)
 		}
+		workerFree.Put(key, wk)
 	}
 }
 
@@ -67,8 +68,8 @@ func (c *tileCols) build(keyHint int) *hashtable.Sealed {
 // pair each and the RIGHT has few keys with many pairs each. Iterating by
 // distinct-key count means the query count equals the right side's key
 // count; a pair-count (or fixed-side) heuristic would iterate the left.
-// Both hash kernels must make this choice — their accumulation order (and
-// so the output bits) depends on it.
+// The kernel must make this choice with either accumulator — the
+// accumulation order (and so the output bits) depends on it.
 func TestIterateSmallerSideByDistinctKeys(t *testing.T) {
 	const manyKeys, fewKeys, pairsPerKey = 90, 7, 40
 	var big, small tileCols
@@ -89,41 +90,31 @@ func TestIterateSmallerSideByDistinctKeys(t *testing.T) {
 		if iter.Len() != fewKeys || probeInto.Len() != manyKeys {
 			t.Fatalf("%s: chooseSides iterated the %d-key side", dir.name, iter.Len())
 		}
-		for _, kern := range []struct {
-			name string
-			kind model.AccumKind
-			run  func(wk *worker, ctr *metrics.Counters)
-		}{
-			{"hash-dense", model.AccumDense, func(wk *worker, ctr *metrics.Counters) {
-				contractHashDense(dir.hl, dir.hr, nil, nil, wk, ctr, hashtable.LookupBatchMax)
-			}},
-			{"hash-sparse", model.AccumSparse, func(wk *worker, ctr *metrics.Counters) {
-				contractHashSparse(dir.hl, dir.hr, nil, nil, wk, ctr, hashtable.LookupBatchMax)
-			}},
-		} {
+		for _, kind := range []model.AccumKind{model.AccumDense, model.AccumSparse} {
 			var ctr metrics.Counters
-			wk := newWorker(kern.kind, 128, 32, 64)
+			wk := newWorker(kind, 128, 32, 64)
 			pool := outputChunks.NewPool()
-			kern.run(wk, &ctr)
+			contractPair(dir.hl, dir.hr, nil, nil, wk, &ctr, hashtable.LookupBatchMax)
 			wk.drain(pool, 0, 0, false)
 			outputChunks.Release(mempool.Concat(pool))
 			if q := ctr.Snapshot().Queries; q != fewKeys {
-				t.Fatalf("%s/%s: %d queries, want %d (cheaper side not iterated)",
-					dir.name, kern.name, q, fewKeys)
+				t.Fatalf("%s/%v: %d queries, want %d (cheaper side not iterated)",
+					dir.name, kind, q, fewKeys)
 			}
 		}
 	}
 }
 
-// TestHashKernelProbeCounters checks the new observability: the kernels
-// report probe batches, and hits+misses add up to queries.
+// TestHashKernelProbeCounters checks the probe observability: the kernel
+// reports probe batches with either accumulator, and hits+misses add up to
+// queries.
 func TestHashKernelProbeCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	l := randomMatrix(rng, 200, 40, 1500)
 	r := randomMatrix(rng, 180, 40, 1300)
 	for _, acc := range []model.AccumKind{model.AccumDense, model.AccumSparse} {
 		var ctr metrics.Counters
-		out, st, err := contract(l, r, Config{
+		out, _, err := contract(l, r, Config{
 			Threads: 2, TileL: 32, TileR: 32, Accum: acc, Platform: tinyLLC, Counters: &ctr,
 		})
 		if err != nil {
@@ -139,9 +130,6 @@ func TestHashKernelProbeCounters(t *testing.T) {
 		}
 		if s.ProbeHits == 0 {
 			t.Fatalf("accum=%v: contraction with output found no probe hits", acc)
-		}
-		if got := s.KernelTasks[st.Decision.Kind]; got != int64(st.Tasks) {
-			t.Fatalf("accum=%v: kernel ran %d tasks, stats say %d", acc, got, st.Tasks)
 		}
 	}
 }
@@ -192,8 +180,8 @@ func offDiagonalQueries(m *coo.Matrix, tile uint64) (queries int64, lists bool) 
 }
 
 // TestSymmetricScheduleCounters pins the symmetric schedule's accounting
-// against the full grid over the same matrix, for both kernels. It runs
-// nT·(nT+1)/2 tasks, each counted in KernelTasks. Diagonal pairs add
+// against the full grid over the same matrix, for both accumulators. It
+// runs nT·(nT+1)/2 tasks. Diagonal pairs add
 // queries, volume and updates but no probe batches, hits or misses. Each
 // off-diagonal pair counts once for the two pairs (i, j) and (j, i) the
 // full grid runs, except for queries and misses: there an off-diagonal
@@ -234,11 +222,6 @@ func TestSymmetricScheduleCounters(t *testing.T) {
 				if !st.Symmetric || st.Tasks != nT*(nT+1)/2 || fst.Symmetric || fst.Tasks != nT*nT {
 					t.Fatalf("%s: tasks %d (symmetric %v) and %d (symmetric %v), want %d and %d",
 						name, st.Tasks, st.Symmetric, fst.Tasks, fst.Symmetric, nT*(nT+1)/2, nT*nT)
-				}
-				k := st.Decision.Kind
-				if s.KernelTasks[k] != int64(st.Tasks) || f.KernelTasks[k] != int64(fst.Tasks) {
-					t.Fatalf("%s: kernel tasks %d and %d, stats say %d and %d",
-						name, s.KernelTasks[k], f.KernelTasks[k], st.Tasks, fst.Tasks)
 				}
 				if !strings.Contains(st.String(), " sym ") || strings.Contains(fst.String(), " sym") {
 					t.Fatalf("%s: sym marker wrong:\n%s\n%s", name, st.String(), fst.String())
@@ -383,28 +366,22 @@ func newBenchTilePair(nKeysL, nKeysR, pairsPerKey int) *benchTilePairData {
 	return &benchTilePairData{hl: mkSealed(nKeysL, 1), hr: mkSealed(nKeysR, 2)}
 }
 
-// BenchmarkTilePair times each microkernel on one tile pair —
-// `go test -bench TilePair ./internal/core` isolates the inner loops from
-// build, scheduling and output handling.
+// BenchmarkTilePair times contractPair on one tile pair with each
+// accumulator — `go test -bench TilePair ./internal/core` isolates the
+// inner loops from build, scheduling and output handling.
 func BenchmarkTilePair(b *testing.B) {
 	const tl, tr = 64, 32
 	d := newBenchTilePair(1024, 512, 8)
-	run := func(name string, kind model.AccumKind, fn func(wk *worker)) {
-		b.Run(name, func(b *testing.B) {
+	for _, kind := range []model.AccumKind{model.AccumDense, model.AccumSparse} {
+		b.Run(kind.String(), func(b *testing.B) {
 			wk := newWorker(kind, tl, tr, 1<<12)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				pool := outputChunks.NewPool()
-				fn(wk)
+				contractPair(d.hl, d.hr, nil, nil, wk, nil, hashtable.LookupBatchMax)
 				wk.drain(pool, 0, 0, false)
 				outputChunks.Release(mempool.Concat(pool))
 			}
 		})
 	}
-	run("hash/dense", model.AccumDense, func(wk *worker) {
-		contractHashDense(d.hl, d.hr, nil, nil, wk, nil, hashtable.LookupBatchMax)
-	})
-	run("hash/sparse", model.AccumSparse, func(wk *worker) {
-		contractHashSparse(d.hl, d.hr, nil, nil, wk, nil, hashtable.LookupBatchMax)
-	})
 }

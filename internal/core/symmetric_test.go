@@ -10,6 +10,7 @@ import (
 	"slices"
 	"testing"
 
+	"fastcc/internal/accum"
 	"fastcc/internal/coo"
 	"fastcc/internal/gen"
 	"fastcc/internal/hashtable"
@@ -89,8 +90,9 @@ func drainOrderDigest(out []Triple, tl, tr uint64, sorted bool) uint64 {
 
 // tileKeyStats describes m tiled by tile: the non-empty tiles, the
 // distinct (tile, key) pairs, how many of those have a key that another
-// tile also holds, and how many hold one nonzero.
-func tileKeyStats(m *coo.Matrix, tile uint64) (tiles, keys, shared, onePair int) {
+// tile also holds, how many hold one nonzero, and how many hold at least
+// accum.RunMin.
+func tileKeyStats(m *coo.Matrix, tile uint64) (tiles, keys, shared, onePair, long int) {
 	runs := map[[2]uint64]int{}
 	holders := map[uint64]int{}
 	nonEmpty := map[uint64]bool{}
@@ -109,8 +111,11 @@ func tileKeyStats(m *coo.Matrix, tile uint64) (tiles, keys, shared, onePair int)
 		if n == 1 {
 			onePair++
 		}
+		if n >= accum.RunMin {
+			long++
+		}
 	}
-	return len(nonEmpty), len(runs), shared, onePair
+	return len(nonEmpty), len(runs), shared, onePair, long
 }
 
 // TestSymmetricColdGolden pins the output bits and drain order of
@@ -118,10 +123,16 @@ func tileKeyStats(m *coo.Matrix, tile uint64) (tiles, keys, shared, onePair int)
 // nips-013 on 12×12 grids whose keys mostly live in one tile, so their
 // off-diagonal pairs iterate short shared-key lists; vast-014 in one tile
 // whose keys mix one-pair runs, which the diagonal pair adds straight,
-// with longer ones, which it batches. The sparse digests were computed
-// before the lists and the one-pair shortcut existed, when every
-// off-diagonal pair probed all keys of its smaller tile and every diagonal
-// key went through a batch. The dense digests pin the ascending-position
+// with longer ones, which it batches. Their key runs are at most four
+// pairs long, so a dense tile scatters every match of theirs per update;
+// chicago-0, frostt-dense-out's first case, on a 5×5 grid of keys that
+// nearly all tiles share, has keys of at least accum.RunMin pairs, which
+// a dense tile scatters along its run mask (accum.Dense.ScatterRuns). The
+// sparse digests of the first three were computed before the lists and
+// the one-pair shortcut existed, when every off-diagonal pair probed all
+// keys of its smaller tile and every diagonal key went through a batch;
+// chicago-0's were computed while dense self-contractions still scattered
+// every match per update. The dense digests pin the ascending-position
 // drain; sorted within each tile, a dense run's digest must equal its
 // sparse twin's, as it did when dense tiles drained in first-touch order,
 // so every cell's bits are pinned across both drain orders. vast-014's one
@@ -130,30 +141,40 @@ func tileKeyStats(m *coo.Matrix, tile uint64) (tiles, keys, shared, onePair int)
 // independent of the worker count.
 func TestSymmetricColdGolden(t *testing.T) {
 	golden := map[string]uint64{
-		"vast-01/dense":   0x455d433e6836fe40,
-		"vast-01/sparse":  0x60b25a3856eaaf80,
-		"vast-014/dense":  0x3a78896e12db0bd7,
-		"vast-014/sparse": 0x3a78896e12db0bd7,
-		"nips-013/dense":  0x92d405db7f85b3e1,
-		"nips-013/sparse": 0x31a9af7cabd21f75,
+		"vast-01/dense":    0x455d433e6836fe40,
+		"vast-01/sparse":   0x60b25a3856eaaf80,
+		"vast-014/dense":   0x3a78896e12db0bd7,
+		"vast-014/sparse":  0x3a78896e12db0bd7,
+		"nips-013/dense":   0x92d405db7f85b3e1,
+		"nips-013/sparse":  0x31a9af7cabd21f75,
+		"chicago-0/dense":  0xe7c13765e3cd6c11,
+		"chicago-0/sparse": 0xe5172631d6a1ad75,
 	}
 	cases := []struct {
 		tensor string
 		ctr    []int
 		tile   uint64
+		long   bool // some tile key holds at least accum.RunMin pairs
 	}{
-		{"vast", []int{0, 1}, 128},
-		{"vast", []int{0, 1, 4}, 64},
-		{"nips", []int{0, 1, 3}, 256},
+		{"vast", []int{0, 1}, 128, false},
+		{"vast", []int{0, 1, 4}, 64, false},
+		{"nips", []int{0, 1, 3}, 256, false},
+		{"chicago", []int{0}, 128, true},
 	}
 	for _, c := range cases {
 		m := frosttSelf(t, c.tensor, c.ctr, 0.002)
-		// The shapes the digests stand for: on a multi-tile grid most of the
-		// tiles' keys live in no other tile; a one-tile grid has one-pair
-		// keys and longer ones.
-		tiles, keys, shared, onePair := tileKeyStats(m, c.tile)
-		if tiles > 1 && 2*shared >= keys || tiles == 1 && (onePair == 0 || onePair == keys) {
-			t.Fatalf("%s-%v: %d tiles, %d tile keys, %d shared, %d one-pair", c.tensor, c.ctr, tiles, keys, shared, onePair)
+		// The shapes the digests stand for: only chicago-0 has long key
+		// runs; on the others' multi-tile grids most of the tiles' keys
+		// live in no other tile, and a one-tile grid has one-pair keys and
+		// longer ones.
+		tiles, keys, shared, onePair, long := tileKeyStats(m, c.tile)
+		bad := (long > 0) != c.long
+		if !c.long {
+			bad = bad || tiles > 1 && 2*shared >= keys || tiles == 1 && (onePair == 0 || onePair == keys)
+		}
+		if bad {
+			t.Fatalf("%s-%v: %d tiles, %d tile keys, %d shared, %d one-pair, %d of at least %d pairs",
+				c.tensor, c.ctr, tiles, keys, shared, onePair, long, accum.RunMin)
 		}
 		for _, acc := range []model.AccumKind{model.AccumDense, model.AccumSparse} {
 			for _, threads := range []int{1, 2} {
@@ -222,7 +243,7 @@ func wantSharedLists(s *Shard) (lists [][]int32, holders map[uint64]int) {
 }
 
 // checkSharedLists checks s's shared-key lists against the oracle and
-// against the property the kernels rely on: every key that two or more
+// against the property the kernel relies on: every key that two or more
 // non-empty tiles hold is in each holder's list, in ascending dense order.
 // It also checks that Shard.bytes counts the lists.
 func checkSharedLists(t *testing.T, what string, s *Shard) {

@@ -11,18 +11,16 @@ import (
 )
 
 // worker holds the per-worker reusable accumulator. Exactly one of
-// dense/sparse is non-nil: the kernels read the typed field directly so no
-// interface dispatch or per-tile type assertion sits on the accumulate path.
-// rmajor and runs are set each time a run claims the worker. runs marks a
-// two-shard dense run, whose tiles scatter with ScatterRuns; a
-// self-contraction keeps ScatterMatches. Under rmajor (see rMajor) the
-// dense tile's rows are R-tile indices, so the dense kernels swap each
-// match's runs and drain swaps the coordinates back.
+// dense/sparse is non-nil: the kernel reaches the typed field through
+// scatter, so no interface dispatch or per-tile type assertion sits on the
+// accumulate path. rmajor is set each time a run claims the worker. Under
+// rmajor (see rMajor) the dense tile's rows are R-tile indices, so
+// contractPair swaps each match's runs and drain swaps the coordinates
+// back.
 type worker struct {
 	dense  *accum.Dense
 	sparse *accum.Sparse
 	rmajor bool
-	runs   bool
 }
 
 // newWorker returns a worker whose accumulator has the given rows × cols
@@ -37,18 +35,14 @@ func newWorker(kind model.AccumKind, rows, cols uint64, sparseHint int) *worker 
 }
 
 // scatter accumulates a batch of matches into the worker's accumulator:
-// ScatterRuns on a two-shard dense run, ScatterMatches otherwise. The
-// dense kernels and a self-contraction's diagonal pairs come through here;
-// the sparse kernels call ScatterMatches directly. Under rmajor the caller
-// has already swapped each match's runs.
+// ScatterRuns on a dense tile, ScatterMatches on a sparse one. contractPair
+// and a self-contraction's diagonal pairs come through here. Under rmajor
+// the caller has already swapped each match's runs.
 func (wk *worker) scatter(ms []accum.Match) {
-	switch {
-	case wk.sparse != nil:
+	if wk.sparse != nil {
 		wk.sparse.ScatterMatches(ms)
-	case wk.runs:
+	} else {
 		wk.dense.ScatterRuns(ms)
-	default:
-		wk.dense.ScatterMatches(ms)
 	}
 }
 

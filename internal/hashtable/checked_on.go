@@ -1,12 +1,12 @@
 //go:build fastcc_checked
 
 // fastcc_checked mode: Sealed tables carry a generation stamp set once at
-// the end of BuildSealed (or RestoreSealed) and checked on every cursor or probe access, so reading a
-// table that never finished sealing (zero value, manual literal, or a
-// future recycled-and-invalidated table) panics deterministically instead
-// of returning garbage spans. checkSpan additionally re-derives each span's
-// bounds against the arena — the dynamic twin of the spanarith analyzer's
-// static rule.
+// the end of BuildSealed (or RestoreSealed) and checked on every cursor or
+// probe access, so reading a table that never finished sealing (zero
+// value or manual literal) or that Recycle retired panics
+// deterministically instead of returning garbage spans. checkSpan
+// additionally re-derives each span's bounds against the arena — the
+// dynamic twin of the spanarith analyzer's static rule.
 package hashtable
 
 import "fmt"
@@ -21,8 +21,8 @@ type checkedSealed struct {
 
 func (s *Sealed) stampLive() { s.ck.gen = sealedLiveGen }
 
-// invalidate retires the table: every later access panics. Reserved for a
-// future recycling path; exercised by the checked-mode lifetime tests.
+// invalidate retires the table: every later access panics. Recycle calls
+// it before the storage goes back to the arena pools.
 func (s *Sealed) invalidate() { s.ck.gen = 0 }
 
 func (s *Sealed) checkLive(op string) {

@@ -27,21 +27,11 @@ type Counters struct {
 	// Output counts nonzeros appended to the output COO list.
 	Output atomic.Int64
 	// ProbeBatches counts batched sealed-table probe calls issued by the
-	// hash microkernels; ProbeHits/ProbeMisses split the individual keys
+	// tile kernel; ProbeHits/ProbeMisses split the individual keys
 	// those batches resolved into present and absent. Queries still counts
 	// every key, so Table 1 comparisons are unaffected by batching.
 	ProbeBatches, ProbeHits, ProbeMisses atomic.Int64
-	// KernelTasks counts tile-pair tasks executed per microkernel, indexed
-	// by the run's accumulator kind (model.AccumKind), which picks the
-	// kernel. kernelSlots bounds the index so this package stays
-	// import-free; out-of-range indices are dropped.
-	KernelTasks [kernelSlots]atomic.Int64
 }
-
-// kernelSlots sizes the per-kernel task counter array: one slot per
-// model.AccumKind (auto, dense, sparse). The auto slot stays zero, since a
-// run resolves its kind before any task runs.
-const kernelSlots = 3
 
 // AddQueries records n input-table queries. Safe on a nil receiver.
 func (c *Counters) AddQueries(n int64) {
@@ -93,16 +83,6 @@ func (c *Counters) AddProbeBatches(batches, hits, misses int64) {
 	c.ProbeBatches.Add(batches)
 	c.ProbeHits.Add(hits)
 	c.ProbeMisses.Add(misses)
-}
-
-// AddKernelTasks records n tile-pair tasks executed by the kernel of
-// accumulator kind (a model.AccumKind); kinds outside the counter array
-// are dropped.
-func (c *Counters) AddKernelTasks(kind int, n int64) {
-	if c == nil || kind < 0 || kind >= kernelSlots {
-		return
-	}
-	c.KernelTasks[kind].Add(n)
 }
 
 // CacheCounters aggregates shard-cache lifecycle statistics: how often the
@@ -219,11 +199,8 @@ type Snapshot struct {
 	WorkspaceWords int64
 	Output         int64
 	// ProbeBatches/ProbeHits/ProbeMisses are the batched-probe statistics
-	// of the hash microkernels.
+	// of the tile kernel.
 	ProbeBatches, ProbeHits, ProbeMisses int64
-	// KernelTasks is the per-kernel tile-task histogram, indexed by
-	// model.AccumKind.
-	KernelTasks [kernelSlots]int64
 }
 
 // Snapshot returns the current counter values; zero-valued on nil receiver.
@@ -231,7 +208,7 @@ func (c *Counters) Snapshot() Snapshot {
 	if c == nil {
 		return Snapshot{}
 	}
-	s := Snapshot{
+	return Snapshot{
 		Queries:        c.Queries.Load(),
 		Volume:         c.Volume.Load(),
 		Updates:        c.Updates.Load(),
@@ -241,10 +218,6 @@ func (c *Counters) Snapshot() Snapshot {
 		ProbeHits:      c.ProbeHits.Load(),
 		ProbeMisses:    c.ProbeMisses.Load(),
 	}
-	for i := range c.KernelTasks {
-		s.KernelTasks[i] = c.KernelTasks[i].Load()
-	}
-	return s
 }
 
 // Add returns the field-wise sum of two snapshots, except WorkspaceWords,
@@ -258,9 +231,6 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 	s.ProbeBatches += o.ProbeBatches
 	s.ProbeHits += o.ProbeHits
 	s.ProbeMisses += o.ProbeMisses
-	for i := range s.KernelTasks {
-		s.KernelTasks[i] += o.KernelTasks[i]
-	}
 	return s
 }
 

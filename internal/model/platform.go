@@ -11,7 +11,7 @@ import (
 
 // Platform describes the machine parameters the model needs: core count,
 // shared last-level cache capacity, the floating-point word size DT, and
-// the microarchitectural parameters the tile microkernels dispatch on
+// the microarchitectural parameters the tile kernel is tuned by
 // (cache-line size and probe software-pipeline depth). The paper evaluates
 // two platforms, reproduced here as profiles; Auto derives a profile for
 // the current machine.
@@ -24,7 +24,7 @@ type Platform struct {
 	Cores     int
 	L3Bytes   int64
 	WordBytes int64
-	// LineBytes is the cache-line size the kernels' batching arithmetic
+	// LineBytes is the cache-line size the kernel's batching arithmetic
 	// assumes; 0 means the architecture default (see Line).
 	LineBytes int64
 	// ProbeDepth is the number of hash probes the batched Sealed lookup

@@ -43,15 +43,3 @@ func (b *Baseline) Assert(t testing.TB) {
 		}
 	}
 }
-
-// AssertZero fails the test for every gauge not at exactly zero — for
-// counters whose absolute value is meaningful (e.g. resident bytes after a
-// full drop).
-func AssertZero(t testing.TB, gauges ...Gauge) {
-	t.Helper()
-	for _, g := range gauges {
-		if now := g.Read(); now != 0 {
-			t.Errorf("leak: gauge %s = %d, want 0", g.Name, now)
-		}
-	}
-}

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 )
 
 // Section-stream errors, surfaced by NewSectionReader and the typed reads.
@@ -31,9 +30,6 @@ var (
 type SectionWriter struct {
 	buf []byte
 }
-
-// U8 appends one byte.
-func (w *SectionWriter) U8(v uint8) { w.buf = append(w.buf, v) }
 
 // U32 appends a fixed-width little-endian uint32.
 func (w *SectionWriter) U32(v uint32) {
@@ -58,22 +54,6 @@ func (w *SectionWriter) U64s(vs []uint64) {
 	w.Uvarint(uint64(len(vs)))
 	for _, v := range vs {
 		w.U64(v)
-	}
-}
-
-// U32s appends a length-prefixed array of fixed-width uint32s.
-func (w *SectionWriter) U32s(vs []uint32) {
-	w.Uvarint(uint64(len(vs)))
-	for _, v := range vs {
-		w.U32(v)
-	}
-}
-
-// F64s appends a length-prefixed array of raw IEEE-754 float64 bits.
-func (w *SectionWriter) F64s(vs []float64) {
-	w.Uvarint(uint64(len(vs)))
-	for _, v := range vs {
-		w.U64(math.Float64bits(v))
 	}
 }
 
@@ -134,15 +114,6 @@ func (r *SectionReader) take(n int, what string) []byte {
 	return b
 }
 
-// U8 reads one byte.
-func (r *SectionReader) U8() uint8 {
-	b := r.take(1, "u8")
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
 // U32 reads a fixed-width little-endian uint32.
 func (r *SectionReader) U32() uint32 {
 	b := r.take(4, "u32")
@@ -201,32 +172,6 @@ func (r *SectionReader) U64s(alloc func(n int) []uint64) []uint64 {
 	out := alloc(n)[:n]
 	for i := range out {
 		out[i] = r.U64()
-	}
-	return out
-}
-
-// U32s is U64s for uint32 elements.
-func (r *SectionReader) U32s(alloc func(n int) []uint32) []uint32 {
-	n := r.arrayLen(4, "u32 array")
-	if r.err != nil {
-		return nil
-	}
-	out := alloc(n)[:n]
-	for i := range out {
-		out[i] = r.U32()
-	}
-	return out
-}
-
-// F64s is U64s for raw IEEE-754 float64 elements.
-func (r *SectionReader) F64s(alloc func(n int) []float64) []float64 {
-	n := r.arrayLen(8, "f64 array")
-	if r.err != nil {
-		return nil
-	}
-	out := alloc(n)[:n]
-	for i := range out {
-		out[i] = math.Float64frombits(r.U64())
 	}
 	return out
 }
