@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test test-checked race vet test-lifecycle test-spill fuzz-smoke bench-smoke bench-test serve-smoke ci
+.PHONY: build test test-checked race vet fuzz-smoke bench-smoke bench-test serve-smoke ci
 
 build:
 	$(GO) build ./...
@@ -18,12 +18,15 @@ test:
 # internal/lockcheck checks every ranked Lock against the lock hierarchy
 # (a re-entrant acquisition of the shard-cache lock included), so lifetime
 # and lock-order bugs become deterministic panics at runtime (see
-# DESIGN.md).
+# DESIGN.md). It runs every test, the shard-lifecycle and spill suites
+# included, since no test runs only under -short.
 test-checked:
 	$(GO) test -tags fastcc_checked ./...
 
 # The supported race gate is -short: full -race on the experiment
-# packages replays paper workloads and is too slow for a gate.
+# packages replays paper workloads and is too slow for a gate. It covers
+# the concurrent Drop/eviction soak (TestLifecycleStress) and the
+# spill-churn server soak.
 race:
 	$(GO) test -race -short ./...
 
@@ -40,29 +43,6 @@ vet:
 	$(GO) vet ./...
 	$(GO) build -o bin/fastcc-vet ./cmd/fastcc-vet
 	./bin/fastcc-vet ./...
-
-# Shard-cache lifecycle gate: the concurrent Drop/eviction soak and the
-# core lifecycle suite under the race detector, then again under the
-# sanitizer build so pin-protocol violations become generation-stamp
-# panics instead of silent corruption (see DESIGN.md, "Shard lifecycle
-# & eviction").
-test-lifecycle:
-	$(GO) test -race -short -run 'TestLifecycleStress|TestPreparedDrop|TestShardBudgetIsProcessState' .
-	$(GO) test -race -short ./internal/core -run 'TestShard|TestEviction|TestClose|TestWarm|TestCache'
-	$(GO) test -tags fastcc_checked -short -run 'TestLifecycleStress|TestPreparedDrop|TestShardBudgetIsProcessState' .
-	$(GO) test -tags fastcc_checked -short ./internal/core -run 'TestShard|TestEviction|TestClose|TestWarm|TestCache|TestUnpinned'
-
-# Disk-tier gate: the spill round-trip, fault-injection and adoption suites
-# under the race detector, then again under the sanitizer build so a reader
-# that keeps a shard reference across a spill hits the mid-spill generation
-# panic instead of silently reading reclaimed tables (see DESIGN.md,
-# "Tiered storage: spill files & residency").
-test-spill:
-	$(GO) test -race -short ./internal/spill
-	$(GO) test -race -short ./internal/core -run 'TestSpill'
-	$(GO) test -race -short ./internal/server -run 'TestServerSoakSpillChurn'
-	$(GO) test -tags fastcc_checked -short ./internal/spill
-	$(GO) test -tags fastcc_checked -short ./internal/core -run 'TestSpill|TestSpilledShardGenerationCheck'
 
 # Short fuzz of every existing Fuzz* target; go test -fuzz takes one
 # target per package per invocation. The contraction fuzzer runs a second
@@ -112,4 +92,4 @@ serve-smoke:
 	$(GO) build -o bin/fastcc-client ./cmd/fastcc-client
 	sh tools/serve_smoke.sh bin
 
-ci: build vet test test-checked race test-lifecycle test-spill fuzz-smoke bench-smoke bench-test serve-smoke
+ci: build vet test test-checked race fuzz-smoke bench-smoke bench-test serve-smoke

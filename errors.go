@@ -41,13 +41,13 @@ var (
 
 	// ErrBadOption matches an invalid or conflicting Option combination,
 	// reported eagerly, before any work runs: negative WithThreads, tile
-	// sides beyond 2^31, an unknown accumulator or input representation, a
-	// WithPlatform profile with no cores or cache, a malformed WithTenant
-	// ID, or, under a forced dense accumulator, a non-power-of-two right
-	// tile side or a tile beyond the addressable positions. One case needs
-	// the model's decision, so Contract and ContractPrepared report it only
-	// after linearizing: a WithTileSize right side that is not a power of
-	// two when the model picks the dense accumulator.
+	// sides beyond 2^31, an unknown accumulator, a WithPlatform profile
+	// with no cores or cache, a malformed WithTenant ID, or, under a forced
+	// dense accumulator, a non-power-of-two right tile side or a tile
+	// beyond the addressable positions. One case needs the model's
+	// decision, so Contract and ContractPrepared report it only after
+	// linearizing: a WithTileSize right side that is not a power of two
+	// when the model picks the dense accumulator.
 	ErrBadOption = core.ErrBadOption
 )
 

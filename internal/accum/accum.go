@@ -6,9 +6,8 @@
 // directly: every dense tile scatters through Dense.ScatterRuns, which
 // hands short runs to Dense.ScatterMatches itself, and every sparse tile
 // through Sparse.ScatterMatches. The Accumulator interface is what the
-// package tests drive every implementation through, the Robin Hood
-// ablation SparseRobin included; the engine drains Dense and Sparse through
-// DrainBatch.
+// package tests drive both implementations through; the engine drains them
+// through DrainBatch.
 package accum
 
 // Accumulator accumulates contributions to one output tile and then drains

@@ -323,31 +323,3 @@ func BenchmarkSparseUpsert(b *testing.B) {
 		}
 	}
 }
-
-func TestSparseRobinAgainstMap(t *testing.T) {
-	exerciseAgainstMap(t, NewSparseRobin(4), 1<<10, 1<<10, 5)
-}
-
-func TestSparseRobinMatchesSparse(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a, b := NewSparse(8), NewSparseRobin(8)
-	for i := 0; i < 5000; i++ {
-		l := uint32(rng.Intn(1 << 12))
-		r := uint32(rng.Intn(1 << 12))
-		v := float64(rng.Intn(7) - 3)
-		a.Upsert(l, r, v)
-		b.Upsert(l, r, v)
-	}
-	am := map[[2]uint32]float64{}
-	bm := map[[2]uint32]float64{}
-	a.Drain(func(l, r uint32, v float64) { am[[2]uint32{l, r}] = v })
-	b.Drain(func(l, r uint32, v float64) { bm[[2]uint32{l, r}] = v })
-	if len(am) != len(bm) {
-		t.Fatalf("lens %d vs %d", len(am), len(bm))
-	}
-	for k, v := range am {
-		if bm[k] != v {
-			t.Fatalf("disagree at %v: %g vs %g", k, v, bm[k])
-		}
-	}
-}

@@ -66,42 +66,7 @@ func (s *Sparse) Reset() { s.t.Reset() }
 // Grows reports hash-table doublings (resize-cost metric).
 func (s *Sparse) Grows() int { return s.t.Grows() }
 
-// SparseRobin is a sparse accumulator backed by a Robin Hood-probing table
-// (internal/hashtable.RobinTable) — the "more advanced hashing techniques"
-// direction of Feng et al. cited in paper Section 7.2, kept as an ablation
-// alternative to the linear-probing Sparse.
-type SparseRobin struct {
-	t *hashtable.RobinTable
-}
-
-// NewSparseRobin returns a Robin Hood sparse accumulator.
-func NewSparseRobin(hint int) *SparseRobin {
-	return &SparseRobin{t: hashtable.NewRobinTable(hint)}
-}
-
-// Upsert adds v at (l, r).
-//
-//fastcc:hotpath
-func (s *SparseRobin) Upsert(l, r uint32, v float64) {
-	s.t.Upsert(packLR(l, r), v)
-}
-
-// Len returns the number of distinct touched positions.
-func (s *SparseRobin) Len() int { return s.t.Len() }
-
-// Drain visits all entries then resets the table for reuse.
-func (s *SparseRobin) Drain(fn func(l, r uint32, v float64)) {
-	s.t.ForEach(func(k uint64, v float64) {
-		fn(uint32(k>>32), uint32(k), v)
-	})
-	s.t.Reset()
-}
-
-// Reset empties without draining.
-func (s *SparseRobin) Reset() { s.t.Reset() }
-
 var (
 	_ Accumulator = (*Dense)(nil)
 	_ Accumulator = (*Sparse)(nil)
-	_ Accumulator = (*SparseRobin)(nil)
 )

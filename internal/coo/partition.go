@@ -2,9 +2,9 @@ package coo
 
 import (
 	"math/bits"
-	"sync"
 
 	"fastcc/internal/mempool"
+	"fastcc/internal/scheduler"
 )
 
 // TilePartition is a tile-major regrouping of a Matrix for the engine's
@@ -128,8 +128,10 @@ func PartitionByTile(m *Matrix, tile uint64, workers int) *TilePartition {
 		counts[i] = 0
 	}
 	chunk := (nnz + pw - 1) / pw
-	parallelChunks(pw, nnz, chunk, func(w, lo, hi int) {
+	span := func(w int) (lo, hi int) { return min(w*chunk, nnz), min((w+1)*chunk, nnz) }
+	scheduler.Static(pw, func(w, _ int) {
 		row := counts[w*tiles : (w+1)*tiles]
+		lo, hi := span(w)
 		for k := lo; k < hi; k++ {
 			row[tileOf(m.Ext[k])]++
 		}
@@ -151,8 +153,9 @@ func PartitionByTile(m *Matrix, tile uint64, workers int) *TilePartition {
 
 	// Pass 2: scatter. Workers write disjoint arena positions, so the pass
 	// is race-free without synchronization.
-	parallelChunks(pw, nnz, chunk, func(w, lo, hi int) {
+	scheduler.Static(pw, func(w, _ int) {
 		cur := counts[w*tiles : (w+1)*tiles]
+		lo, hi := span(w)
 		for k := lo; k < hi; k++ {
 			ext := m.Ext[k]
 			var i int
@@ -206,30 +209,4 @@ func (p *TilePartition) Release() {
 	partU32.Put(p.Intra)
 	partF64.Put(p.Val)
 	p.Offs, p.Ctr, p.Intra, p.Val = nil, nil, nil, nil
-}
-
-// parallelChunks runs fn(w, lo, hi) over contiguous chunks of [0, n) on
-// `workers` goroutines (serial when workers == 1).
-func parallelChunks(workers, n, chunk int, fn func(w, lo, hi int)) {
-	if workers == 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
 }

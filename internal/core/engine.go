@@ -233,7 +233,8 @@ var workerFree = mempool.NewFreelist[accKey, *worker](0)
 // operand already holds a shard compatible with this run's plan (same tile
 // side). Passing the same *Operand on both sides of a
 // self-contraction shards it exactly once. A Config that fails Validate is
-// rejected before any work runs.
+// rejected before any work runs. A tile task that panics fails the run with
+// an error wrapping scheduler.ErrTaskPanic, and the process goes on.
 func ContractOperands(l, r *Operand, cfg Config) (*mempool.List[Triple], *Stats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
@@ -484,19 +485,26 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 		}
 	})
 	// Accumulators drain at the end of every task, so canceled or not they
-	// are empty and safe to park for the next run. The pool hands out no
-	// more workers than blocks, so only the workers that claimed a block
-	// hold an accumulator.
+	// are empty and safe to park for the next run. A task that panicked
+	// left its worker's tile half-scattered, so that run parks none. The
+	// pool hands out no more workers than blocks, so only the workers that
+	// claimed a block hold an accumulator.
+	panicked := errors.Is(err, scheduler.ErrTaskPanic)
 	claimed := 0
 	for _, wk := range workers {
 		if wk != nil {
-			workerFree.Put(wkey, wk)
+			if !panicked {
+				workerFree.Put(wkey, wk)
+			}
 			claimed++
 		}
 	}
 	if err != nil {
 		// Partial output is discarded; hand its chunks straight back.
 		outputChunks.Release(mempool.Concat(pools...))
+		if panicked {
+			return nil, nil, fmt.Errorf("core: tile task failed: %w", err)
+		}
 		return nil, nil, canceled(err)
 	}
 	st.ContractTime = time.Since(t0)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -9,10 +10,12 @@ import (
 	"time"
 
 	"fastcc/internal/coo"
+	"fastcc/internal/hashtable"
 	"fastcc/internal/mempool"
 	"fastcc/internal/metrics"
 	"fastcc/internal/model"
 	"fastcc/internal/ref"
+	"fastcc/internal/scheduler"
 	"fastcc/internal/testutil"
 )
 
@@ -311,4 +314,66 @@ func TestContractOutputChunksReturnToBaseline(t *testing.T) {
 		RecycleOutput(out)
 	}
 	base.Assert(t)
+}
+
+// handShard assembles a built shard from per-tile sealed tables, bypassing
+// the partition, so a tile can hold an index the tile side cannot address.
+func handShard(tile uint64, tables ...*hashtable.Sealed) *Shard {
+	s := &Shard{Key: ShardKey{Tile: tile}, sealed: tables}
+	for i, tb := range tables {
+		s.nonEmpty = append(s.nonEmpty, i)
+		s.pairs += tb.Pairs()
+		s.keys += tb.Len()
+	}
+	s.stampBuilt()
+	return s
+}
+
+// TestExecuteTaskPanicFailsTheRun: a tile task that panics fails its run
+// with an error wrapping scheduler.ErrTaskPanic instead of ending the
+// process. Left tile 1 holds a pair whose index (1000) overruns the 8×8
+// dense tile, behind an in-range pair of the same key, so its task panics
+// with the tile half-scattered; the run has two tasks on two workers. The
+// run hands every output chunk back and parks no accumulator: the next run
+// with the same tile shape, which would take a parked one, still matches
+// the reference.
+func TestExecuteTaskPanicFailsTheRun(t *testing.T) {
+	const tile = 8
+	sealed := func(ctr []uint64, intra []uint32) *hashtable.Sealed {
+		val := make([]float64, len(ctr))
+		for k := range val {
+			val[k] = float64(k + 1)
+		}
+		return hashtable.BuildSealed(ctr, intra, val, len(ctr))
+	}
+	ls := handShard(tile, sealed([]uint64{0, 1}, []uint32{1, 2}), sealed([]uint64{0, 0}, []uint32{3, 1000}))
+	rs := handShard(tile, sealed([]uint64{0, 0, 1}, []uint32{0, 5, 4}))
+	defer func() {
+		for _, s := range []*Shard{ls, rs} {
+			for _, tb := range s.sealed {
+				tb.Recycle()
+			}
+		}
+	}()
+
+	chunks := testutil.Capture(testutil.Gauge{Name: "output chunks", Read: OutputChunksOutstanding})
+	dec := model.Decision{Kind: model.AccumDense, TileL: tile, TileR: tile}
+	st := &Stats{}
+	out, _, err := execute(ls, rs, dec, 2, Config{Platform: model.Desktop8}, st)
+	if !errors.Is(err, scheduler.ErrTaskPanic) || out != nil {
+		t.Fatalf("execute over an overrunning tile: out=%v err=%v, want a nil output and ErrTaskPanic", out, err)
+	}
+	if st.Tasks != 2 || st.Blocks != 2 {
+		t.Fatalf("%d tasks in %d blocks, want 2 in 2, so that two workers run", st.Tasks, st.Blocks)
+	}
+	chunks.Assert(t)
+
+	rng := rand.New(rand.NewSource(31))
+	l := randomMatrix(rng, 200, 30, 1500)
+	r := randomMatrix(rng, 180, 30, 1500)
+	got, _ := collectSorted(t, l, r, Config{Threads: 2, TileL: tile, TileR: tile, Accum: model.AccumDense})
+	if !coo.Equal(got, referenceSorted(l, r)) {
+		t.Fatal("the run after a task panic differs from the reference")
+	}
+	chunks.Assert(t)
 }

@@ -75,26 +75,47 @@ func checkSelfLeg(t *testing.T, what string, l *coo.Matrix, cfg Config, want *co
 // of tiles in each panel budget).
 var tinyLLC = model.Platform{Name: "tiny-llc-test", Cores: 4, L3Bytes: 32 << 10, WordBytes: 8}
 
-func TestEquivalenceAcrossRepAndAccum(t *testing.T) {
+// TestEquivalenceAcrossAccum runs both accumulators against the reference
+// and against each other, bit for bit, on two two-operand legs and a self
+// leg. The first leg's dense tiles are row-major. The second leg's are
+// R-major (rMajor): 8 contraction keys give the left operand about 60
+// pairs per key and tile against the right's 5, at least accum.RunMin, and
+// TileL 64 is a power of two as wide as accum.RunCols, so ScatterRuns marks
+// cells along the left runs.
+func TestEquivalenceAcrossAccum(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	// 300/17 and 260/17 leave partial edge tiles, and the non-empty tile
 	// counts do not divide the block sides chosen from tinyLLC.
 	l := randomMatrix(rng, 300, 40, 2500)
 	r := randomMatrix(rng, 260, 40, 2000)
-	want := referenceSorted(l, r)
-
-	accs := []model.AccumKind{model.AccumDense, model.AccumSparse}
-	outs := make([]*coo.Tensor, len(accs))
-	for k, acc := range accs {
-		outs[k], _ = collectSorted(t, l, r, Config{
-			Threads: 4, TileL: 17, TileR: 32, Accum: acc, Platform: tinyLLC,
-		})
-		if !coo.Equal(outs[k], want) {
-			t.Fatalf("%v: result differs from reference", acc)
-		}
+	legs := []struct {
+		name   string
+		l, r   *coo.Matrix
+		tl, tr uint64
+		rmajor bool
+	}{
+		{"row-major", l, r, 17, 32, false},
+		{"R-major", randomMatrix(rng, 300, 8, 2500), randomMatrix(rng, 260, 8, 400), 64, 32, true},
 	}
-	// Bit-for-bit: same sorted coordinates and identical value bits.
-	assertBitIdentical(t, "dense vs sparse", outs[0], outs[1])
+	accs := []model.AccumKind{model.AccumDense, model.AccumSparse}
+	for _, leg := range legs {
+		want := referenceSorted(leg.l, leg.r)
+		outs := make([]*coo.Tensor, len(accs))
+		for k, acc := range accs {
+			var st *Stats
+			outs[k], st = collectSorted(t, leg.l, leg.r, Config{
+				Threads: 4, TileL: leg.tl, TileR: leg.tr, Accum: acc, Platform: tinyLLC,
+			})
+			if !coo.Equal(outs[k], want) {
+				t.Fatalf("%s %v: result differs from reference", leg.name, acc)
+			}
+			if wantR := leg.rmajor && acc == model.AccumDense; st.RMajor != wantR {
+				t.Fatalf("%s %v: RMajor = %v, want %v", leg.name, acc, st.RMajor, wantR)
+			}
+		}
+		// Bit-for-bit: same sorted coordinates and identical value bits.
+		assertBitIdentical(t, leg.name+" dense vs sparse", outs[0], outs[1])
+	}
 	// Self leg: one Operand on both sides runs the symmetric schedule. With
 	// 16-wide tiles a tinyLLC panel holds two tiles, so blocks straddle the
 	// diagonal: one block runs diagonal, mirrored and skipped pairs.

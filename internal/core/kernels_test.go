@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"fastcc/internal/accum"
 	"fastcc/internal/coo"
 	"fastcc/internal/hashtable"
 	"fastcc/internal/mempool"
@@ -352,12 +353,14 @@ type benchTilePairData struct {
 	hl, hr *hashtable.Sealed
 }
 
-func newBenchTilePair(nKeysL, nKeysR, pairsPerKey int) *benchTilePairData {
+// newBenchTilePair builds the pair for a side×side tile: every key holds
+// pairsPerKey pairs, at consecutive indices modulo side.
+func newBenchTilePair(nKeysL, nKeysR, pairsPerKey, side int) *benchTilePairData {
 	mkSealed := func(nKeys, stride int) *hashtable.Sealed {
 		var tc tileCols
 		for k := 0; k < nKeys; k++ {
 			for p := 0; p < pairsPerKey; p++ {
-				tc.add(uint64(k*stride), uint32((k+p)%32), 1.25)
+				tc.add(uint64(k*stride), uint32((k+p)%side), 1.25)
 			}
 		}
 		return tc.build(nKeys)
@@ -368,13 +371,25 @@ func newBenchTilePair(nKeysL, nKeysR, pairsPerKey int) *benchTilePairData {
 
 // BenchmarkTilePair times contractPair on one tile pair with each
 // accumulator — `go test -bench TilePair ./internal/core` isolates the
-// inner loops from build, scheduling and output handling.
+// inner loops from build, scheduling and output handling. The tile is
+// accum.RunCols wide and every key holds accum.RunMin pairs, so the dense
+// leg scatters along the right runs through ScatterRuns' run mask.
 func BenchmarkTilePair(b *testing.B) {
-	const tl, tr = 64, 32
-	d := newBenchTilePair(1024, 512, 8)
+	const side = 64
+	d := newBenchTilePair(1024, 512, accum.RunMin, side)
+	// A row-major dense tile's inner runs are the right runs; both they and
+	// the tile's width must reach the run mask's thresholds.
+	if side < accum.RunCols {
+		b.Fatalf("tile %d wide, narrower than accum.RunCols = %d", side, accum.RunCols)
+	}
+	for k := range d.hr.Len() {
+		if n := len(d.hr.PairsAt(k)); n < accum.RunMin {
+			b.Fatalf("right key %d holds %d pairs, fewer than accum.RunMin = %d", k, n, accum.RunMin)
+		}
+	}
 	for _, kind := range []model.AccumKind{model.AccumDense, model.AccumSparse} {
 		b.Run(kind.String(), func(b *testing.B) {
-			wk := newWorker(kind, tl, tr, 1<<12)
+			wk := newWorker(kind, side, side, 1<<12)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				pool := outputChunks.NewPool()

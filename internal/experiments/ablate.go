@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"fastcc"
-	"fastcc/internal/accum"
 	"fastcc/internal/chainhash"
 	"fastcc/internal/coo"
 	"fastcc/internal/gen"
@@ -14,12 +12,16 @@ import (
 // RunAblations exercises the design choices DESIGN.md calls out, beyond the
 // paper's headline plots:
 //
-//  1. tiled CO (FaSTCC) vs. the untiled CO of Algorithm 4;
-//  2. forced-dense vs. forced-sparse accumulators on a dense-output and an
-//     ultra-sparse-output workload (extends Table 3);
-//  3. the CI scheme on CSF vs. on hash tables;
-//  4. open-addressing vs. chaining input-table construction (the paper's
-//     Section 6.4 discussion of Sparta's fast chained insertions).
+//   - A1: tiled CO (FaSTCC) vs. the untiled CO of Algorithm 4;
+//   - A3: the CI scheme on CSF vs. on hash tables;
+//   - A4: open-addressing vs. chaining input-table construction (the
+//     paper's Section 6.4 discussion of Sparta's fast chained insertions);
+//   - A6: the CM scheme's sparse workspace vs. Section 3.2's dense one;
+//   - A8: a self-contraction's symmetric schedule vs. the full grid.
+//
+// A2 (forced accumulators, a copy of Table 3's Time_D and Time_S rows), A5
+// (linear vs. Robin Hood probing in the sparse accumulator) and A7 (hash vs.
+// sorted input tiles) are retired; EXPERIMENTS.md keeps their last numbers.
 func RunAblations(cfg Config) error {
 	w := cfg.writer()
 	fmt.Fprintln(w, "Ablations")
@@ -57,35 +59,6 @@ func RunAblations(cfg Config) error {
 			untiledD.Seconds()/tiledD.Seconds())
 	}
 	cfg.print(t1)
-	fmt.Fprintln(w)
-
-	// 2. Accumulator ablation.
-	fmt.Fprintln(w, "A2: forced accumulator kind (model would choose per Algorithm 7)")
-	t2 := newTable("contraction", "dense(s)", "sparse(s)", "model chooses")
-	for _, cs := range []Case{denseCase, sparseCase} {
-		l, r, spec, err := cs.Load(cfg)
-		if err != nil {
-			return err
-		}
-		dec, err := decideFor(cfg, l, r, spec)
-		if err != nil {
-			return err
-		}
-		denseS := "DNF"
-		if grid, err := denseGrid(l, r, spec, dec.DenseT); err == nil && grid <= 32<<20 {
-			_, _, d, err := runFastCC(cfg, l, r, spec, fastcc.WithAccumulator(fastcc.AccumDense))
-			if err != nil {
-				return err
-			}
-			denseS = secs(d)
-		}
-		_, _, dS, err := runFastCC(cfg, l, r, spec, fastcc.WithAccumulator(fastcc.AccumSparse))
-		if err != nil {
-			return err
-		}
-		t2.addf("%s|%s|%s|%s", cs.ID, denseS, secs(dS), dec.Kind.String())
-	}
-	cfg.print(t2)
 	fmt.Fprintln(w)
 
 	// 3. CI on CSF vs CI on hash tables (small uniform workload: CI is
@@ -150,40 +123,6 @@ func RunAblations(cfg Config) error {
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "Chaining inserts cheaply but loses lookup locality; open addressing")
 	fmt.Fprintln(w, "pays resize costs at insertion (the Vast/Uber discussion, Section 6.4).")
-	fmt.Fprintln(w)
-
-	// 5. Sparse accumulator probing scheme: linear vs Robin Hood (the
-	// improved-hashing direction of Feng et al., Section 7.2).
-	fmt.Fprintln(w, "A5: sparse accumulator upserts, linear vs Robin Hood probing (2M upserts)")
-	keys := make([]uint64, 2_000_000)
-	rg := gen.NewRNG(cfg.Seed)
-	for i := range keys {
-		keys[i] = rg.Uint64() % (1 << 21)
-	}
-	linD, err := timeIt(cfg, func() error {
-		a := accum.NewSparse(1 << 18)
-		for _, k := range keys {
-			a.Upsert(uint32(k>>10), uint32(k&1023), 1)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	robD, err := timeIt(cfg, func() error {
-		a := accum.NewSparseRobin(1 << 18)
-		for _, k := range keys {
-			a.Upsert(uint32(k>>10), uint32(k&1023), 1)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	t5 := newTable("probing", "time(s)")
-	t5.addf("linear|%s", secs(linD))
-	t5.addf("robin-hood|%s", secs(robD))
-	cfg.print(t5)
 	fmt.Fprintln(w)
 
 	// 6. CM workspace kind: Sparta's sparse workspace vs the dense-array

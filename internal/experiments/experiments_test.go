@@ -170,7 +170,7 @@ func TestRunAblations(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"A1", "A2", "A3", "A4", "A8", "untiled", "open-addressing", "chaining", "vast-014"} {
+	for _, want := range []string{"A1", "A3", "A4", "A6", "A8", "untiled", "open-addressing", "chaining", "vast-014"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}

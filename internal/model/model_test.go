@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -173,9 +174,8 @@ func TestAutoAndWithCores(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	q := p.WithCores(3)
-	if q.Cores != 3 || p.Cores == 3 && q.Cores != p.Cores {
-		t.Fatalf("WithCores: %+v", q)
+	if n := runtime.GOMAXPROCS(0); p.Cores != n || p.L3Bytes != int64(n)*(2<<20) {
+		t.Fatalf("Auto() = %+v, want %d cores with a 2 MiB L3 share each", p, n)
 	}
 	if AccumAuto.String() != "auto" || AccumDense.String() != "dense" || AccumSparse.String() != "sparse" {
 		t.Fatal("AccumKind strings")

@@ -15,10 +15,24 @@ package scheduler
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
+
+// ErrTaskPanic matches the error PoolCtxBatch returns when a task panicked.
+// The error carries the panic value and the panicking goroutine's stack.
+var ErrTaskPanic = errors.New("scheduler: task panicked")
+
+// taskPanic is the error for a recovered task panic v. Called from the
+// recovering deferred function, debug.Stack still holds the panicking
+// frames.
+func taskPanic(v any) error {
+	return fmt.Errorf("%w: %v\n%s", ErrTaskPanic, v, debug.Stack())
+}
 
 // Workers normalizes a requested thread count: n <= 0 selects GOMAXPROCS.
 func Workers(n int) int {
@@ -32,10 +46,14 @@ func Workers(n int) int {
 // dynamically by an atomic ticket counter across `workers` goroutines. Each
 // worker keeps its id for the task's lifetime, so fn can use worker-local
 // scratch state (accumulators, output pools). Returns when all tasks finish.
+// A task's panic is raised again on the caller's goroutine, as an error
+// wrapping ErrTaskPanic, once every worker has stopped.
 func Pool(workers, tasks int, fn func(worker, task int)) {
 	// context.Background() is never canceled, so the per-task Err() check
-	// reduces to a nil comparison.
-	_ = PoolCtxBatch(context.Background(), workers, tasks, 1, fn)
+	// reduces to a nil comparison, and the only error is a task panic.
+	if err := PoolCtxBatch(context.Background(), workers, tasks, 1, fn); err != nil {
+		panic(err)
+	}
 }
 
 // ClaimBatch picks a per-claim batch size for PoolCtxBatch: 1 while
@@ -64,13 +82,19 @@ const (
 	maxClaimBatch = 64
 )
 
-// PoolCtxBatch is Pool with cooperative cancellation and batched ticket
-// claiming.
+// PoolCtxBatch is Pool with cooperative cancellation, batched ticket
+// claiming and task panics returned as errors.
 //
 // Workers stop claiming new tasks once ctx is done, and the call returns
 // ctx.Err(); it returns nil when every task ran. Tasks already in flight
 // run to completion, so worker-local scratch state is never abandoned
 // mid-task.
+//
+// A task that panics does abandon its worker's state mid-task. The worker
+// recovers the panic and the others stop claiming as on cancel; once every
+// worker has returned, the call returns an error wrapping ErrTaskPanic with
+// the first panic's value and stack (ahead of any ctx error). The caller
+// must then discard whatever worker-local state the panicking task held.
 //
 // Each atomic increment claims up to `batch` consecutive tasks, cutting
 // claim contention by that factor when tasks are tiny and plentiful;
@@ -78,7 +102,7 @@ const (
 // boundary — a canceled context stops a worker mid-batch, leaving the rest
 // of its claimed range unexecuted — so the latency to stop is one task, not
 // one batch.
-func PoolCtxBatch(ctx context.Context, workers, tasks, batch int, fn func(worker, task int)) error {
+func PoolCtxBatch(ctx context.Context, workers, tasks, batch int, fn func(worker, task int)) (err error) {
 	workers = Workers(workers)
 	if tasks <= 0 {
 		return ctx.Err()
@@ -90,6 +114,11 @@ func PoolCtxBatch(ctx context.Context, workers, tasks, batch int, fn func(worker
 		workers = tasks
 	}
 	if workers == 1 {
+		defer func() {
+			if v := recover(); v != nil {
+				err = taskPanic(v)
+			}
+		}()
 		for t := 0; t < tasks; t++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -99,12 +128,22 @@ func PoolCtxBatch(ctx context.Context, workers, tasks, batch int, fn func(worker
 		return ctx.Err()
 	}
 	var next atomic.Int64
+	// failed holds the first recovered panic; a set value stops every
+	// worker's claims.
+	var failed atomic.Pointer[error]
+	stopped := func() bool { return ctx.Err() != nil || failed.Load() != nil }
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for ctx.Err() == nil {
+			defer func() {
+				if v := recover(); v != nil {
+					e := taskPanic(v)
+					failed.CompareAndSwap(nil, &e)
+				}
+			}()
+			for !stopped() {
 				hi := next.Add(int64(batch))
 				lo := hi - int64(batch)
 				if lo >= int64(tasks) {
@@ -114,9 +153,9 @@ func PoolCtxBatch(ctx context.Context, workers, tasks, batch int, fn func(worker
 					hi = int64(tasks)
 				}
 				for t := lo; t < hi; t++ {
-					// The claim loop just checked ctx for the batch's first
+					// The claim loop just checked for the batch's first
 					// task; re-check before each subsequent one.
-					if t > lo && ctx.Err() != nil {
+					if t > lo && stopped() {
 						return
 					}
 					fn(w, int(t))
@@ -125,6 +164,9 @@ func PoolCtxBatch(ctx context.Context, workers, tasks, batch int, fn func(worker
 		}(w)
 	}
 	wg.Wait()
+	if e := failed.Load(); e != nil {
+		return *e
+	}
 	return ctx.Err()
 }
 

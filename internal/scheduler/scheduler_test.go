@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestPoolCtxCompletesUncanceled(t *testing.T) {
@@ -55,6 +57,61 @@ func TestPoolCtxPreCanceled(t *testing.T) {
 	}
 	if got := ran.Load(); got > 2 {
 		t.Fatalf("%d tasks ran under pre-canceled context", got)
+	}
+}
+
+// TestPoolCtxTaskPanic: a panicking task ends neither the process nor the
+// pool's other workers mid-task. The pool stops claiming, joins every
+// worker and returns an error wrapping ErrTaskPanic that carries the panic
+// value and the panicking stack, at one worker and at three.
+func TestPoolCtxTaskPanic(t *testing.T) {
+	const tasks, bad = 300, 5
+	for _, workers := range []int{1, 3} {
+		var ran, inFlight atomic.Int64
+		err := PoolCtxBatch(context.Background(), workers, tasks, 1, func(_, task int) {
+			inFlight.Add(1)
+			defer inFlight.Add(-1)
+			if task == bad {
+				panic("tile 5 overran its accumulator")
+			}
+			ran.Add(1)
+			time.Sleep(100 * time.Microsecond)
+		})
+		if !errors.Is(err, ErrTaskPanic) {
+			t.Fatalf("workers=%d: err=%v, want ErrTaskPanic", workers, err)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, "tile 5 overran its accumulator") || !strings.Contains(msg, "TestPoolCtxTaskPanic") {
+			t.Fatalf("workers=%d: error lacks the panic value or its stack:\n%s", workers, msg)
+		}
+		if n := inFlight.Load(); n != 0 {
+			t.Fatalf("workers=%d: %d tasks still running after the pool returned", workers, n)
+		}
+		// One worker stops at the panic; three stop claiming within a few
+		// tasks of it, far short of the 300.
+		if got := ran.Load(); workers == 1 && got != bad || got >= tasks/2 {
+			t.Fatalf("workers=%d: %d tasks ran after a panic at task %d", workers, got, bad)
+		}
+	}
+}
+
+// TestPoolRaisesTaskPanic: Pool, which returns no error, raises a task's
+// panic again on the caller's goroutine, where the caller can recover it.
+func TestPoolRaisesTaskPanic(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		func() {
+			defer func() {
+				err, ok := recover().(error)
+				if !ok || !errors.Is(err, ErrTaskPanic) {
+					t.Fatalf("workers=%d: recovered %v, want an error wrapping ErrTaskPanic", workers, err)
+				}
+			}()
+			Pool(workers, 10, func(_, task int) {
+				if task == 7 {
+					panic("boom")
+				}
+			})
+		}()
 	}
 }
 

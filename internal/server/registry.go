@@ -19,7 +19,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -231,17 +230,13 @@ func (r *Registry) Charged(tenant string) int64 {
 	return r.charged[tenant]
 }
 
-// Stats reports the registry's aggregate footprint and the tenants holding
-// references, sorted by ID.
-func (r *Registry) Stats() (operands int, bytes int64, tenants []string) {
+// Stats reports the registry's aggregate footprint: how many operands it
+// holds and their bytes.
+func (r *Registry) Stats() (operands int, bytes int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, e := range r.operands {
 		bytes += e.bytes
 	}
-	for id := range r.charged {
-		tenants = append(tenants, id)
-	}
-	sort.Strings(tenants)
-	return len(r.operands), bytes, tenants
+	return len(r.operands), bytes
 }

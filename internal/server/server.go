@@ -492,7 +492,7 @@ func (s *Server) handleDeleteResult(w http.ResponseWriter, r *http.Request, tena
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request, tenant string) {
-	operands, bytes, _ := s.reg.Stats()
+	operands, bytes := s.reg.Stats()
 	s.mu.Lock()
 	nresults, resultBytes := len(s.results), int64(0)
 	for _, e := range s.results {

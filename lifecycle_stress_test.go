@@ -17,7 +17,7 @@ import (
 // result is checked against a single precomputed reference, so any torn
 // read of a mid-reclaim shard shows up as a wrong answer even when it
 // doesn't crash. Run it under -race and under
-// -tags fastcc_checked (make test-lifecycle does both); the checked build
+// -tags fastcc_checked (make race and make test-checked); the checked build
 // turns any pin-protocol violation into a generation-stamp panic, and the
 // dedicated unpinned-read twin lives in internal/core/lifecycle_test.go
 // where the sealed tables are reachable.
