@@ -34,15 +34,19 @@ race:
 # six per-package passes (atomicmix, errdiscard, hotalloc, linovf,
 # poolescape, spanarith) — see tools/analysis/ and README.md. ./... covers
 # the analyzers' own packages too, and a mis-registered pass aborts with
-# exit 2. Lock order is gated at runtime by internal/lockcheck in the
-# fastcc_checked legs; sealed-table writes and WaitGroup misuse by the race
-# and test legs. CI reuses the compiled analyzer packages via the Go build
-# cache.
+# exit 2. go vet and the suite run a second time over the benchmark module:
+# the root ./... does not reach that separate module, which imports
+# internal/core and internal/model. Lock order is gated at runtime by
+# internal/lockcheck in the fastcc_checked legs; sealed-table writes and
+# WaitGroup misuse by the race and test legs. CI reuses the compiled
+# analyzer packages via the Go build cache.
 vet:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 	$(GO) build -o bin/fastcc-vet ./cmd/fastcc-vet
 	./bin/fastcc-vet ./...
+	./bin/fastcc-vet -dir bench ./...
 
 # Short fuzz of every existing Fuzz* target; go test -fuzz takes one
 # target per package per invocation. The contraction fuzzer runs a second

@@ -154,8 +154,8 @@ type Stats struct {
 	RMajor bool
 	// BlockL, BlockR are the LLC super-block sides (in non-empty tiles) the
 	// contract schedule used; Blocks is the resulting block-task count. A
-	// worker claims whole blocks and walks them L-outer/R-inner, so each
-	// R panel is fetched from DRAM once and reused BlockL times.
+	// worker claims one whole block at a time and walks it L-outer/R-inner,
+	// so each R panel is fetched from DRAM once and reused BlockL times.
 	BlockL, BlockR, Blocks int
 	// OutputNNZ is the number of output nonzeros produced.
 	OutputNNZ int
@@ -404,12 +404,11 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 
 	// LLC-blocked schedule: the nL×nR task grid is cut into BL×BR
 	// super-blocks sized so one block's input panels fit in a worker share
-	// of the last-level cache (model.BlockShape). Workers claim whole blocks
-	// — batched on the atomic ticket once blocks are plentiful — and walk
-	// each block L-outer/R-inner, so a BR-tile R panel is streamed from DRAM
-	// once and reused BL times from cache. The unblocked schedule this
-	// replaces walked the grid i-major, re-streaming the entire R shard
-	// through the LLC for every L tile.
+	// of the last-level cache (model.BlockShape). Each atomic claim takes
+	// one whole block, which the worker walks L-outer/R-inner, so a BR-tile
+	// R panel is streamed from DRAM once and reused BL times from cache.
+	// The unblocked schedule this replaces walked the grid i-major,
+	// re-streaming the entire R shard through the LLC for every L tile.
 	bl, br := model.BlockShape(cfg.Platform, ls.TileBytes(), rs.TileBytes(), nL, nR, threads)
 	nbL, nbR := 0, 0
 	if nL > 0 && nR > 0 {
@@ -431,9 +430,8 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 	}
 	blocksTotal := rowStart[nbL]
 	st.BlockL, st.BlockR, st.Blocks = bl, br, blocksTotal
-	probeBatch := cfg.Platform.ProbeBatch()
 	ctx := cfg.ctx()
-	err := scheduler.PoolCtxBatch(ctx, threads, blocksTotal, scheduler.ClaimBatch(blocksTotal, threads), func(w, b int) {
+	err := scheduler.PoolCtx(ctx, threads, blocksTotal, func(w, b int) {
 		wk := workers[w]
 		if wk == nil {
 			if parked, ok := workerFree.Get(wkey); ok {
@@ -461,8 +459,8 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 			}
 			for ; jj < jEnd; jj++ {
 				// Cancellation is observed at tile-task boundaries even
-				// inside a block, matching the batched claim's latency of
-				// one task, not one block.
+				// inside a block, so the latency to stop is one task, not
+				// one block.
 				if ctx.Err() != nil {
 					return
 				}
@@ -472,7 +470,7 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 					scatterDiagonal(ls.sealedAt(i), wk, cfg.Counters)
 				} else {
 					listL, listR := sharedLists(ls, rs, i, j)
-					contractPair(ls.sealedAt(i), rs.sealedAt(j), listL, listR, wk, cfg.Counters, probeBatch)
+					contractPair(ls.sealedAt(i), rs.sealedAt(j), listL, listR, wk, cfg.Counters)
 				}
 				td := time.Now()
 				lo := pools[w].Len()

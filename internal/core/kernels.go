@@ -17,10 +17,10 @@ import (
 // swaps each match's runs.
 //
 // The kernel replaces the per-key serial Lookup with Sealed.LookupBatch:
-// the iterated side's flat key array is consumed in chunks of the
-// platform's probe depth, so up to ProbeBatch home-slot loads overlap in
-// the load queue instead of serializing hash → load → compare chains
-// (paper Section 4.3's probe-bound regime).
+// the iterated side's flat key array is consumed in chunks of probeDepth
+// keys, so that many home-slot loads overlap in the load queue instead of
+// serializing hash → load → compare chains (paper Section 4.3's
+// probe-bound regime).
 //
 // The kernel only accumulates; execute then drains the worker with
 // worker.drain. A self-contraction's diagonal pairs skip the kernel for
@@ -102,6 +102,12 @@ func scatterDiagonal(t *hashtable.Sealed, wk *worker, ctr *metrics.Counters) {
 	ctr.AddUpdates(updates)
 }
 
+// probeDepth is the number of keys contractPair resolves per LookupBatch
+// call. Eight in-flight probes cover the useful memory-level parallelism
+// of typical 4-to-12-deep load queues while the chunk's stack scratch stays
+// small.
+const probeDepth = 8
+
 // contractPair contracts tile pair (hl, hr) into the worker's
 // accumulator: batched probes over the iterated side's flat key array,
 // one scatter per chunk of matches. listL and listR are the tiles'
@@ -109,7 +115,7 @@ func scatterDiagonal(t *hashtable.Sealed, wk *worker, ctr *metrics.Counters) {
 // keys its list names, in list order.
 //
 //fastcc:hotpath
-func contractPair(hl, hr *hashtable.Sealed, listL, listR []int32, wk *worker, ctr *metrics.Counters, probeBatch int) {
+func contractPair(hl, hr *hashtable.Sealed, listL, listR []int32, wk *worker, ctr *metrics.Counters) {
 	iter, probeInto, swapped := chooseSides(hl, hr)
 	list := listL
 	if swapped {
@@ -122,12 +128,12 @@ func contractPair(hl, hr *hashtable.Sealed, listL, listR []int32, wk *worker, ct
 	if list != nil {
 		nk = len(list)
 	}
-	var kb [hashtable.LookupBatchMax]uint64
-	var out [hashtable.LookupBatchMax]int32
-	var ms [hashtable.LookupBatchMax]accum.Match
+	var kb [probeDepth]uint64
+	var out [probeDepth]int32
+	var ms [probeDepth]accum.Match
 	var volume, updates, batches, hits int64
-	for base := 0; base < nk; base += probeBatch {
-		n := min(nk-base, probeBatch)
+	for base := 0; base < nk; base += probeDepth {
+		n := min(nk-base, probeDepth)
 		for bi := range n {
 			kb[bi] = keys[keyIndex(list, base+bi)]
 		}

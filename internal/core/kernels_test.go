@@ -95,7 +95,7 @@ func TestIterateSmallerSideByDistinctKeys(t *testing.T) {
 			var ctr metrics.Counters
 			wk := newWorker(kind, 128, 32, 64)
 			pool := outputChunks.NewPool()
-			contractPair(dir.hl, dir.hr, nil, nil, wk, &ctr, hashtable.LookupBatchMax)
+			contractPair(dir.hl, dir.hr, nil, nil, wk, &ctr)
 			wk.drain(pool, 0, 0, false)
 			outputChunks.Release(mempool.Concat(pool))
 			if q := ctr.Snapshot().Queries; q != fewKeys {
@@ -393,7 +393,7 @@ func BenchmarkTilePair(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				pool := outputChunks.NewPool()
-				contractPair(d.hl, d.hr, nil, nil, wk, nil, hashtable.LookupBatchMax)
+				contractPair(d.hl, d.hr, nil, nil, wk, nil)
 				wk.drain(pool, 0, 0, false)
 				outputChunks.Release(mempool.Concat(pool))
 			}

@@ -3,9 +3,9 @@
 //
 //   - Static: a fixed team of workers that partition an index range among
 //     themselves (the cyclic tile ownership of the shard build);
-//   - PoolCtxBatch (and its Pool shorthand): a dynamic task queue
-//     over an index range, the Go substitute for Taskflow — tasks are
-//     claimed with an atomic ticket so load imbalance between tile-tile
+//   - PoolCtx (and its Pool shorthand): a dynamic task queue over an
+//     index range, the Go substitute for Taskflow — each task is claimed
+//     with an atomic ticket so load imbalance between tile-tile
 //     contractions is absorbed at run time.
 //
 // The paper's nested parallel regions, where half the threads build HL and
@@ -23,7 +23,7 @@ import (
 	"sync/atomic"
 )
 
-// ErrTaskPanic matches the error PoolCtxBatch returns when a task panicked.
+// ErrTaskPanic matches the error PoolCtx returns when a task panicked.
 // The error carries the panic value and the panicking goroutine's stack.
 var ErrTaskPanic = errors.New("scheduler: task panicked")
 
@@ -49,41 +49,15 @@ func Workers(n int) int {
 // A task's panic is raised again on the caller's goroutine, as an error
 // wrapping ErrTaskPanic, once every worker has stopped.
 func Pool(workers, tasks int, fn func(worker, task int)) {
-	// context.Background() is never canceled, so the per-task Err() check
+	// context.Background() is never canceled, so the per-claim Err() check
 	// reduces to a nil comparison, and the only error is a task panic.
-	if err := PoolCtxBatch(context.Background(), workers, tasks, 1, fn); err != nil {
+	if err := PoolCtx(context.Background(), workers, tasks, fn); err != nil {
 		panic(err)
 	}
 }
 
-// ClaimBatch picks a per-claim batch size for PoolCtxBatch: 1 while
-// tasks are scarce relative to workers (dynamic balancing matters most),
-// growing once tasks >> workers so the atomic ticket stops being a
-// contention point, and capped so the tail imbalance stays below
-// ~1/claimSlack of a worker's share.
-func ClaimBatch(tasks, workers int) int {
-	workers = Workers(workers)
-	b := tasks / (workers * claimSlack)
-	if b < 1 {
-		return 1
-	}
-	if b > maxClaimBatch {
-		return maxClaimBatch
-	}
-	return b
-}
-
-const (
-	// claimSlack is the minimum number of claims each worker should get so
-	// dynamic scheduling still absorbs load imbalance between batches.
-	claimSlack = 16
-	// maxClaimBatch bounds a single claim so a slow worker cannot strand a
-	// large task range behind it.
-	maxClaimBatch = 64
-)
-
-// PoolCtxBatch is Pool with cooperative cancellation, batched ticket
-// claiming and task panics returned as errors.
+// PoolCtx is Pool with cooperative cancellation and task panics returned
+// as errors. Each claim is one atomic add on the ticket and takes one task.
 //
 // Workers stop claiming new tasks once ctx is done, and the call returns
 // ctx.Err(); it returns nil when every task ran. Tasks already in flight
@@ -95,43 +69,18 @@ const (
 // worker has returned, the call returns an error wrapping ErrTaskPanic with
 // the first panic's value and stack (ahead of any ctx error). The caller
 // must then discard whatever worker-local state the panicking task held.
-//
-// Each atomic increment claims up to `batch` consecutive tasks, cutting
-// claim contention by that factor when tasks are tiny and plentiful;
-// batch < 1 is treated as 1. Cancellation is still observed at every task
-// boundary — a canceled context stops a worker mid-batch, leaving the rest
-// of its claimed range unexecuted — so the latency to stop is one task, not
-// one batch.
-func PoolCtxBatch(ctx context.Context, workers, tasks, batch int, fn func(worker, task int)) (err error) {
+func PoolCtx(ctx context.Context, workers, tasks int, fn func(worker, task int)) error {
 	workers = Workers(workers)
 	if tasks <= 0 {
 		return ctx.Err()
 	}
-	if batch < 1 {
-		batch = 1
-	}
 	if workers > tasks {
 		workers = tasks
-	}
-	if workers == 1 {
-		defer func() {
-			if v := recover(); v != nil {
-				err = taskPanic(v)
-			}
-		}()
-		for t := 0; t < tasks; t++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			fn(0, t)
-		}
-		return ctx.Err()
 	}
 	var next atomic.Int64
 	// failed holds the first recovered panic; a set value stops every
 	// worker's claims.
 	var failed atomic.Pointer[error]
-	stopped := func() bool { return ctx.Err() != nil || failed.Load() != nil }
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -143,23 +92,12 @@ func PoolCtxBatch(ctx context.Context, workers, tasks, batch int, fn func(worker
 					failed.CompareAndSwap(nil, &e)
 				}
 			}()
-			for !stopped() {
-				hi := next.Add(int64(batch))
-				lo := hi - int64(batch)
-				if lo >= int64(tasks) {
+			for ctx.Err() == nil && failed.Load() == nil {
+				t := next.Add(1) - 1
+				if t >= int64(tasks) {
 					return
 				}
-				if hi > int64(tasks) {
-					hi = int64(tasks)
-				}
-				for t := lo; t < hi; t++ {
-					// The claim loop just checked for the batch's first
-					// task; re-check before each subsequent one.
-					if t > lo && stopped() {
-						return
-					}
-					fn(w, int(t))
-				}
+				fn(w, int(t))
 			}
 		}(w)
 	}

@@ -13,11 +13,11 @@ import (
 func TestPoolCtxCompletesUncanceled(t *testing.T) {
 	const tasks = 200
 	var hits [tasks]atomic.Int32
-	err := PoolCtxBatch(context.Background(), 4, tasks, 1, func(_, task int) {
+	err := PoolCtx(context.Background(), 4, tasks, func(_, task int) {
 		hits[task].Add(1)
 	})
 	if err != nil {
-		t.Fatalf("PoolCtxBatch: %v", err)
+		t.Fatalf("PoolCtx: %v", err)
 	}
 	for i := range hits {
 		if hits[i].Load() != 1 {
@@ -30,7 +30,7 @@ func TestPoolCtxStopsAtTaskBoundary(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int64
-		err := PoolCtxBatch(ctx, workers, 100000, 1, func(_, task int) {
+		err := PoolCtx(ctx, workers, 100000, func(_, task int) {
 			if ran.Add(1) == 3 {
 				cancel()
 			}
@@ -51,7 +51,7 @@ func TestPoolCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
-	err := PoolCtxBatch(ctx, 2, 10, 1, func(_, task int) { ran.Add(1) })
+	err := PoolCtx(ctx, 2, 10, func(_, task int) { ran.Add(1) })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err=%v", err)
 	}
@@ -68,7 +68,7 @@ func TestPoolCtxTaskPanic(t *testing.T) {
 	const tasks, bad = 300, 5
 	for _, workers := range []int{1, 3} {
 		var ran, inFlight atomic.Int64
-		err := PoolCtxBatch(context.Background(), workers, tasks, 1, func(_, task int) {
+		err := PoolCtx(context.Background(), workers, tasks, func(_, task int) {
 			inFlight.Add(1)
 			defer inFlight.Add(-1)
 			if task == bad {
@@ -141,7 +141,7 @@ func TestPoolSingleWorkerSequential(t *testing.T) {
 	order := []int{}
 	Pool(1, 5, func(w, task int) {
 		if w != 0 {
-			t.Fatalf("worker %d in single-worker pool", w)
+			t.Errorf("worker %d in single-worker pool", w)
 		}
 		order = append(order, task)
 	})

@@ -69,58 +69,55 @@ func TestPoolRaceStress(t *testing.T) {
 }
 
 func TestPoolBatchRaceStress(t *testing.T) {
-	// The batched claim path must preserve the Pool invariants under the
-	// race detector: every task runs exactly once, and a worker id is never
-	// live on two goroutines at once (the non-atomic sink writes would be a
-	// detector hit). Batch sizes bracket the auto-chosen range, including
-	// batches larger than the task count.
+	// PoolCtx, the loop behind Pool, must keep the Pool invariants under the
+	// race detector with 64 workers claiming one task per atomic add: every
+	// task runs exactly once, and a worker id is never live on two
+	// goroutines at once (the non-atomic sink writes would be a detector
+	// hit).
 	const (
 		workers = 64
 		tasks   = 20_000
 	)
-	for _, batch := range []int{1, 7, 64, tasks + 1} {
-		var sink [workers]sinkSlot // worker-id-indexed, intentionally non-atomic
-		err := PoolCtxBatch(context.Background(), workers, tasks, batch, func(w, task int) {
-			if w < 0 || w >= workers {
-				t.Errorf("worker id %d out of range", w)
-				return
-			}
-			sink[w].claims++ // racy iff two goroutines share an id
-			sink[w].sum += int64(task)
-			runtime.Gosched()
-		})
-		if err != nil {
-			t.Fatalf("batch %d: %v", batch, err)
+	var sink [workers]sinkSlot // worker-id-indexed, intentionally non-atomic
+	err := PoolCtx(context.Background(), workers, tasks, func(w, task int) {
+		if w < 0 || w >= workers {
+			t.Errorf("worker id %d out of range", w)
+			return
 		}
-		var claimed, sum int64
-		for w := range sink {
-			claimed += sink[w].claims
-			sum += sink[w].sum
-		}
-		if claimed != tasks {
-			t.Fatalf("batch %d: %d task claims for %d tasks", batch, claimed, tasks)
-		}
-		if want := int64(tasks) * (tasks - 1) / 2; sum != want {
-			t.Fatalf("batch %d: task id sum %d want %d (lost or duplicated tasks)", batch, sum, want)
-		}
+		sink[w].claims++ // racy iff two goroutines share an id
+		sink[w].sum += int64(task)
+		runtime.Gosched()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var claimed, sum int64
+	for w := range sink {
+		claimed += sink[w].claims
+		sum += sink[w].sum
+	}
+	if claimed != tasks {
+		t.Fatalf("%d task claims for %d tasks", claimed, tasks)
+	}
+	if want := int64(tasks) * (tasks - 1) / 2; sum != want {
+		t.Fatalf("task id sum %d want %d (lost or duplicated tasks)", sum, want)
 	}
 }
 
 func TestPoolBatchCancellationAtTaskBoundaries(t *testing.T) {
 	// Cancel mid-run and verify (a) the pool returns ctx.Err(), (b) workers
-	// stop within one task of the cancellation even inside a claimed batch:
-	// the executed count must stay far below the task count, bounded by the
-	// tasks already in flight plus one per worker.
+	// stop within one task of the cancellation: the executed count must
+	// stay far below the task count, bounded by the tasks already in
+	// flight plus one per worker.
 	const (
 		workers = 8
 		tasks   = 1 << 20
-		batch   = 64
 		stopAt  = 100
 	)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var executed atomic.Int64
-	err := PoolCtxBatch(ctx, workers, tasks, batch, func(w, task int) {
+	err := PoolCtx(ctx, workers, tasks, func(w, task int) {
 		if executed.Add(1) == stopAt {
 			cancel()
 		}
@@ -129,10 +126,9 @@ func TestPoolBatchCancellationAtTaskBoundaries(t *testing.T) {
 		t.Fatalf("canceled pool returned %v", err)
 	}
 	got := executed.Load()
-	// After cancel, each worker may finish at most the task it is running;
-	// the batch remainder (up to batch-1 tasks per worker) must NOT run.
+	// After cancel, each worker may finish at most the task it is running.
 	if limit := int64(stopAt + workers); got > limit {
-		t.Fatalf("%d tasks ran after cancellation (limit %d): batch remainder not abandoned", got, limit)
+		t.Fatalf("%d tasks ran after cancellation (limit %d)", got, limit)
 	}
 	if got < stopAt {
 		t.Fatalf("only %d tasks ran, cancel fired at %d", got, stopAt)
@@ -140,11 +136,12 @@ func TestPoolBatchCancellationAtTaskBoundaries(t *testing.T) {
 }
 
 func TestPoolBatchSerialCancellation(t *testing.T) {
-	// The single-worker fast path checks ctx between tasks too.
+	// One worker runs the same claim loop, which checks ctx before every
+	// claim: no task runs after the one that canceled.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ran := 0
-	err := PoolCtxBatch(ctx, 1, 1000, 16, func(w, task int) {
+	err := PoolCtx(ctx, 1, 1000, func(w, task int) {
 		ran++
 		if ran == 10 {
 			cancel()
@@ -154,23 +151,7 @@ func TestPoolBatchSerialCancellation(t *testing.T) {
 		t.Fatal("want ctx error")
 	}
 	if ran != 10 {
-		t.Fatalf("serial path ran %d tasks after cancel at 10", ran)
-	}
-}
-
-func TestClaimBatchBounds(t *testing.T) {
-	if b := ClaimBatch(10, 8); b != 1 {
-		t.Fatalf("scarce tasks: %d", b)
-	}
-	if b := ClaimBatch(1<<20, 4); b != maxClaimBatch {
-		t.Fatalf("plentiful tasks should cap at %d: %d", maxClaimBatch, b)
-	}
-	if b := ClaimBatch(0, 8); b != 1 {
-		t.Fatalf("zero tasks: %d", b)
-	}
-	mid := ClaimBatch(8*claimSlack*10, 8)
-	if mid != 10 {
-		t.Fatalf("mid range: %d want 10", mid)
+		t.Fatalf("one worker ran %d tasks after cancel at 10", ran)
 	}
 }
 
